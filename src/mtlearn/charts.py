@@ -8,8 +8,8 @@ inputs give byte-identical files and tests can diff them.
 
 from __future__ import annotations
 
+import html
 import math
-from xml.sax.saxutils import escape
 
 WIDTH = 640
 HEIGHT = 440
@@ -84,7 +84,7 @@ def _chart_shell(title: str, xlabel: str, ylabel: str, frame: _Frame,
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH // 2}" y="26" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="15">{html.escape(title, quote=False)}</text>',
     ]
     # Gridlines and tick labels.
     for t in x_ticks:
@@ -122,13 +122,13 @@ def _chart_shell(title: str, xlabel: str, ylabel: str, frame: _Frame,
     parts.append(
         f'<text x="{(frame.px_left + frame.px_right) // 2}" '
         f'y="{HEIGHT - 14}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="13">{escape(xlabel)}</text>'
+        f'font-size="13">{html.escape(xlabel, quote=False)}</text>'
     )
     mid_y = (frame.px_top + frame.px_bottom) // 2
     parts.append(
         f'<text x="20" y="{mid_y}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 20 {mid_y})">{escape(ylabel)}</text>'
+        f'transform="rotate(-90 20 {mid_y})">{html.escape(ylabel, quote=False)}</text>'
     )
     parts.extend(body)
     parts.append("</svg>")
@@ -170,7 +170,7 @@ def line_chart(title: str, xlabel: str, ylabel: str,
         )
         body.append(
             f'<text x="{frame.px_right + 40}" y="{legend_y + 4}" '
-            f'font-family="sans-serif" font-size="12">{escape(name)}</text>'
+            f'font-family="sans-serif" font-size="12">{html.escape(name, quote=False)}</text>'
         )
         legend_y += 20
     return _chart_shell(title, xlabel, ylabel, frame, body)
@@ -201,6 +201,6 @@ def scatter_chart(title: str, xlabel: str, ylabel: str,
             body.append(f'<circle cx="{px}" cy="{py}" r="4" fill="#0072B2"/>')
         body.append(
             f'<text x="{px + 6}" y="{py - 5}" font-family="sans-serif" '
-            f'font-size="10" fill="#444444">{escape(label)}</text>'
+            f'font-size="10" fill="#444444">{html.escape(label, quote=False)}</text>'
         )
     return _chart_shell(title, xlabel, ylabel, frame, body)

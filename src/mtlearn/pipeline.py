@@ -12,10 +12,11 @@ bundle (CSV tables, SVG charts, JSON summary).
 Everything emitted is deterministic: artifact reuse is guarded by content
 fingerprints, aggregation rows are sorted, and floats are serialized via
 repr, so two runs of the same manifest produce byte-identical bundles no
-matter how the work was scheduled. With the builtin trainer the worker
-pool is thread-based, which parallelizes external commands fully but EM
-training only up to interpreter lock contention; the 5-language synthetic
-experiment finishes well inside desk-scale budgets either way.
+matter how the work was scheduled. The worker pool is thread-based:
+`max_parallel_jobs` bounds how many external trainer commands run at
+once, while builtin-trainer cells run one at a time, because they hold
+the interpreter lock and a second thread would only add memory. The
+5-language synthetic experiment finishes in seconds either way.
 
 Manifest schema (paths are resolved relative to the manifest file)::
 
@@ -563,8 +564,11 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
             ledger.cells[key] = record
             ledger.save(ledger_path)
 
+    # Builtin cells hold the interpreter lock, so only external commands
+    # gain from running in parallel.
+    jobs = manifest.max_parallel_jobs if manifest.trainer_spec.kind == "external" else 1
     if todo:
-        with ThreadPoolExecutor(max_workers=manifest.max_parallel_jobs) as pool:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(worker, key) for key in todo]
             for future in as_completed(futures):
                 future.result()

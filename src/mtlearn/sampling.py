@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from ._rng import permutation
@@ -70,6 +71,16 @@ class SubsetManifest:
             return cls.from_dict(json.load(fh))
 
 
+@lru_cache(maxsize=1)
+def _order(n_train: int, seed: int) -> tuple[int, ...]:
+    """The permutation behind every subset of one pair.
+
+    A pair's fractions are subsampled one after another, so one cached
+    entry computes it once per pair, and the subsets share its int objects.
+    """
+    return tuple(permutation(n_train, seed))
+
+
 def subsample(n_train: int, fraction: float, seed: int,
               src: str | None = None, tgt: str | None = None) -> SubsetManifest:
     """Select ceil(fraction * n_train) training indices.
@@ -83,7 +94,7 @@ def subsample(n_train: int, fraction: float, seed: int,
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     k = math.ceil(fraction * n_train)
-    order = permutation(n_train, seed)
+    order = _order(n_train, seed)
     return SubsetManifest(
         fraction=fraction,
         seed=seed,

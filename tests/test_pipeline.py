@@ -1,8 +1,10 @@
 """Tests for manifests, the experiment runner, resume, and reporting."""
 
+import hashlib
 import json
 import random
 import threading
+import time
 
 import pytest
 
@@ -309,6 +311,37 @@ class TestRunExperiment:
                 (*analysis.parse_pair(pair), float(fraction))
             ].bleu
         assert keys == sorted(keys)
+
+    def test_scores_csv_bytes_pinned(self, tiny_run):
+        # A float change anywhere in EM, or another argmax tie-break,
+        # changes these bytes.
+        _, manifest, _ = tiny_run
+        data = (manifest.output_dir / "scores.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "727c90fcf7b7395c2f20c28a300dcc10a0950e6143600877ea848dba52f1e2b3"
+        )
+
+    def test_builtin_cells_run_one_at_a_time(self, tmp_path, monkeypatch):
+        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        assert manifest.max_parallel_jobs == 2
+        real_train = trainer.train_model1
+        lock = threading.Lock()
+        running = {"now": 0, "peak": 0}
+
+        def tracking_train(pairs, iterations):
+            with lock:
+                running["now"] += 1
+                running["peak"] = max(running["peak"], running["now"])
+            try:
+                time.sleep(0.01)  # gives a second worker thread the chance to start
+                return real_train(pairs, iterations)
+            finally:
+                with lock:
+                    running["now"] -= 1
+
+        monkeypatch.setattr(mtlearn.trainer, "train_model1", tracking_train)
+        assert pipeline.run_experiment(manifest).all_done()
+        assert running["peak"] == 1
 
     def test_full_data_beats_smallest_fraction(self, tiny_run):
         _, _, ledger = tiny_run

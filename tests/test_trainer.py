@@ -9,9 +9,15 @@ import bisect
 import itertools
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mtlearn
 from mtlearn import bleu, sampling, trainer
 from mtlearn._rng import SplitMix64, derive_seed
 
@@ -81,6 +87,25 @@ def random_toy_corpus(rnd, n_pairs=6, vocab=5, max_len=3):
     return pairs
 
 
+def side(vocab):
+    """Strategy for a sentence of 0 to 3 tokens drawn from `vocab`."""
+    return st.lists(st.sampled_from(vocab), max_size=3).map(" ".join)
+
+
+def assert_matches_oracle(pairs, iterations):
+    mine = trainer.train_model1(pairs, iterations)
+    expected_table, expected_lls = oracle_em(pairs, iterations)
+    assert set(mine.entries) == set(expected_table)
+    for s in expected_table:
+        assert set(mine.entries[s]) == set(expected_table[s])
+        for t, p in expected_table[s].items():
+            assert mine.entries[s][t] == pytest.approx(p, abs=1e-12)
+    assert len(mine.log_likelihoods) == len(expected_lls)
+    for got, want in zip(mine.log_likelihoods, expected_lls):
+        assert got == pytest.approx(want, abs=1e-12)
+    return mine
+
+
 class TestTrainModel1:
     def test_single_pair_is_certain(self):
         table = trainer.train_model1([("a", "x")], iterations=3)
@@ -119,15 +144,27 @@ class TestTrainModel1:
         corpora.append(random_toy_corpus(rnd, n_pairs=5, vocab=4, max_len=3))
         for pairs in corpora:
             for iterations in (1, 2, 3):
-                mine = trainer.train_model1(pairs, iterations)
-                expected_table, expected_lls = oracle_em(pairs, iterations)
-                assert set(mine.entries) == set(expected_table)
-                for s in expected_table:
-                    assert set(mine.entries[s]) == set(expected_table[s])
-                    for t, p in expected_table[s].items():
-                        assert mine.entries[s][t] == pytest.approx(p, abs=1e-12)
-                for got, want in zip(mine.log_likelihoods, expected_lls):
-                    assert got == pytest.approx(want, abs=1e-12)
+                assert_matches_oracle(pairs, iterations)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        corpus=st.tuples(
+            st.lists(st.tuples(side("abc"), side("xyz")), min_size=1, max_size=4),
+            st.booleans(),
+        ).map(lambda drawn: drawn[0] + drawn[0][:1] if drawn[1] else drawn[0]),
+        iterations=st.integers(min_value=1, max_value=3),
+    )
+    def test_matches_oracle_on_arbitrary_corpora(self, corpus, iterations):
+        # Sides of 0 to 3 tokens from a 3-word vocabulary: empty sides,
+        # 1-token sentences and tokens repeated within a sentence are all
+        # common, and the first pair is repeated in half the corpora.
+        usable = [(s, t) for s, t in corpus if s.split() and t.split()]
+        if not usable:
+            with pytest.raises(ValueError, match="empty"):
+                trainer.train_model1(corpus, iterations)
+            return
+        mine = assert_matches_oracle(corpus, iterations)
+        assert mine.skipped_pairs == len(corpus) - len(usable)
 
     def test_empty_sides_skipped_with_count(self):
         pairs = [("a", "x"), ("", "x"), ("a", "   "), ("b", "y")]
@@ -167,6 +204,11 @@ class TestDecode:
             entries={"a": {"x": 0.5, "w": 0.5}}, log_likelihoods=()
         )
         assert trainer.decode(table, "a") == "w"
+
+    def test_tie_on_trained_table(self):
+        table = trainer.train_model1([("a b", "x y")], iterations=3)
+        assert table.entries["a"]["x"] == table.entries["a"]["y"]
+        assert trainer.decode(table, "a b") == "x x"
 
     def test_order_preserved_and_deterministic(self):
         table = trainer.train_model1(
@@ -295,3 +337,17 @@ class TestRunExternal:
             trainer.run_external(
                 trainer.TrainerSpec(kind="builtin-em"), str(train), str(test_src), str(hyp)
             )
+
+
+def test_import_loads_neither_numpy_nor_urllib_request():
+    # numpy is imported by the builtin trainer when it first trains, so
+    # external-trainer and resume runs never pay its memory.
+    src = str(Path(mtlearn.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import mtlearn; "
+        "print(sorted({'numpy', 'urllib.request'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
