@@ -48,9 +48,8 @@ from .pipeline import (
     load_manifest,
     run_experiment,
 )
-from .sampling import FRACTION_GRID, SubsetManifest, fraction_grid, subsample
+from .sampling import FRACTION_GRID, SubsetManifest, subsample
 from .trainer import (
-    HypothesisSet,
     LexicalTable,
     TrainerSpec,
     decode,
@@ -65,7 +64,6 @@ __all__ = [
     "BleuScore",
     "ExperimentManifest",
     "FRACTION_GRID",
-    "HypothesisSet",
     "IntelligibilityMatrix",
     "LearningCurve",
     "LexicalTable",
@@ -85,7 +83,6 @@ __all__ = [
     "embedded_matrices",
     "embedded_reference_auc",
     "filter_by_source",
-    "fraction_grid",
     "load_manifest",
     "load_pivot_bitext",
     "normalize_pivot",

@@ -72,7 +72,7 @@ def _cmd_subsample(args: argparse.Namespace) -> int:
         args.n_train, args.fraction, args.seed, src=args.src, tgt=args.tgt
     )
     if args.out:
-        manifest.write(args.out)
+        Path(args.out).write_text(manifest.to_json() + "\n", encoding="utf-8")
     else:
         print(manifest.to_json())
     return 0
@@ -89,7 +89,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             )
         pairs = [pairs[i] for i in subset.indices]
     table = trainer.train_model1(pairs, args.iterations)
-    src_lines = Path(args.test_src).read_text(encoding="utf-8").splitlines()
+    src_lines = corpus.read_lines(args.test_src)
     hyps = [trainer.decode(table, line) for line in src_lines]
     Path(args.hyp_out).parent.mkdir(parents=True, exist_ok=True)
     Path(args.hyp_out).write_text("\n".join(hyps) + "\n", encoding="utf-8")
@@ -101,8 +101,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    hyps = Path(args.hyp).read_text(encoding="utf-8").splitlines()
-    refs = Path(args.ref).read_text(encoding="utf-8").splitlines()
+    hyps = corpus.read_lines(args.hyp)
+    refs = corpus.read_lines(args.ref)
     result = bleu.corpus_bleu(hyps, refs)
     if args.json:
         print(result.to_json())

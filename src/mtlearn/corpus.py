@@ -103,8 +103,8 @@ def load_pivot_bitext(pivot_path: str | Path, target_path: str | Path, lang: str
     (OSError, UnicodeDecodeError) propagate unchanged.
     """
     validate_lang(lang)
-    pivot_lines = _read_lines(pivot_path)
-    target_lines = _read_lines(target_path)
+    pivot_lines = read_lines(pivot_path)
+    target_lines = read_lines(target_path)
     if len(pivot_lines) != len(target_lines):
         raise ValueError(
             f"line count mismatch: {pivot_path} has {len(pivot_lines)} lines, "
@@ -113,9 +113,18 @@ def load_pivot_bitext(pivot_path: str | Path, target_path: str | Path, lang: str
     return PivotBitext(lang=lang, pivot_lines=pivot_lines, target_lines=target_lines)
 
 
-def _read_lines(path: str | Path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read().splitlines()
+def read_lines(path: str | Path) -> list[str]:
+    r"""Read a UTF-8 file as lines, split on "\n" only (CRLF reads like LF).
+
+    str.splitlines() would also split on U+2028, U+0085, \x1c-\x1e, \v and
+    \f, and so misalign line-parallel files. A final newline adds no line.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        *lines, tail = fh.read().split("\n")  # tail: the text after the last "\n"
+    lines = [line.removesuffix("\r") for line in lines]
+    if tail:
+        lines.append(tail)
+    return lines
 
 
 def normalize_pivot(sentence: str) -> str:
@@ -135,7 +144,8 @@ def build_parallel(a: PivotBitext, b: PivotBitext) -> ParallelPair:
     yields min(k_a, k_b) pairs, matching occurrences in order (i-th with
     i-th). Output follows ``a``'s line order. Lines whose normalized pivot
     is empty are ignored; matching blank subtitle lines against each other
-    would pair unrelated sentences.
+    would pair unrelated sentences. Tabs inside sentences become spaces, as
+    in `write_pairs_tsv`, so the pairs equal their TSV round trip.
     """
     if a.lang == b.lang:
         raise ValueError(f"cannot build a parallel pair from {a.lang!r} twice")
@@ -160,7 +170,9 @@ def build_parallel(a: PivotBitext, b: PivotBitext) -> ParallelPair:
         matches = b_occurrences.get(key)
         if matches is not None and occ < len(matches):
             j = matches[occ]
-            pairs.append((a.target_lines[i], b.target_lines[j]))
+            pairs.append(
+                (a.target_lines[i].replace("\t", " "), b.target_lines[j].replace("\t", " "))
+            )
             provenance.append((i, j))
 
     if not pairs:
@@ -216,12 +228,11 @@ def write_pairs_tsv(pair: ParallelPair, path: str | Path) -> None:
 def read_pairs_tsv(path: str | Path) -> list[tuple[str, str]]:
     """Read sentence pairs from a 2-column TSV file."""
     out: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh.read().splitlines(), start=1):
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 tab-separated columns, got {len(cols)}")
-            out.append((cols[0], cols[1]))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        cols = line.split("\t")
+        if len(cols) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 2 tab-separated columns, got {len(cols)}")
+        out.append((cols[0], cols[1]))
     return out
 
 

@@ -91,7 +91,7 @@ class ExperimentManifest:
     dev_ratio: float = 0.1
     test_ratio: float = 0.2
     split_seed: int | None = None
-    fractions: tuple[float, ...] = field(default_factory=sampling.fraction_grid)
+    fractions: tuple[float, ...] = sampling.FRACTION_GRID
     seed: int = 0
     trainer_spec: trainer.TrainerSpec = field(
         default_factory=lambda: trainer.TrainerSpec(kind="builtin-em")
@@ -234,7 +234,7 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
             dev_ratio=float(split.get("dev_ratio", 0.1)),
             test_ratio=float(split.get("test_ratio", 0.2)),
             split_seed=split.get("seed"),
-            fractions=tuple(float(f) for f in raw.get("fractions", sampling.fraction_grid())),
+            fractions=tuple(float(f) for f in raw.get("fractions", sampling.FRACTION_GRID)),
             seed=int(raw.get("seed", 0)),
             trainer_spec=spec,
             max_parallel_jobs=int(raw.get("max_parallel_jobs", 1)),
@@ -246,17 +246,31 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
         raise ManifestError(str(exc)) from exc
 
 
-def manifest_fingerprint(manifest: ExperimentManifest) -> str:
+def _input_digests(manifest: ExperimentManifest) -> dict[Path, str]:
+    """sha256 of every input file, each file read once."""
+    return {
+        path: _sha256_file(path)
+        for paths in manifest.data_sources.values()
+        for path in paths
+    }
+
+
+def manifest_fingerprint(
+    manifest: ExperimentManifest, digests: dict[Path, str] | None = None
+) -> str:
     """Content hash of everything that can change experiment results.
 
     Includes input file contents, split/subset parameters, and the trainer
     configuration; deliberately excludes output_dir and max_parallel_jobs,
-    which must not affect results.
+    which must not affect results. ``digests`` are the input file hashes
+    from `_input_digests`, taken now when not given.
     """
+    if digests is None:
+        digests = _input_digests(manifest)
     payload = {
         "languages": list(manifest.languages),
         "sources": {
-            lang: [_sha256_file(pivot), _sha256_file(target)]
+            lang: [digests[pivot], digests[target]]
             for lang, (pivot, target) in sorted(manifest.data_sources.items())
         },
         "split": {
@@ -367,6 +381,7 @@ class _PairData:
 def _prepare_pair(
     manifest: ExperimentManifest,
     bitexts: dict[str, corpus.PivotBitext],
+    digests: dict[Path, str],
     src: str,
     tgt: str,
 ) -> _PairData:
@@ -380,14 +395,13 @@ def _prepare_pair(
         test_ratio=manifest.test_ratio,
         seed=split_seed,
     )
-    src_pivot, src_target = manifest.data_sources[src]
-    tgt_pivot, tgt_target = manifest.data_sources[tgt]
     fingerprint = hashlib.sha256(
         json.dumps(
             {
                 "files": [
-                    _sha256_file(src_pivot), _sha256_file(src_target),
-                    _sha256_file(tgt_pivot), _sha256_file(tgt_target),
+                    digests[path]
+                    for lang in (src, tgt)
+                    for path in manifest.data_sources[lang]
                 ],
                 "ratios": [repr(manifest.dev_ratio), repr(manifest.test_ratio)],
                 "seed": split_seed,
@@ -474,15 +488,12 @@ def _run_cell(
             "".join(f"{s}\t{t}\n" for s, t in subset_pairs),
         )
         hyp_path.parent.mkdir(parents=True, exist_ok=True)
-        hyp_set = trainer.run_external(
+        hyps = trainer.run_external(
             manifest.trainer_spec,
             str(subset_tsv),
             str(out / "corpus" / f"{data.src}-{data.tgt}" / "test.src.txt"),
             str(hyp_path),
-            pair_id=(data.src, data.tgt),
-            fraction=fraction,
         )
-        hyps = list(hyp_set.hypotheses)
 
     score = bleu.corpus_bleu(hyps, data.test_tgt).score
     return score, rel_hyp
@@ -498,7 +509,8 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
     """
     out = manifest.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    fingerprint = manifest_fingerprint(manifest)
+    digests = _input_digests(manifest)
+    fingerprint = manifest_fingerprint(manifest, digests)
 
     ledger_path = out / "ledger.json"
     ledger: RunLedger | None = None
@@ -529,7 +541,7 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
         for lang, (pivot, target) in manifest.data_sources.items()
     }
     pair_data = {
-        (src, tgt): _prepare_pair(manifest, bitexts, src, tgt)
+        (src, tgt): _prepare_pair(manifest, bitexts, digests, src, tgt)
         for src, tgt in manifest.pairs()
     }
 

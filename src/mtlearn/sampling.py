@@ -17,12 +17,8 @@ from pathlib import Path
 
 from ._rng import permutation
 
+# The canonical evaluation grid: 20% to 100% in steps of 10%.
 FRACTION_GRID = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-
-
-def fraction_grid() -> tuple[float, ...]:
-    """The canonical evaluation grid: 20% to 100% in steps of 10%."""
-    return FRACTION_GRID
 
 
 @dataclass
@@ -59,11 +55,6 @@ class SubsetManifest:
             src=d.get("src"),
             tgt=d.get("tgt"),
         )
-
-    def write(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
 
     @classmethod
     def read(cls, path: str | Path) -> "SubsetManifest":

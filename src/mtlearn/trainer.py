@@ -15,6 +15,8 @@ import subprocess
 from array import array
 from dataclasses import dataclass, field
 
+from .corpus import read_lines
+
 NULL_TOKEN = "<NULL>"
 
 DEFAULT_EXTERNAL_TIMEOUT = 86400.0  # seconds; external systems may train for hours
@@ -82,15 +84,6 @@ class TrainerSpec:
                     raise ValueError(
                         f"external command_template must contain {placeholder}"
                     )
-
-
-@dataclass(frozen=True)
-class HypothesisSet:
-    """Translated sentences aligned one-to-one with the test source lines."""
-
-    hypotheses: tuple[str, ...]
-    pair_id: tuple[str, str] | None = None
-    fraction: float | None = None
 
 
 def train_model1(
@@ -231,15 +224,14 @@ def run_external(
     train_path: str,
     test_src_path: str,
     hyp_out_path: str,
-    pair_id: tuple[str, str] | None = None,
-    fraction: float | None = None,
-) -> HypothesisSet:
-    """Run an external trainer command and load its hypothesis file.
+) -> list[str]:
+    """Run an external trainer command and return its hypotheses.
 
     The command template's placeholders are substituted with the given
     paths, the command runs through the shell in spec.workdir with the
     inherited environment, and the resulting hypothesis file must have
-    exactly one line per test source line.
+    exactly one line per test source line (lines as `corpus.read_lines`
+    splits them).
     """
     if spec.kind != "external":
         raise ValueError(f"run_external requires kind 'external', got {spec.kind!r}")
@@ -269,11 +261,9 @@ def run_external(
             f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
         )
 
-    with open(test_src_path, encoding="utf-8") as fh:
-        n_expected = len(fh.read().splitlines())
+    n_expected = len(read_lines(test_src_path))
     try:
-        with open(hyp_out_path, encoding="utf-8") as fh:
-            hypotheses = fh.read().splitlines()
+        hypotheses = read_lines(hyp_out_path)
     except OSError as exc:
         raise ExternalTrainerError(
             f"external trainer produced no hypothesis file at {hyp_out_path}: {exc}"
@@ -283,7 +273,4 @@ def run_external(
             f"hypothesis file {hyp_out_path} has {len(hypotheses)} lines, "
             f"expected {n_expected}"
         )
-
-    return HypothesisSet(
-        hypotheses=tuple(hypotheses), pair_id=pair_id, fraction=fraction
-    )
+    return hypotheses

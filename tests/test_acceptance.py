@@ -8,6 +8,7 @@ implementation.
 
 import json
 import math
+import os
 import random
 import signal
 import subprocess
@@ -334,6 +335,9 @@ def test_criterion_8_determinism_and_resume(family_run, tmp_path_factory):
     root_c = tmp_path_factory.mktemp("family_c")
     info_c = synthetic.write_family(root_c)
     manifest_c = pipeline.load_manifest(info_c["manifest_path"])
+    # The child imports the same mtlearn as this process, installed or not.
+    src_dir = str(Path(pipeline.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(p for p in (src_dir, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "mtlearn.cli", "run",
@@ -341,6 +345,7 @@ def test_criterion_8_determinism_and_resume(family_run, tmp_path_factory):
         ],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     ledger_path = manifest_c.output_dir / "ledger.json"
     deadline = time.monotonic() + 240.0

@@ -126,6 +126,7 @@ class TestSubsample:
         manifest = sampling.SubsetManifest.read(out)
         assert manifest.indices == sampling.subsample(20, 0.3, 42).indices
         assert manifest.src == "aa"
+        assert out.read_text(encoding="utf-8") == manifest.to_json() + "\n"
 
     def test_bad_fraction_is_config_error(self, capsys):
         rc = cli.main(

@@ -2,9 +2,13 @@
 
 import itertools
 import json
+import tempfile
 import unicodedata
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mtlearn import corpus
 
@@ -87,7 +91,69 @@ class TestNormalizePivot:
             assert corpus.normalize_pivot(once) == once
 
 
+# Any line a writer can emit: no "\n", and no trailing "\r" (which would
+# read back as the end of a CRLF line ending).
+_lines = st.lists(
+    st.text().filter(lambda line: "\n" not in line and not line.endswith("\r"))
+)
+
+
+class TestReadLines:
+    @given(_lines)
+    def test_roundtrip_over_arbitrary_unicode(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "lines.txt"
+            path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+            assert corpus.read_lines(path) == lines
+            # Without the final newline, the last line still reads back.
+            path.write_bytes("\n".join(lines).encode("utf-8"))
+            assert corpus.read_lines(path) == (lines if lines[-1:] != [""] else lines[:-1])
+
+    def test_crlf_reads_like_lf(self, tmp_path):
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(b"a\r\nb\r\n\r\nc")
+        assert corpus.read_lines(path) == ["a", "b", "", "c"]
+
+    def test_lone_cr_stays_inside_its_line(self, tmp_path):
+        path = tmp_path / "cr.txt"
+        path.write_bytes(b"a\rb\nc\n")
+        assert corpus.read_lines(path) == ["a\rb", "c"]
+
+    def test_line_separator_inside_a_sentence_is_kept(self, tmp_path):
+        pivot = tmp_path / "en.txt"
+        target = tmp_path / "es.txt"
+        pivot.write_text("one\ntwo\n", encoding="utf-8")
+        target.write_text("uno\u2028bis\ndos\n", encoding="utf-8")
+        bt = corpus.load_pivot_bitext(pivot, target, "es")
+        assert bt.target_lines == ["uno\u2028bis", "dos"]
+
+    def test_file_separator_does_not_resegment(self, tmp_path):
+        pivot = tmp_path / "en.txt"
+        target = tmp_path / "es.txt"
+        pivot.write_text("a\nb\x1cc\n", encoding="utf-8")
+        target.write_text("x\x1cy\nz\n", encoding="utf-8")
+        bt = corpus.load_pivot_bitext(pivot, target, "es")
+        assert bt.pivot_lines == ["a", "b\x1cc"]
+        assert bt.target_lines == ["x\x1cy", "z"]
+
+    def test_tsv_keeps_unicode_separators(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("a\u2028b\tx\x0cy\nc\x85\tz\n", encoding="utf-8")
+        assert corpus.read_pairs_tsv(path) == [("a\u2028b", "x\x0cy"), ("c\x85", "z")]
+
+
 class TestBuildParallel:
+    def test_tabs_become_spaces_like_the_tsv_writer(self, tmp_path):
+        a = bitext("es", ["X", "Y"], ["has\ttab", "plain"])
+        b = bitext("pt", ["X", "Y"], ["tab\there", "clean"])
+        pair = corpus.build_parallel(a, b)
+        assert pair.pairs == [("has tab", "tab here"), ("plain", "clean")]
+        # Tab-free sentences are shared with the bitext, not copied.
+        assert pair.pairs[1][0] is a.target_lines[1]
+        path = tmp_path / "pairs.tsv"
+        corpus.write_pairs_tsv(pair, path)
+        assert corpus.read_pairs_tsv(path) == pair.pairs
+
     def test_single_intersection(self):
         a = bitext("es", ["X", "Y"], ["equis", "ygriega"])
         b = bitext("pt", ["Y", "Z"], ["ipsilon", "ze"])

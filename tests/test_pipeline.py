@@ -61,7 +61,7 @@ class TestFractionSlug:
         assert pipeline.fraction_slug(0.05) == "0.05"
 
     def test_grid_slugs_unique(self):
-        slugs = [pipeline.fraction_slug(f) for f in sampling.fraction_grid()]
+        slugs = [pipeline.fraction_slug(f) for f in sampling.FRACTION_GRID]
         assert len(set(slugs)) == len(slugs)
         assert slugs[0] == "0.2"
         assert slugs[-1] == "1.0"
@@ -75,7 +75,7 @@ class TestLoadManifest:
         assert manifest.output_dir == (tmp_path / "out").resolve()
         assert manifest.trainer_spec.kind == "builtin-em"
         assert manifest.trainer_spec.em_iterations == 2
-        assert manifest.fractions == sampling.fraction_grid()
+        assert manifest.fractions == sampling.FRACTION_GRID
         assert manifest.pairs() == [("aa", "bb"), ("bb", "aa")]
 
     def test_paths_resolved_relative_to_manifest(self, tmp_path):
@@ -276,7 +276,7 @@ def tiny_run(tmp_path_factory):
 class TestRunExperiment:
     def test_all_18_cells_done(self, tiny_run):
         _, manifest, ledger = tiny_run
-        assert len(ledger.cells) == 2 * len(sampling.fraction_grid())
+        assert len(ledger.cells) == 2 * len(sampling.FRACTION_GRID)
         assert ledger.all_done()
         for record in ledger.cells.values():
             assert record.bleu is not None
@@ -289,7 +289,7 @@ class TestRunExperiment:
         for pair in ("aa-bb", "bb-aa"):
             for name in ("train.tsv", "dev.tsv", "test.tsv", "meta.json"):
                 assert (out / "corpus" / pair / name).is_file()
-            for fraction in sampling.fraction_grid():
+            for fraction in sampling.FRACTION_GRID:
                 slug = pipeline.fraction_slug(fraction)
                 assert (out / "subsets" / pair / f"{slug}.json").is_file()
                 assert (out / "hyps" / pair / f"{slug}.txt").is_file()
@@ -320,6 +320,35 @@ class TestRunExperiment:
         assert hashlib.sha256(data).hexdigest() == (
             "727c90fcf7b7395c2f20c28a300dcc10a0950e6143600877ea848dba52f1e2b3"
         )
+
+    def test_fingerprints_pinned(self, tiny_run):
+        # Both fingerprints come from the same per-file digests; these
+        # values were taken before the digests were shared, so a ledger or
+        # corpus written by an older run is still reused.
+        _, manifest, ledger = tiny_run
+        expected = "d38b9807b7e90f8feb185a49441d3273490739bbc06f1b94193a6b18e63bfe32"
+        assert pipeline.manifest_fingerprint(manifest) == expected
+        assert ledger.fingerprint == expected
+        meta = json.loads(
+            (manifest.output_dir / "corpus" / "aa-bb" / "meta.json").read_text()
+        )
+        assert meta["fingerprint"] == (
+            "4c21ba57fa5f8bc20a5ec19c08301dce03ad177a3eafa51c11557f9516ae0363"
+        )
+
+    def test_each_input_file_hashed_once_per_run(self, tmp_path, monkeypatch):
+        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        real_hash = pipeline._sha256_file
+        hashed = []
+
+        def counting_hash(path):
+            hashed.append(path)
+            return real_hash(path)
+
+        monkeypatch.setattr(pipeline, "_sha256_file", counting_hash)
+        pipeline.run_experiment(manifest)
+        inputs = [p for paths in manifest.data_sources.values() for p in paths]
+        assert sorted(hashed) == sorted(inputs)
 
     def test_builtin_cells_run_one_at_a_time(self, tmp_path, monkeypatch):
         manifest = pipeline.load_manifest(make_experiment(tmp_path))
@@ -354,7 +383,7 @@ class TestRunExperiment:
         _, manifest, _ = tiny_run
         out = manifest.output_dir
         previous = None
-        for fraction in sampling.fraction_grid():
+        for fraction in sampling.FRACTION_GRID:
             slug = pipeline.fraction_slug(fraction)
             raw = json.loads(
                 (out / "subsets" / "aa-bb" / f"{slug}.json").read_text()
@@ -461,7 +490,7 @@ class TestReports:
     def constant_ledger(self):
         cells = {}
         for src, tgt in (("aa", "bb"), ("bb", "aa")):
-            for fraction in sampling.fraction_grid():
+            for fraction in sampling.FRACTION_GRID:
                 cells[(src, tgt, fraction)] = pipeline.CellRecord(
                     src=src, tgt=tgt, fraction=fraction, status="done",
                     bleu=30.0, hypothesis_path="x", wall_time=0.0,
@@ -548,6 +577,54 @@ class TestExternalTrainerThroughPipeline:
         assert hyp == src
         for record in ledger.cells.values():
             assert record.bleu is not None
+
+    def test_tabs_in_sentences_give_the_same_bytes_fresh_and_reused(
+        self, tmp_path, monkeypatch
+    ):
+        # A fresh run builds its rows in memory, a corpus-reused run reads
+        # them back from the TSVs; both must feed the trainer the same text.
+        manifest_path = make_experiment(
+            tmp_path,
+            trainer_cfg={
+                "kind": "external",
+                "command_template": "cp {test_src} {hyp_out} # {train}",
+            },
+        )
+        target = tmp_path / "data" / "aa.txt"
+        lines = target.read_text().splitlines()
+        target.write_text(
+            "\n".join(line.replace(" ", "\t", 1) for line in lines) + "\n"
+        )
+        manifest = pipeline.load_manifest(manifest_path)
+        out = manifest.output_dir
+
+        def snapshot():
+            files = sorted(out.glob("subsets/*/*.train.tsv"))
+            files += sorted(out.glob("corpus/*/test.src.txt"))
+            return {str(f.relative_to(out)): f.read_bytes() for f in files}
+
+        assert pipeline.run_experiment(manifest).all_done()
+        fresh = snapshot()
+        assert len(fresh) == 2 * len(sampling.FRACTION_GRID) + 2
+        for name, data in fresh.items():
+            if name.endswith(".tsv"):
+                assert all(
+                    line.count(b"\t") == 1 for line in data.splitlines()
+                ), name
+            else:
+                assert b"\t" not in data
+
+        # Keep the corpus, so the next run reuses it and re-runs every cell.
+        (out / "ledger.json").unlink()
+        for name in fresh:
+            (out / name).unlink()
+
+        def no_rebuild(a, b):
+            raise AssertionError("the corpus must be reused")
+
+        monkeypatch.setattr(pipeline.corpus, "build_parallel", no_rebuild)
+        assert pipeline.run_experiment(manifest).all_done()
+        assert snapshot() == fresh
 
     def test_failing_external_command_marks_cells_failed(self, tmp_path):
         manifest_path = make_experiment(

@@ -11,11 +11,11 @@ from mtlearn import sampling
 
 class TestFractionGrid:
     def test_exact_grid(self):
-        grid = sampling.fraction_grid()
+        grid = sampling.FRACTION_GRID
         assert grid == (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
     def test_endpoints_and_step(self):
-        grid = sampling.fraction_grid()
+        grid = sampling.FRACTION_GRID
         assert grid[0] == 0.2
         assert grid[-1] == 1.0
         assert len(grid) == 9
@@ -48,10 +48,10 @@ class TestSubsample:
     def test_nesting_on_grid(self):
         subsets = {
             f: set(sampling.subsample(1000, f, seed=77).indices)
-            for f in sampling.fraction_grid()
+            for f in sampling.FRACTION_GRID
         }
         assert subsets[0.2] <= subsets[0.7] <= subsets[1.0]
-        grid = sampling.fraction_grid()
+        grid = sampling.FRACTION_GRID
         for f1, f2 in zip(grid, grid[1:]):
             assert subsets[f1] <= subsets[f2]
 
@@ -111,7 +111,7 @@ class TestSubsetManifest:
     def test_file_roundtrip(self, tmp_path):
         manifest = sampling.subsample(50, 0.5, seed=8, src="aa", tgt="bb")
         path = tmp_path / "subset.json"
-        manifest.write(path)
+        path.write_text(manifest.to_json() + "\n", encoding="utf-8")
         assert sampling.SubsetManifest.read(path) == manifest
 
     def test_json_fields(self):
