@@ -144,7 +144,7 @@ def build_parallel(a: PivotBitext, b: PivotBitext) -> ParallelPair:
     yields min(k_a, k_b) pairs, matching occurrences in order (i-th with
     i-th). Output follows ``a``'s line order. Lines whose normalized pivot
     is empty are ignored; matching blank subtitle lines against each other
-    would pair unrelated sentences. Tabs inside sentences become spaces, as
+    would pair unrelated sentences. Sentences pass through `_tsv_field`, as
     in `write_pairs_tsv`, so the pairs equal their TSV round trip.
     """
     if a.lang == b.lang:
@@ -170,9 +170,7 @@ def build_parallel(a: PivotBitext, b: PivotBitext) -> ParallelPair:
         matches = b_occurrences.get(key)
         if matches is not None and occ < len(matches):
             j = matches[occ]
-            pairs.append(
-                (a.target_lines[i].replace("\t", " "), b.target_lines[j].replace("\t", " "))
-            )
+            pairs.append((_tsv_field(a.target_lines[i]), _tsv_field(b.target_lines[j])))
             provenance.append((i, j))
 
     if not pairs:
@@ -211,18 +209,25 @@ def split_pair(pair: ParallelPair, spec: SplitSpec) -> tuple[ParallelPair, Paral
     return take(train_idx), take(dev_idx), take(test_idx)
 
 
-def write_pairs_tsv(pair: ParallelPair, path: str | Path) -> None:
-    """Write sentence pairs as 2-column TSV (src TAB tgt, one per line).
+def _tsv_field(sentence: str) -> str:
+    r"""The sentence as a TSV field that `read_pairs_tsv` reads back as is.
 
-    Tabs inside sentences would corrupt the format and are replaced by
-    single spaces.
+    Tabs would split the field and become spaces. So does a final "\r",
+    which `read_lines` would take for part of a "\r\n" line end.
     """
+    sentence = sentence.replace("\t", " ")
+    return sentence[:-1] + " " if sentence.endswith("\r") else sentence
+
+
+def pairs_tsv(pairs: list[tuple[str, str]]) -> str:
+    """Sentence pairs as 2-column TSV text (src TAB tgt, one per line)."""
+    return "".join(f"{_tsv_field(s)}\t{_tsv_field(t)}\n" for s, t in pairs)
+
+
+def write_pairs_tsv(pair: ParallelPair, path: str | Path) -> None:
+    """Write sentence pairs as 2-column TSV; see `_tsv_field`."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for src_sent, tgt_sent in pair.pairs:
-            fh.write(src_sent.replace("\t", " "))
-            fh.write("\t")
-            fh.write(tgt_sent.replace("\t", " "))
-            fh.write("\n")
+        fh.write(pairs_tsv(pair.pairs))
 
 
 def read_pairs_tsv(path: str | Path) -> list[tuple[str, str]]:

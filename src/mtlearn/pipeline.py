@@ -40,6 +40,7 @@ import json
 import os
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -374,7 +375,7 @@ class _PairData:
     tgt: str
     train_pairs: list[tuple[str, str]]
     test_src: list[str]
-    test_tgt: list[str]
+    test_refs: bleu.References
     subsets: dict[float, sampling.SubsetManifest]
 
 
@@ -455,7 +456,7 @@ def _prepare_pair(
         tgt=tgt,
         train_pairs=train_rows,
         test_src=[s for s, _ in test_rows],
-        test_tgt=[t for _, t in test_rows],
+        test_refs=bleu.References(t for _, t in test_rows),
         subsets=subsets,
     )
 
@@ -483,10 +484,7 @@ def _run_cell(
         _write_text_atomic(hyp_path, "\n".join(hyps) + "\n")
     else:
         subset_tsv = out / "subsets" / f"{data.src}-{data.tgt}" / f"{slug}.train.tsv"
-        _write_text_atomic(
-            subset_tsv,
-            "".join(f"{s}\t{t}\n" for s, t in subset_pairs),
-        )
+        _write_text_atomic(subset_tsv, corpus.pairs_tsv(subset_pairs))
         hyp_path.parent.mkdir(parents=True, exist_ok=True)
         hyps = trainer.run_external(
             manifest.trainer_spec,
@@ -495,7 +493,7 @@ def _run_cell(
             str(hyp_path),
         )
 
-    score = bleu.corpus_bleu(hyps, data.test_tgt).score
+    score = bleu.corpus_bleu(hyps, data.test_refs).score
     return score, rel_hyp
 
 
@@ -555,6 +553,10 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
         if not (record.status == "done" and hyp_ok):
             todo.append(key)
 
+    # A pair's BLEU memo grows with each of its cells. The pair's working
+    # set is dropped once its last cell is recorded, so only pairs in
+    # progress hold a memo.
+    cells_left = Counter((src, tgt) for src, tgt, _ in todo)
     lock = threading.Lock()
 
     def worker(key: tuple[str, str, float]) -> None:
@@ -575,6 +577,9 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
         with lock:
             ledger.cells[key] = record
             ledger.save(ledger_path)
+            cells_left[(src, tgt)] -= 1
+            if not cells_left[(src, tgt)]:
+                del pair_data[(src, tgt)]
 
     # Builtin cells hold the interpreter lock, so only external commands
     # gain from running in parallel.

@@ -10,7 +10,11 @@ pipeline.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import shlex
+import signal
 import subprocess
 from array import array
 from dataclasses import dataclass, field
@@ -65,6 +69,7 @@ class TrainerSpec:
     kind is "builtin-em" (uses em_iterations) or "external" (uses
     command_template, which must contain the placeholders {train},
     {test_src} and {hyp_out}; {workdir} is substituted when present).
+    Placeholders become shell-quoted paths, so templates leave them bare.
     """
 
     kind: str
@@ -228,37 +233,46 @@ def run_external(
     """Run an external trainer command and return its hypotheses.
 
     The command template's placeholders are substituted with the given
-    paths, the command runs through the shell in spec.workdir with the
-    inherited environment, and the resulting hypothesis file must have
-    exactly one line per test source line (lines as `corpus.read_lines`
-    splits them).
+    paths, each quoted for the shell, and the command runs through the
+    shell in spec.workdir with the inherited environment. It runs in a
+    session of its own, so a timeout kills everything it started. The
+    resulting hypothesis file must have exactly one line per test source
+    line (lines as `corpus.read_lines` splits them).
     """
     if spec.kind != "external":
         raise ValueError(f"run_external requires kind 'external', got {spec.kind!r}")
 
     command = spec.command_template.format(
-        train=train_path,
-        test_src=test_src_path,
-        hyp_out=hyp_out_path,
-        workdir=spec.workdir,
+        train=shlex.quote(train_path),
+        test_src=shlex.quote(test_src_path),
+        hyp_out=shlex.quote(hyp_out_path),
+        workdir=shlex.quote(spec.workdir),
     )
-    try:
-        proc = subprocess.run(
-            command,
-            shell=True,
-            cwd=spec.workdir,
-            capture_output=True,
-            text=True,
-            timeout=spec.timeout,
-        )
-    except subprocess.TimeoutExpired as exc:
-        raise ExternalTrainerError(
-            f"external trainer timed out after {spec.timeout}s: {command}"
-        ) from exc
+    with subprocess.Popen(
+        command,
+        shell=True,
+        cwd=spec.workdir,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    ) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=spec.timeout)
+        except BaseException as exc:  # a timeout, or the run being interrupted
+            # The shell leads its own process group; kill what it started too.
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            if isinstance(exc, subprocess.TimeoutExpired):
+                raise ExternalTrainerError(
+                    f"external trainer timed out after {spec.timeout}s: {command}"
+                ) from exc
+            raise
     if proc.returncode != 0:
         raise ExternalTrainerError(
             f"external trainer exited {proc.returncode}: {command}\n"
-            f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
+            f"stdout:\n{stdout}\nstderr:\n{stderr}"
         )
 
     n_expected = len(read_lines(test_src_path))

@@ -8,8 +8,11 @@ snapshots.
 import json
 import math
 import random
+import unicodedata
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mtlearn import bleu
 
@@ -53,6 +56,38 @@ class TestTokenizer:
     def test_superscript_digit_is_not_word_char(self):
         # Unicode category No, unlike Nd, splits off.
         assert bleu.tokenize_13a("x²") == ["x", "²"]
+
+    @given(st.text())
+    def test_idempotent_under_join(self, text):
+        tokens = bleu.tokenize_13a(text)
+        assert bleu.tokenize_13a(" ".join(tokens)) == tokens
+
+    @given(st.one_of(st.text(), st.text(alphabet="ab7٣²Ⅻé\u0301.,- \t")))
+    def test_matches_per_character_reference(self, text):
+        assert bleu.tokenize_13a(text) == reference_tokenize(text)
+
+
+def reference_tokenize(text):
+    """The tokenizer's rules applied one character at a time, by category."""
+    norm = " ".join(text.split())
+    last = len(norm) - 1
+
+    def word_char(ch):
+        cat = unicodedata.category(ch)
+        return cat[0] == "L" or cat == "Nd"
+
+    def digit(ch):
+        return unicodedata.category(ch) == "Nd"
+
+    out = []
+    for i, ch in enumerate(norm):
+        if word_char(ch):
+            out.append(ch)
+        elif ch in ".," and 0 < i < last and digit(norm[i - 1]) and digit(norm[i + 1]):
+            out.append(ch)
+        else:
+            out.append(f" {ch} ")
+    return "".join(out).split()
 
 
 # ---------------------------------------------------------------------------
@@ -181,3 +216,62 @@ class TestCorpusBleu:
         assert data["ref_len"] == 6
         # Internal value keeps full precision.
         assert result.score != data["score"]
+
+
+# ---------------------------------------------------------------------------
+# Properties over generated corpora. Words include punctuation and numbers
+# so that tokenization is not the identity; sentences run from 0 tokens
+# (an empty hypothesis) up, so 1- to 3-token sentences with no 4-grams occur.
+# ---------------------------------------------------------------------------
+
+WORDS = ["a", "b", "c", "the", "cat", "3.14", "1,000", "x.", "(y)", "é", "-"]
+
+
+def sentences(min_words=0, max_words=8):
+    return st.lists(st.sampled_from(WORDS), min_size=min_words, max_size=max_words).map(
+        " ".join
+    )
+
+
+corpora = st.lists(st.tuples(sentences(), sentences()), min_size=1, max_size=6)
+
+
+class TestCorpusBleuProperties:
+    @given(corpora)
+    def test_fold_matches_bruteforce_oracle(self, corpus):
+        hyps, refs = map(list, zip(*corpus))
+        result = bleu.corpus_bleu(hyps, refs)
+        hyp_tokens = [bleu.tokenize_13a(h) for h in hyps]
+        ref_tokens = [bleu.tokenize_13a(r) for r in refs]
+        assert result.score == oracle_bleu(hyp_tokens, ref_tokens)
+        assert result.hyp_len == sum(map(len, hyp_tokens))
+        assert result.ref_len == sum(map(len, ref_tokens))
+
+    @given(st.lists(sentences(), min_size=1, max_size=5), st.data())
+    def test_shared_references_score_like_fresh_lists(self, refs, data):
+        shared = bleu.References(refs)
+        assert list(shared) == refs
+        # Hypotheses often repeat a reference or each other, as the
+        # fractions of one pair do, so the memo is hit as well as filled.
+        hypothesis = st.one_of(sentences(), st.sampled_from(refs))
+        hyp_sets = data.draw(
+            st.lists(
+                st.lists(hypothesis, min_size=len(refs), max_size=len(refs)),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        order = data.draw(st.permutations(range(len(hyp_sets))))
+        for i in order + order:
+            assert bleu.corpus_bleu(hyp_sets[i], shared) == bleu.corpus_bleu(
+                hyp_sets[i], list(refs)
+            )
+
+    @given(st.lists(st.tuples(st.one_of(st.text(), sentences()), sentences()), min_size=1))
+    def test_score_lies_in_0_to_100(self, corpus):
+        hyps, refs = map(list, zip(*corpus))
+        assert 0.0 <= bleu.corpus_bleu(hyps, refs).score <= 100.0
+
+    @given(st.lists(sentences(min_words=4), min_size=1, max_size=6))
+    def test_identity_scores_100_when_sentences_have_4_tokens(self, refs):
+        assert bleu.corpus_bleu(list(refs), bleu.References(refs)).score == 100.0

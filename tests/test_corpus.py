@@ -308,6 +308,19 @@ class TestTsvIO:
         corpus.write_pairs_tsv(pair, path)
         assert corpus.read_pairs_tsv(path) == [("has tab", "ok")]
 
+    def test_trailing_cr_becomes_a_space(self, tmp_path):
+        # read_lines takes a final "\r" for part of a "\r\n" line end.
+        a = bitext("es", ["X", "Y"], ["cr\r", "two\r\r"])
+        b = bitext("pt", ["X", "Y"], ["in\rside", "tab\t\r"])
+        pair = corpus.build_parallel(a, b)
+        assert pair.pairs == [("cr ", "in\rside"), ("two\r ", "tab  ")]
+        path = tmp_path / "pairs.tsv"
+        corpus.write_pairs_tsv(pair, path)
+        assert corpus.read_pairs_tsv(path) == pair.pairs
+        raw = corpus.ParallelPair(src="es", tgt="pt", pairs=[("x\r", "y\r")])
+        corpus.write_pairs_tsv(raw, path)
+        assert corpus.read_pairs_tsv(path) == [("x ", "y ")]
+
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("only one column\n", encoding="utf-8")

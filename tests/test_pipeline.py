@@ -5,6 +5,7 @@ import json
 import random
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -372,6 +373,25 @@ class TestRunExperiment:
         assert pipeline.run_experiment(manifest).all_done()
         assert running["peak"] == 1
 
+    def test_finished_pair_working_set_is_released(self, tmp_path, monkeypatch):
+        # A pair's BLEU memo is freed once its last cell is recorded, so the
+        # memos of all pairs are never alive at once.
+        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        real_run_cell = pipeline._run_cell
+        refs = {}
+        alive_at_first_cell = {}
+
+        def spying_run_cell(manifest, data, fraction):
+            pair = (data.src, data.tgt)
+            if pair not in refs:
+                alive_at_first_cell[pair] = [p for p, ref in refs.items() if ref()]
+                refs[pair] = weakref.ref(data.test_refs)
+            return real_run_cell(manifest, data, fraction)
+
+        monkeypatch.setattr(pipeline, "_run_cell", spying_run_cell)
+        assert pipeline.run_experiment(manifest).all_done()
+        assert alive_at_first_cell == {("aa", "bb"): [], ("bb", "aa"): []}
+
     def test_full_data_beats_smallest_fraction(self, tiny_run):
         _, _, ledger = tiny_run
         for pair in (("aa", "bb"), ("bb", "aa")):
@@ -578,11 +598,15 @@ class TestExternalTrainerThroughPipeline:
         for record in ledger.cells.values():
             assert record.bleu is not None
 
-    def test_tabs_in_sentences_give_the_same_bytes_fresh_and_reused(
-        self, tmp_path, monkeypatch
-    ):
-        # A fresh run builds its rows in memory, a corpus-reused run reads
-        # them back from the TSVs; both must feed the trainer the same text.
+    def fresh_and_reused_bundles(self, tmp_path, monkeypatch, aa_line):
+        """Bundles of a fresh run and of a rerun that reuses its corpus.
+
+        ``aa_line`` rewrites each line of the aa target file, line end
+        included. A fresh run builds its rows in memory, a corpus-reused run
+        reads them back from the TSVs; both must feed the trainer the same
+        text. Returns {path relative to output_dir: bytes} for each run,
+        without ledger.json.
+        """
         manifest_path = make_experiment(
             tmp_path,
             trainer_cfg={
@@ -592,39 +616,72 @@ class TestExternalTrainerThroughPipeline:
         )
         target = tmp_path / "data" / "aa.txt"
         lines = target.read_text().splitlines()
-        target.write_text(
-            "\n".join(line.replace(" ", "\t", 1) for line in lines) + "\n"
-        )
+        target.write_bytes("".join(map(aa_line, lines)).encode("utf-8"))
         manifest = pipeline.load_manifest(manifest_path)
         out = manifest.output_dir
 
         def snapshot():
-            files = sorted(out.glob("subsets/*/*.train.tsv"))
-            files += sorted(out.glob("corpus/*/test.src.txt"))
-            return {str(f.relative_to(out)): f.read_bytes() for f in files}
+            return {
+                str(f.relative_to(out)): f.read_bytes()
+                for f in sorted(out.rglob("*"))
+                if f.is_file() and f.name != "ledger.json"
+            }
 
         assert pipeline.run_experiment(manifest).all_done()
         fresh = snapshot()
-        assert len(fresh) == 2 * len(sampling.FRACTION_GRID) + 2
-        for name, data in fresh.items():
-            if name.endswith(".tsv"):
-                assert all(
-                    line.count(b"\t") == 1 for line in data.splitlines()
-                ), name
-            else:
-                assert b"\t" not in data
-
         # Keep the corpus, so the next run reuses it and re-runs every cell.
-        (out / "ledger.json").unlink()
-        for name in fresh:
-            (out / name).unlink()
+        for name in fresh.keys() | {"ledger.json"}:
+            if not (name.startswith("corpus/") and name.endswith((".tsv", "/meta.json"))):
+                (out / name).unlink()
 
         def no_rebuild(a, b):
             raise AssertionError("the corpus must be reused")
 
         monkeypatch.setattr(pipeline.corpus, "build_parallel", no_rebuild)
         assert pipeline.run_experiment(manifest).all_done()
-        assert snapshot() == fresh
+        return fresh, snapshot()
+
+    def test_tabs_in_sentences_give_the_same_bytes_fresh_and_reused(
+        self, tmp_path, monkeypatch
+    ):
+        fresh, reused = self.fresh_and_reused_bundles(
+            tmp_path, monkeypatch, lambda line: line.replace(" ", "\t", 1) + "\n"
+        )
+        assert reused == fresh
+        subset_tsvs = [name for name in fresh if name.endswith(".train.tsv")]
+        assert len(subset_tsvs) == 2 * len(sampling.FRACTION_GRID)
+        for name in subset_tsvs:
+            assert all(line.count(b"\t") == 1 for line in fresh[name].splitlines()), name
+        for name in ("corpus/aa-bb/test.src.txt", "corpus/bb-aa/test.src.txt"):
+            assert b"\t" not in fresh[name]
+
+    def test_trailing_cr_gives_the_same_bytes_fresh_and_reused(
+        self, tmp_path, monkeypatch
+    ):
+        # "x\r\r\n" reads as "x\r"; written as a last TSV column, that
+        # final "\r" would read back as part of the line end.
+        fresh, reused = self.fresh_and_reused_bundles(
+            tmp_path, monkeypatch, lambda line: line + "\r\r\n"
+        )
+        assert reused == fresh
+        assert all(b"\r" not in data for data in fresh.values())
+        assert fresh["subsets/bb-aa/1.0.train.tsv"].endswith(b" \n")
+
+    def test_output_dir_with_space_and_semicolon(self, tmp_path):
+        manifest_path = make_experiment(
+            tmp_path,
+            trainer_cfg={
+                "kind": "external",
+                "command_template": "cat {train} > /dev/null && cp {test_src} {hyp_out}",
+                "workdir": ".",
+            },
+        )
+        raw = json.loads(manifest_path.read_text())
+        raw["output_dir"] = "out dir;touch injected"
+        manifest_path.write_text(json.dumps(raw))
+        ledger = pipeline.run_experiment(pipeline.load_manifest(manifest_path))
+        assert ledger.all_done(), ledger.failed()[:1]
+        assert not list(tmp_path.rglob("injected"))
 
     def test_failing_external_command_marks_cells_failed(self, tmp_path):
         manifest_path = make_experiment(

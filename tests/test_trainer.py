@@ -8,9 +8,11 @@ E-step but shares no structure with the implementation.
 import bisect
 import itertools
 import math
+import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -327,12 +329,53 @@ class TestRunExternal:
         with pytest.raises(trainer.ExternalTrainerError, match="timed out"):
             trainer.run_external(spec, str(train), str(test_src), str(hyp))
 
+    def test_paths_are_shell_quoted(self, tmp_path):
+        # A space would split a path into two words, and a ";" would end
+        # the command and start another one.
+        odd = tmp_path / "two words;touch injected"
+        odd.mkdir()
+        train, test_src, hyp = self.make_files(odd)
+        spec = self.spec(
+            "cat {train} > /dev/null && cp {test_src} {hyp_out}", workdir=str(tmp_path)
+        )
+        result = trainer.run_external(spec, str(train), str(test_src), str(hyp))
+        assert result == ["a", "b", "c"]
+        assert not (tmp_path / "injected").exists()
+
+    def test_timeout_kills_the_commands_children(self, tmp_path):
+        train, test_src, hyp = self.make_files(tmp_path)
+        spec = self.spec(
+            "sleep 60 > /dev/null 2>&1 & echo $! > child.pid; wait"
+            " # {train} {test_src} {hyp_out}",
+            workdir=str(tmp_path),
+            timeout=1.0,
+        )
+        with pytest.raises(trainer.ExternalTrainerError, match="timed out"):
+            trainer.run_external(spec, str(train), str(test_src), str(hyp))
+        child = int((tmp_path / "child.pid").read_text())
+        deadline = time.monotonic() + 10.0
+        while process_running(child) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not process_running(child)
+
     def test_requires_external_kind(self, tmp_path):
         train, test_src, hyp = self.make_files(tmp_path)
         with pytest.raises(ValueError, match="external"):
             trainer.run_external(
                 trainer.TrainerSpec(kind="builtin-em"), str(train), str(test_src), str(hyp)
             )
+
+
+def process_running(pid):
+    """Whether ``pid`` names a live process; a zombie has finished running."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:  # an orphan's zombie lingers where nothing reaps it
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:  # gone since the probe, or a system without /proc
+        return not Path("/proc").is_dir()
 
 
 def test_import_loads_neither_numpy_nor_urllib_request():
