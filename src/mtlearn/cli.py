@@ -87,7 +87,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 f"subset was made for {subset.n_train} pairs but "
                 f"{args.train} has {len(pairs)}"
             )
-        pairs = [pairs[i] for i in subset.indices]
+        pairs = trainer.Model1Corpus(pairs).subset(subset.indices)
     table = trainer.train_model1(pairs, args.iterations)
     src_lines = corpus.read_lines(args.test_src)
     hyps = [trainer.decode(table, line) for line in src_lines]

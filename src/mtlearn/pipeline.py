@@ -15,8 +15,11 @@ repr, so two runs of the same manifest produce byte-identical bundles no
 matter how the work was scheduled. The worker pool is thread-based:
 `max_parallel_jobs` bounds how many external trainer commands run at
 once, while builtin-trainer cells run one at a time, because they hold
-the interpreter lock and a second thread would only add memory. The
-5-language synthetic experiment finishes in seconds either way.
+the interpreter lock and a second thread would only add memory. A pair's
+working set (its BLEU references and, for the builtin trainer, the EM
+index of its training set, built at its first cell) is dropped once its
+last cell is recorded. The 5-language synthetic experiment finishes in
+seconds either way.
 
 Manifest schema (paths are resolved relative to the manifest file)::
 
@@ -35,6 +38,7 @@ Manifest schema (paths are resolved relative to the manifest file)::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -378,6 +382,11 @@ class _PairData:
     test_refs: bleu.References
     subsets: dict[float, sampling.SubsetManifest]
 
+    @functools.cached_property
+    def em_corpus(self) -> trainer.Model1Corpus:
+        """The builtin trainer's index of train_pairs, built at first use."""
+        return trainer.Model1Corpus(self.train_pairs)
+
 
 def _prepare_pair(
     manifest: ExperimentManifest,
@@ -437,7 +446,8 @@ def _prepare_pair(
         # External commands read the test source from a file.
         src_lines = "\n".join(s for s, _ in test_rows) + "\n"
         test_src_path = pair_dir / "test.src.txt"
-        if not test_src_path.is_file() or test_src_path.read_text(encoding="utf-8") != src_lines:
+        # Bytes, not text: reading text would turn a "\r" into "\n".
+        if not test_src_path.is_file() or test_src_path.read_bytes() != src_lines.encode("utf-8"):
             _write_text_atomic(test_src_path, src_lines)
 
     subset_dir = out / "subsets" / f"{src}-{tgt}"
@@ -473,17 +483,17 @@ def _run_cell(
     slug = fraction_slug(fraction)
     rel_hyp = f"hyps/{data.src}-{data.tgt}/{slug}.txt"
     hyp_path = out / rel_hyp
-    subset = data.subsets[fraction]
-    subset_pairs = [data.train_pairs[i] for i in subset.indices]
+    indices = data.subsets[fraction].indices
 
     if manifest.trainer_spec.kind == "builtin-em":
         table = trainer.train_model1(
-            subset_pairs, manifest.trainer_spec.em_iterations
+            data.em_corpus.subset(indices), manifest.trainer_spec.em_iterations
         )
         hyps = [trainer.decode(table, s) for s in data.test_src]
         _write_text_atomic(hyp_path, "\n".join(hyps) + "\n")
     else:
         subset_tsv = out / "subsets" / f"{data.src}-{data.tgt}" / f"{slug}.train.tsv"
+        subset_pairs = [data.train_pairs[i] for i in indices]
         _write_text_atomic(subset_tsv, corpus.pairs_tsv(subset_pairs))
         hyp_path.parent.mkdir(parents=True, exist_ok=True)
         hyps = trainer.run_external(
@@ -553,9 +563,9 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
         if not (record.status == "done" and hyp_ok):
             todo.append(key)
 
-    # A pair's BLEU memo grows with each of its cells. The pair's working
-    # set is dropped once its last cell is recorded, so only pairs in
-    # progress hold a memo.
+    # A pair's BLEU memo grows with each of its cells, and its EM index is
+    # built at its first builtin cell. The pair's working set is dropped
+    # once its last cell is recorded, so only pairs in progress hold them.
     cells_left = Counter((src, tgt) for src, tgt, _ in todo)
     lock = threading.Lock()
 

@@ -3,23 +3,29 @@
 Two trainers share one contract. The built-in trainer is IBM Model 1 with
 EM and a NULL source token; decoding is per-token argmax over the learned
 lexical table, which is crude but deterministic and shows genuine
-data-scaling behavior. The external adapter runs an arbitrary command with
-file-path placeholders so a real NMT stack can be plugged into the same
-pipeline.
+data-scaling behavior. A `Model1Corpus` indexes one training set once
+(tokens, EM rows, co-occurrence cells), and `train_model1` trains on any
+subset of it, so the nested fractions of a learning curve share one index.
+The external adapter runs an arbitrary command with file-path
+placeholders so a real NMT stack can be plugged into the same pipeline.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import shlex
 import signal
 import subprocess
 from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .corpus import read_lines
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NULL_TOKEN = "<NULL>"
 
@@ -91,105 +97,182 @@ class TrainerSpec:
                     )
 
 
+class Model1Corpus:
+    """One training set, tokenized, interned and expanded once for EM.
+
+    Sentences are whitespace-tokenized and interned into int32 arrays (a
+    pair with an empty side is kept, with no tokens, and counted as
+    skipped when trained on). The EM rows, one per (target token, source
+    position) of each sentence, NULL included, are laid out once in the
+    order that `train_model1` fixes, and the co-occurring (source, target)
+    cells are sorted once. `subset` selects the training pairs of one
+    fraction; the learning curve's nested fractions of a pair thus share
+    one index instead of re-tokenizing the same sentences for each one.
+    """
+
+    def __init__(self, train_pairs: Iterable[tuple[str, str]]) -> None:
+        import numpy as np  # only this trainer needs numpy; keep it off other paths
+
+        src_ids: dict[str, int] = {NULL_TOKEN: 0}
+        tgt_ids: dict[str, int] = {}
+        src_flat = array("i")  # per sentence: NULL id, then its source ids
+        tgt_flat = array("i")
+        src_lens = array("i")  # per pair, NULL included; 0 for a pair with an empty side
+        tgt_lens = array("i")
+        for src_sentence, tgt_sentence in train_pairs:
+            src_tokens = src_sentence.split()
+            tgt_tokens = tgt_sentence.split()
+            if not src_tokens or not tgt_tokens:
+                src_lens.append(0)
+                tgt_lens.append(0)
+                continue
+            src_flat.append(0)
+            src_flat.extend([src_ids.setdefault(s, len(src_ids)) for s in src_tokens])
+            tgt_flat.extend([tgt_ids.setdefault(t, len(tgt_ids)) for t in tgt_tokens])
+            src_lens.append(len(src_tokens) + 1)
+            tgt_lens.append(len(tgt_tokens))
+        self.src_words = list(src_ids)
+        self.tgt_words = list(tgt_ids)
+        self.src_len = np.frombuffer(src_lens, dtype=np.int32)
+        self.tgt_len = np.frombuffer(tgt_lens, dtype=np.int32)
+        self.pair_rows = self.src_len * self.tgt_len
+
+        # Target token g of sentence k owns the src_len[k] consecutive rows
+        # starting at row_start[g], one per source position of sentence k.
+        width = np.repeat(self.src_len, self.tgt_len)
+        row_start = np.cumsum(width) - width
+        src_start = np.repeat(np.cumsum(self.src_len) - self.src_len, self.tgt_len)
+        n_rows = int(width.sum())
+        tok = np.repeat(np.arange(len(tgt_flat), dtype=np.int32), width)
+        self.src_row = np.frombuffer(src_flat, dtype=np.int32)[
+            np.repeat(src_start - row_start, width) + np.arange(n_rows)
+        ]
+        tgt_row = np.frombuffer(tgt_flat, dtype=np.int32)[tok]
+        del width, row_start, src_start, tok
+
+        # Cells are the co-occurring (source, target) pairs, sorted by source
+        # id, and cell[r] is row r's cell. This is np.unique(key,
+        # return_inverse=True) written out, because np.unique holds five
+        # row-length int64 arrays at once and this holds three; that
+        # transient sets the run's peak memory.
+        n_tgt = len(tgt_ids) or 1  # a corpus without usable pairs has no rows
+        key = self.src_row.astype(np.int64)
+        key *= n_tgt
+        key += tgt_row
+        del tgt_row
+        order = key.argsort()
+        key = key[order]
+        first = np.empty(n_rows, dtype=bool)
+        first[:1] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        cells = key[first]
+        del key
+        self.cell = np.empty(n_rows, dtype=np.int32)
+        self.cell[order] = np.cumsum(first, dtype=np.int32) - 1
+        del order, first
+        self.cell_src = cells // n_tgt
+        self.cell_tgt = np.array(self.tgt_words, dtype=object)[cells % n_tgt]  # words
+
+    def __len__(self) -> int:
+        return len(self.src_len)
+
+    def subset(self, indices: Iterable[int]) -> Model1Subset:
+        """The training pairs at ``indices``, which must strictly increase."""
+        import numpy as np
+
+        idx = np.fromiter(indices, dtype=np.int64)
+        if len(idx) and (idx[0] < 0 or idx[-1] >= len(self) or (np.diff(idx) <= 0).any()):
+            raise ValueError(
+                f"subset indices must strictly increase within [0, {len(self)})"
+            )
+        selected = np.zeros(len(self), dtype=bool)
+        selected[idx] = True
+        return Model1Subset(self, selected)
+
+
+@dataclass(frozen=True, eq=False)
+class Model1Subset:
+    """Some of a Model1Corpus's pairs, in corpus order: one training set."""
+
+    corpus: Model1Corpus
+    selected: np.ndarray  # bool, one flag per pair of the corpus
+
+    def __len__(self) -> int:
+        return int(self.selected.sum())
+
+
 def train_model1(
-    train_pairs: list[tuple[str, str]], iterations: int
+    train_pairs: list[tuple[str, str]] | Model1Subset, iterations: int
 ) -> LexicalTable:
     """Train IBM Model 1 lexical probabilities t(tgt | src) with EM.
 
-    Each source sentence is whitespace-tokenized and prepended with the
-    NULL token; initialization is uniform over co-occurring token pairs.
-    Pairs with an empty side are skipped (counted in skipped_pairs), and an
-    entirely empty corpus is an error.
+    ``train_pairs`` is a list of (source, target) sentences or a view from
+    `Model1Corpus.subset`, whose indices strictly increase; a list is
+    indexed on entry, so both take the same path. Each source sentence is
+    whitespace-tokenized and prepended with the NULL token; initialization
+    is uniform over co-occurring token pairs. Pairs with an empty side are
+    skipped (counted in skipped_pairs), and an entirely empty corpus is an
+    error.
 
     EM runs on flat arrays with one row per (target token, source position)
     of each sentence, NULL included, ordered by sentence, then target
-    position, then source position. np.bincount adds its weights in input
-    order, so every sum has one fixed order: a target token's denominator
-    runs over its source positions, and counts and per-source totals run
-    over the corpus in row order. Totals are summed from the rows rather
-    than from the cell counts, and the log-likelihood is summed term by
-    term, because regrouping a float sum changes its last bits and with
-    them the argmax ties that decoding breaks.
+    position, then source position. A view selects its rows from its
+    corpus's rows with a sentence mask, which keeps that order, and numbers
+    only the cells and target tokens it uses. np.bincount adds its weights
+    in input order, so every sum has one fixed order: a target token's
+    denominator runs over its source positions, and counts and per-source
+    totals run over the training set in row order. So a view and the list
+    of its pairs get the same floats. Totals are summed from the rows rather
+    than from the cell counts, because regrouping a float sum changes its
+    last bits and with them the argmax ties that decoding breaks.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    import numpy as np  # only this trainer needs numpy; keep it off other paths
+    import numpy as np
 
-    src_ids: dict[str, int] = {NULL_TOKEN: 0}
-    tgt_ids: dict[str, int] = {}
-    src_flat = array("i")  # per sentence: NULL id, then its source ids
-    tgt_flat = array("i")
-    src_lens = array("i")  # per sentence, NULL included
-    tgt_lens = array("i")
-    skipped = 0
-    for src_sentence, tgt_sentence in train_pairs:
-        src_tokens = src_sentence.split()
-        tgt_tokens = tgt_sentence.split()
-        if not src_tokens or not tgt_tokens:
-            skipped += 1
-            continue
-        src_flat.append(0)
-        src_flat.extend([src_ids.setdefault(s, len(src_ids)) for s in src_tokens])
-        tgt_flat.extend([tgt_ids.setdefault(t, len(tgt_ids)) for t in tgt_tokens])
-        src_lens.append(len(src_tokens) + 1)
-        tgt_lens.append(len(tgt_tokens))
-    if not src_lens:
+    if not isinstance(train_pairs, Model1Subset):
+        whole = Model1Corpus(train_pairs)
+        train_pairs = whole.subset(range(len(whole)))
+    corpus = train_pairs.corpus
+    usable = train_pairs.selected & (corpus.src_len > 0)
+    src_len = corpus.src_len[usable]
+    tgt_len = corpus.tgt_len[usable]
+    if not len(src_len):
         raise ValueError("no usable training pairs (empty corpus)")
+    skipped = len(train_pairs) - len(src_len)
 
+    rows = np.repeat(usable, corpus.pair_rows)
+    src_row = corpus.src_row[rows]
+    cell = corpus.cell[rows]
+    del rows
+    used = np.zeros(len(corpus.cell_src), dtype=bool)
+    used[cell] = True
+    cell = (np.cumsum(used, dtype=np.int32) - 1)[cell]
+    cell_src = corpus.cell_src[used]
+    cell_tgt = corpus.cell_tgt[used]
+    del used
+    width = np.repeat(src_len, tgt_len)
+    n_tok = len(width)
+    tok = np.repeat(np.arange(n_tok, dtype=np.int32), width)
+    del width
     # Each target token is generated by one of its sentence's source tokens
     # (NULL included) with probability t(t|s)/|src|, so log|src| is paid once
     # per target token.
-    src_len = np.frombuffer(src_lens, dtype=np.int32)
-    tgt_len = np.frombuffer(tgt_lens, dtype=np.int32)
-    log_len = np.repeat([math.log(n) for n in src_lens], tgt_len).tolist()
+    log_len = np.repeat(np.log(src_len), tgt_len)
 
-    # Target token g of sentence k owns the src_len[k] consecutive rows
-    # starting at row_start[g], one per source position of sentence k.
-    width = np.repeat(src_len, tgt_len)
-    row_start = np.cumsum(width) - width
-    src_start = np.repeat(np.cumsum(src_len) - src_len, tgt_len)
-    n_rows = int(row_start[-1] + width[-1])
-    tok = np.repeat(np.arange(len(tgt_flat), dtype=np.int32), width)
-    src_row = np.frombuffer(src_flat, dtype=np.int32)[
-        np.repeat(src_start - row_start, width) + np.arange(n_rows)
-    ]
-    tgt_row = np.frombuffer(tgt_flat, dtype=np.int32)[tok]
-    del width, row_start, src_start
-
-    # Cells are the co-occurring (source, target) pairs, sorted by source id,
-    # and cell[r] is row r's cell. This is np.unique(key, return_inverse=True)
-    # written out, because np.unique holds five row-length int64 arrays at
-    # once and this holds three; that transient sets the run's peak memory.
-    n_tgt = len(tgt_ids)
-    key = src_row.astype(np.int64)
-    key *= n_tgt
-    key += tgt_row
-    del tgt_row
-    order = key.argsort()
-    key = key[order]
-    first = np.empty(n_rows, dtype=bool)
-    first[0] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    cells = key[first]
-    del key
-    cell = np.empty(n_rows, dtype=np.int32)
-    cell[order] = np.cumsum(first, dtype=np.int32) - 1
-    del order, first
-    cell_src = cells // n_tgt
-    cell_tgt = cells % n_tgt
-    n_src = len(src_ids)
+    n_src = len(corpus.src_words)
     # Uniform initialization over co-occurring pairs: each source token
     # starts with equal mass on every target token it appears alongside.
-    p = 1.0 / np.bincount(cell_src, minlength=n_src)[cell_src]
+    per_src = np.bincount(cell_src, minlength=n_src)
+    p = 1.0 / per_src[cell_src]
 
     log_likelihoods: list[float] = []
     for _ in range(iterations):
         share = p[cell]
-        denom = np.bincount(tok, weights=share, minlength=len(tgt_flat))
-        log_likelihood = 0.0
-        for d, log_n in zip(denom.tolist(), log_len):
-            log_likelihood += math.log(d) - log_n
-        log_likelihoods.append(log_likelihood)
+        denom = np.bincount(tok, weights=share, minlength=n_tok)
+        terms = np.log(denom)
+        terms -= log_len
+        log_likelihoods.append(float(np.cumsum(terms)[-1]))  # in token order
         share /= denom[tok]  # each row's posterior share of its target token
         counts = np.bincount(cell, weights=share, minlength=len(cell_src))
         totals = np.bincount(src_row, weights=share, minlength=n_src)
@@ -197,14 +280,15 @@ def train_model1(
         p = counts / totals[cell_src]
     del tok, src_row, cell, log_len
 
-    src_words = list(src_ids)
-    tgt_words = list(tgt_ids)
-    bounds = np.searchsorted(cell_src, np.arange(n_src + 1)).tolist()
+    targets = cell_tgt.tolist()
+    probs = p.tolist()
+    present = np.flatnonzero(per_src)
+    ends = np.cumsum(per_src[present]).tolist()
     entries: dict[str, dict[str, float]] = {}
-    for s, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        entries[src_words[s]] = dict(
-            zip(map(tgt_words.__getitem__, cell_tgt[lo:hi].tolist()), p[lo:hi].tolist())
-        )
+    lo = 0
+    for s, hi in zip(present.tolist(), ends):
+        entries[corpus.src_words[s]] = dict(zip(targets[lo:hi], probs[lo:hi]))
+        lo = hi
 
     return LexicalTable(
         entries=entries,

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from mtlearn import cli, sampling
+from mtlearn import cli, corpus, sampling
 
 
 @pytest.fixture
@@ -198,6 +198,22 @@ class TestTrainAndScore:
         assert rc == 2
         assert "subset was made for 9 pairs" in capsys.readouterr().err
 
+    def test_unsorted_subset_is_config_error(self, tmp_path, capsys):
+        train = tmp_path / "train.tsv"
+        train.write_text("a\tx\nb\ty\n")
+        subset = tmp_path / "subset.json"
+        subset.write_text(
+            json.dumps({"fraction": 1.0, "seed": 9, "n_train": 2, "indices": [1, 0]})
+        )
+        rc = cli.main(
+            [
+                "train", "--train", str(train), "--test-src", str(train),
+                "--hyp-out", str(tmp_path / "h"), "--subset", str(subset),
+            ]
+        )
+        assert rc == 2
+        assert "strictly increase" in capsys.readouterr().err
+
     def test_score_identity_and_json(self, tmp_path, capsys):
         text = "a b c d\ne f g h\n"
         hyp = tmp_path / "hyp.txt"
@@ -287,6 +303,26 @@ class TestRunAndReport:
         assert rc == 0, captured.err
         # synthetic languages never match the Romance tables
         assert "pearson_written = undefined" in captured.out
+
+    def test_train_reproduces_a_cell_of_a_run(self, tiny_bitexts, capsys):
+        root, manifest_path = tiny_bitexts
+        assert cli.main(["run", "--manifest", str(manifest_path)]) == 0
+        out = root / "out"
+        pair_dir = out / "corpus" / "aa-bb"
+        test_src = root / "test.src.txt"
+        test_src.write_text(
+            "".join(s + "\n" for s, _ in corpus.read_pairs_tsv(pair_dir / "test.tsv"))
+        )
+        hyp = root / "hyp.txt"
+        rc = cli.main(
+            [
+                "train", "--train", str(pair_dir / "train.tsv"),
+                "--subset", str(out / "subsets" / "aa-bb" / "0.5.json"),
+                "--test-src", str(test_src), "--hyp-out", str(hyp), "--iterations", "2",
+            ]
+        )
+        assert rc == 0, capsys.readouterr().err
+        assert hyp.read_bytes() == (out / "hyps" / "aa-bb" / "0.5.txt").read_bytes()
 
     def test_run_exit_1_when_cells_fail(self, tiny_bitexts, capsys):
         root, manifest_path = tiny_bitexts

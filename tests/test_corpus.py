@@ -98,6 +98,12 @@ _lines = st.lists(
 )
 
 
+# Any sentence: arbitrary Unicode without "\n", with tabs and "\r" common.
+_sentences = st.text(
+    alphabet=st.one_of(st.characters(exclude_characters="\n"), st.sampled_from("\t\r "))
+)
+
+
 class TestReadLines:
     @given(_lines)
     def test_roundtrip_over_arbitrary_unicode(self, lines):
@@ -218,6 +224,37 @@ class TestBuildParallel:
             ba = corpus.build_parallel(b, a)
             assert len(ab) == len(ba)
 
+    @given(
+        st.lists(st.sampled_from(["X", " X", "Y", "Y  ", "Z", "", " "]), min_size=1, max_size=8),
+        st.lists(st.sampled_from(["X", "X ", "Y", " Y", "W", "", " "]), min_size=1, max_size=8),
+    )
+    def test_each_pivot_gives_min_of_its_counts_in_order(self, pivots_a, pivots_b):
+        # A pivot occurring k_a times in a and k_b times in b pairs its first
+        # min(k_a, k_b) occurrences on each side, i-th with i-th, and the
+        # pairs follow a's line order.
+        a = bitext("es", pivots_a, [f"a{i}" for i in range(len(pivots_a))])
+        b = bitext("pt", pivots_b, [f"b{j}" for j in range(len(pivots_b))])
+        lines_a, lines_b = {}, {}
+        for lines, pivots in ((lines_a, pivots_a), (lines_b, pivots_b)):
+            for i, pivot in enumerate(pivots):
+                if pivot.strip():
+                    lines.setdefault(pivot.strip(), []).append(i)
+        expected = sorted(
+            pair
+            for key in lines_a.keys() & lines_b.keys()
+            for pair in zip(lines_a[key], lines_b[key])
+        )
+        if not expected:
+            with pytest.raises(ValueError, match="no pivot sentences shared"):
+                corpus.build_parallel(a, b)
+            return
+        pair = corpus.build_parallel(a, b)
+        assert pair.provenance == expected
+        assert pair.pairs == [(f"a{i}", f"b{j}") for i, j in expected]
+        for key in lines_a.keys() & lines_b.keys():
+            matched = sum(pivots_a[i].strip() == key for i, _ in pair.provenance)
+            assert matched == min(len(lines_a[key]), len(lines_b[key]))
+
     def test_provenance_tracks_matched_occurrences(self):
         a = bitext("es", ["X", "M", "X"], ["xa1", "m", "xa2"])
         b = bitext("pt", ["N", "X", "X"], ["n", "xb1", "xb2"])
@@ -320,6 +357,19 @@ class TestTsvIO:
         raw = corpus.ParallelPair(src="es", tgt="pt", pairs=[("x\r", "y\r")])
         corpus.write_pairs_tsv(raw, path)
         assert corpus.read_pairs_tsv(path) == [("x ", "y ")]
+
+    @given(st.lists(st.tuples(_sentences, _sentences)))
+    def test_roundtrip_over_arbitrary_unicode(self, pairs):
+        # Tabs, and a final "\r", become spaces; every other character,
+        # Unicode separators and inner "\r" included, reads back as written.
+        def as_field(sentence):
+            sentence = sentence.replace("\t", " ")
+            return sentence[:-1] + " " if sentence.endswith("\r") else sentence
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "pairs.tsv"
+            corpus.write_pairs_tsv(corpus.ParallelPair(src="es", tgt="pt", pairs=pairs), path)
+            assert corpus.read_pairs_tsv(path) == [(as_field(s), as_field(t)) for s, t in pairs]
 
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"

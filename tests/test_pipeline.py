@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import random
 import threading
 import time
@@ -374,23 +375,36 @@ class TestRunExperiment:
         assert running["peak"] == 1
 
     def test_finished_pair_working_set_is_released(self, tmp_path, monkeypatch):
-        # A pair's BLEU memo is freed once its last cell is recorded, so the
-        # memos of all pairs are never alive at once.
+        # A pair's BLEU memo and EM index are freed once its last cell is
+        # recorded, so those of all pairs are never alive at once. The index
+        # is built at the pair's first cell, not when the pair is prepared.
         manifest = pipeline.load_manifest(make_experiment(tmp_path))
         real_run_cell = pipeline._run_cell
         refs = {}
+        indices = {}
         alive_at_first_cell = {}
 
         def spying_run_cell(manifest, data, fraction):
             pair = (data.src, data.tgt)
-            if pair not in refs:
-                alive_at_first_cell[pair] = [p for p, ref in refs.items() if ref()]
+            first = pair not in refs
+            if first:
+                alive_at_first_cell[pair] = [
+                    (p, name)
+                    for name, weakrefs in (("refs", refs), ("index", indices))
+                    for p, ref in weakrefs.items()
+                    if ref()
+                ]
+                assert "em_corpus" not in vars(data)
                 refs[pair] = weakref.ref(data.test_refs)
-            return real_run_cell(manifest, data, fraction)
+            result = real_run_cell(manifest, data, fraction)
+            if first:
+                indices[pair] = weakref.ref(data.em_corpus)
+            return result
 
         monkeypatch.setattr(pipeline, "_run_cell", spying_run_cell)
         assert pipeline.run_experiment(manifest).all_done()
         assert alive_at_first_cell == {("aa", "bb"): [], ("bb", "aa"): []}
+        assert len(indices) == 2
 
     def test_full_data_beats_smallest_fraction(self, tiny_run):
         _, _, ledger = tiny_run
@@ -666,6 +680,35 @@ class TestExternalTrainerThroughPipeline:
         assert reused == fresh
         assert all(b"\r" not in data for data in fresh.values())
         assert fresh["subsets/bb-aa/1.0.train.tsv"].endswith(b" \n")
+
+    def test_resume_keeps_a_test_source_with_a_cr_inside(self, tmp_path, monkeypatch):
+        # Read as text, "a\rb" would come back as "a\nb" and never match,
+        # so every resume would rewrite the file.
+        manifest_path = make_experiment(
+            tmp_path,
+            trainer_cfg={
+                "kind": "external",
+                "command_template": "cp {test_src} {hyp_out} # {train}",
+            },
+        )
+        target = tmp_path / "data" / "aa.txt"
+        lines = target.read_text().splitlines()
+        target.write_bytes(
+            "".join(line.replace(" ", "\r", 1) + "\n" for line in lines).encode("utf-8")
+        )
+        manifest = pipeline.load_manifest(manifest_path)
+        assert pipeline.run_experiment(manifest).all_done()
+        test_src = manifest.output_dir / "corpus" / "aa-bb" / "test.src.txt"
+        assert b"\r" in test_src.read_bytes()
+        old_ns = 1_000_000_000  # 1970; a rewrite gets the current time
+        os.utime(test_src, ns=(old_ns, old_ns))
+
+        def no_training(*args):
+            raise AssertionError("a finished run must not train")
+
+        monkeypatch.setattr(mtlearn.trainer, "run_external", no_training)
+        assert pipeline.run_experiment(manifest).all_done()
+        assert test_src.stat().st_mtime_ns == old_ns
 
     def test_output_dir_with_space_and_semicolon(self, tmp_path):
         manifest_path = make_experiment(

@@ -94,6 +94,15 @@ def side(vocab):
     return st.lists(st.sampled_from(vocab), max_size=3).map(" ".join)
 
 
+# Corpora of 1 to 4 pairs, sides of 0 to 3 tokens from a 3-word vocabulary:
+# empty sides, 1-token sentences and tokens repeated within a sentence are
+# all common, and the first pair is repeated in half the corpora.
+corpora = st.tuples(
+    st.lists(st.tuples(side("abc"), side("xyz")), min_size=1, max_size=4),
+    st.booleans(),
+).map(lambda drawn: drawn[0] + drawn[0][:1] if drawn[1] else drawn[0])
+
+
 def assert_matches_oracle(pairs, iterations):
     mine = trainer.train_model1(pairs, iterations)
     expected_table, expected_lls = oracle_em(pairs, iterations)
@@ -149,17 +158,8 @@ class TestTrainModel1:
                 assert_matches_oracle(pairs, iterations)
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        corpus=st.tuples(
-            st.lists(st.tuples(side("abc"), side("xyz")), min_size=1, max_size=4),
-            st.booleans(),
-        ).map(lambda drawn: drawn[0] + drawn[0][:1] if drawn[1] else drawn[0]),
-        iterations=st.integers(min_value=1, max_value=3),
-    )
+    @given(corpus=corpora, iterations=st.integers(min_value=1, max_value=3))
     def test_matches_oracle_on_arbitrary_corpora(self, corpus, iterations):
-        # Sides of 0 to 3 tokens from a 3-word vocabulary: empty sides,
-        # 1-token sentences and tokens repeated within a sentence are all
-        # common, and the first pair is repeated in half the corpora.
         usable = [(s, t) for s, t in corpus if s.split() and t.split()]
         if not usable:
             with pytest.raises(ValueError, match="empty"):
@@ -167,6 +167,51 @@ class TestTrainModel1:
             return
         mine = assert_matches_oracle(corpus, iterations)
         assert mine.skipped_pairs == len(corpus) - len(usable)
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=corpora, iterations=st.integers(min_value=1, max_value=3), data=st.data())
+    def test_subset_of_an_index_matches_the_list_of_its_pairs(
+        self, corpus, iterations, data
+    ):
+        # The index numbers tokens over the whole corpus, the list only over
+        # the subset; the floats must not depend on that numbering.
+        idx = sorted(data.draw(st.sets(st.integers(0, len(corpus) - 1))))
+        index = trainer.Model1Corpus(corpus)
+        view = index.subset(idx)
+        pairs = [corpus[i] for i in idx]
+        assert len(view) == len(pairs)
+        if not any(s.split() and t.split() for s, t in pairs):
+            for training_set in (view, pairs):
+                with pytest.raises(ValueError, match="empty"):
+                    trainer.train_model1(training_set, iterations)
+        else:
+            got = trainer.train_model1(view, iterations)
+            want = trainer.train_model1(pairs, iterations)
+            assert got.entries == want.entries
+            assert got.argmax == want.argmax
+            assert got.skipped_pairs == want.skipped_pairs
+            assert got.log_likelihoods == pytest.approx(want.log_likelihoods, abs=1e-12)
+        bad = [[0, 0], [len(corpus)], [-1]]
+        if idx:
+            bad.append(idx + idx[-1:])  # a repeated index
+        if len(idx) > 1:
+            bad.append(idx[::-1])  # decreasing
+        for indices in bad:
+            with pytest.raises(ValueError, match="strictly increase"):
+                index.subset(indices)
+
+    def test_one_index_serves_nested_subsets(self):
+        pairs = [("a b", "x y"), ("", "z"), ("b c", "y w"), ("c", "w"), ("a", "x")]
+        index = trainer.Model1Corpus(pairs)
+        for idx in ([0], [0, 1], [2, 3, 4], [0, 1, 2, 3, 4]):
+            got = trainer.train_model1(index.subset(idx), 4)
+            want = trainer.train_model1([pairs[i] for i in idx], 4)
+            assert got.entries == want.entries
+            assert got.skipped_pairs == want.skipped_pairs
+        with pytest.raises(ValueError, match="empty"):
+            trainer.train_model1(index.subset([1]), 1)
+        with pytest.raises(ValueError, match="empty"):
+            trainer.train_model1(index.subset([]), 1)
 
     def test_empty_sides_skipped_with_count(self):
         pairs = [("a", "x"), ("", "x"), ("a", "   "), ("b", "y")]
