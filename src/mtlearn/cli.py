@@ -2,7 +2,7 @@
 
 Exit status contract: 0 on success, 1 when any experiment cell failed (or
 a report was refused), 2 on configuration errors including bad flags and
-unreadable inputs.
+unreadable inputs, and when another run is using the output directory.
 """
 
 from __future__ import annotations
@@ -347,6 +347,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
+    except pipeline.RunInProgressError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except pipeline.LedgerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

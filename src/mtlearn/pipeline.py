@@ -6,8 +6,13 @@ trainer to run. `run_experiment` drives corpus construction, subset
 generation, per-cell training/decoding/scoring with a bounded worker pool,
 and records every (pair, fraction) cell in a ledger that survives
 interruption: re-running skips finished cells, so a killed run resumes
-where it stopped. `build_report` turns a complete ledger into the report
-bundle (CSV tables, SVG charts, JSON summary).
+where it stopped. Each finished cell is appended as one line to
+``ledger.journal``; ``ledger.json`` is checkpointed when the number of
+cells recorded reaches a power of two and written in full at the end,
+when the journal is deleted. A run holds an exclusive lock on its output
+directory, so a second run on the same directory fails at once.
+`build_report` turns a complete ledger into the report bundle (CSV
+tables, SVG charts, JSON summary).
 
 Everything emitted is deterministic: artifact reuse is guarded by content
 fingerprints, aggregation rows are sorted, and floats are serialized via
@@ -38,6 +43,8 @@ Manifest schema (paths are resolved relative to the manifest file)::
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import functools
 import hashlib
 import json
@@ -59,6 +66,10 @@ class ManifestError(ValueError):
 
 class LedgerError(RuntimeError):
     """The run ledger cannot support the requested operation."""
+
+
+class RunInProgressError(LedgerError):
+    """Another run holds the output directory."""
 
 
 def fraction_slug(fraction: float) -> str:
@@ -356,6 +367,38 @@ class RunLedger:
     def save(self, path: Path) -> None:
         _write_text_atomic(path, self.to_json())
 
+    def journal_line(self, record: CellRecord) -> bytes:
+        """One journal line: the record under this ledger's fingerprint."""
+        line = json.dumps(
+            {"fingerprint": self.fingerprint, "cell": record.to_dict()},
+            sort_keys=True,
+        )
+        return line.encode("utf-8") + b"\n"
+
+    def replay(self, path: Path) -> int:
+        """Apply the journal's complete lines that carry this fingerprint.
+
+        A torn last line (no newline), an unreadable line and a line from
+        another fingerprint are ignored; a later line for a cell replaces
+        an earlier one. Returns the number of records applied.
+        """
+        try:
+            data = Path(path).read_bytes()
+        except FileNotFoundError:
+            return 0
+        applied = 0
+        for line in data.split(b"\n")[:-1]:
+            try:
+                raw = json.loads(line)
+                if raw["fingerprint"] != self.fingerprint:
+                    continue
+                cell = CellRecord.from_dict(raw["cell"])
+            except (ValueError, KeyError, TypeError):
+                continue
+            self.cells[(cell.src, cell.tgt, cell.fraction)] = cell
+            applied += 1
+        return applied
+
     @classmethod
     def load(cls, path: Path) -> "RunLedger":
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -507,20 +550,37 @@ def _run_cell(
     return score, rel_hyp
 
 
-def run_experiment(manifest: ExperimentManifest) -> RunLedger:
-    """Run every (pair, fraction) cell, resuming any earlier progress.
+@contextlib.contextmanager
+def _exclusive(out: Path):
+    """Hold an exclusive lock on the directory itself for the block.
 
-    Cells already marked done (with their hypothesis file still present)
-    are skipped. A failing cell is recorded as failed and does not stop
-    the others. The ledger is persisted after every cell so a killed run
-    loses at most the cell it was working on.
+    Locking the directory leaves no lock file in the bundle, and the kernel
+    drops the lock when a killed process dies.
     """
-    out = manifest.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    digests = _input_digests(manifest)
-    fingerprint = manifest_fingerprint(manifest, digests)
+    fd = os.open(out, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise RunInProgressError(f"another run is using {out}") from None
+        yield
+    finally:
+        os.close(fd)
 
-    ledger_path = out / "ledger.json"
+
+def _open_ledger(
+    ledger_path: Path,
+    journal_path: Path,
+    fingerprint: str,
+    expected_keys: list[tuple[str, str, float]],
+) -> RunLedger:
+    """This run's ledger: ledger.json, with any journal replayed onto it.
+
+    A ledger of another fingerprint is discarded. The cells are exactly
+    expected_keys, in order, missing ones pending. A journal left by a
+    killed run is folded into ledger.json and deleted, so no torn line can
+    get glued to the next one appended.
+    """
     ledger: RunLedger | None = None
     if ledger_path.is_file():
         try:
@@ -531,87 +591,125 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
             ledger = None
     if ledger is None:
         ledger = RunLedger(fingerprint=fingerprint, cells={})
-    expected_keys = [
-        (src, tgt, fraction)
-        for src, tgt in manifest.pairs()
-        for fraction in manifest.fractions
-    ]
-    for src, tgt, fraction in expected_keys:
-        if (src, tgt, fraction) not in ledger.cells:
-            ledger.cells[(src, tgt, fraction)] = CellRecord(
-                src=src, tgt=tgt, fraction=fraction
-            )
+    replayed = ledger.replay(journal_path)
     # Drop stale cells so |cells| == |pairs| x |fractions| always holds.
-    ledger.cells = {k: ledger.cells[k] for k in expected_keys}
-
-    bitexts = {
-        lang: corpus.load_pivot_bitext(pivot, target, lang)
-        for lang, (pivot, target) in manifest.data_sources.items()
+    ledger.cells = {
+        key: ledger.cells.get(key) or CellRecord(*key) for key in expected_keys
     }
-    pair_data = {
-        (src, tgt): _prepare_pair(manifest, bitexts, digests, src, tgt)
-        for src, tgt in manifest.pairs()
-    }
-
-    todo = []
-    for key in expected_keys:
-        record = ledger.cells[key]
-        hyp_ok = (
-            record.hypothesis_path is not None
-            and (out / record.hypothesis_path).is_file()
-        )
-        if not (record.status == "done" and hyp_ok):
-            todo.append(key)
-
-    # A pair's BLEU memo grows with each of its cells, and its EM index is
-    # built at its first builtin cell. The pair's working set is dropped
-    # once its last cell is recorded, so only pairs in progress hold them.
-    cells_left = Counter((src, tgt) for src, tgt, _ in todo)
-    lock = threading.Lock()
-
-    def worker(key: tuple[str, str, float]) -> None:
-        src, tgt, fraction = key
-        started = time.monotonic()
-        try:
-            score, rel_hyp = _run_cell(manifest, pair_data[(src, tgt)], fraction)
-            record = CellRecord(
-                src=src, tgt=tgt, fraction=fraction, status="done",
-                bleu=score, hypothesis_path=rel_hyp,
-                wall_time=time.monotonic() - started,
-            )
-        except Exception as exc:  # cell failures must not sink the run
-            record = CellRecord(
-                src=src, tgt=tgt, fraction=fraction, status="failed",
-                wall_time=time.monotonic() - started, error=str(exc),
-            )
-        with lock:
-            ledger.cells[key] = record
-            ledger.save(ledger_path)
-            cells_left[(src, tgt)] -= 1
-            if not cells_left[(src, tgt)]:
-                del pair_data[(src, tgt)]
-
-    # Builtin cells hold the interpreter lock, so only external commands
-    # gain from running in parallel.
-    jobs = manifest.max_parallel_jobs if manifest.trainer_spec.kind == "external" else 1
-    if todo:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(worker, key) for key in todo]
-            for future in as_completed(futures):
-                future.result()
-
-    ledger.save(ledger_path)
-
-    rows = ["pair,fraction,bleu"]
-    for key in sorted(ledger.cells):
-        record = ledger.cells[key]
-        if record.status == "done":
-            rows.append(
-                f"{record.src}-{record.tgt},{repr(float(record.fraction))},"
-                f"{repr(float(record.bleu))}"
-            )
-    _write_text_atomic(out / "scores.csv", "\n".join(rows) + "\n")
+    if replayed:
+        ledger.save(ledger_path)
+    journal_path.unlink(missing_ok=True)
     return ledger
+
+
+def run_experiment(manifest: ExperimentManifest) -> RunLedger:
+    """Run every (pair, fraction) cell, resuming any earlier progress.
+
+    Cells already marked done (with their hypothesis file still present)
+    are skipped. A failing cell is recorded as failed and does not stop
+    the others. Each recorded cell is appended to ``ledger.journal`` and
+    flushed, so a killed run loses at most the cells it was working on;
+    ``ledger.json`` is checkpointed when the number of cells recorded in
+    this run is a power of two, so it shows progress, and written in full
+    at the end, when the journal is deleted. A pass with nothing to run
+    creates no journal. The run holds an exclusive lock on output_dir;
+    a second run on the same directory raises `RunInProgressError`
+    before it reads or writes anything.
+    """
+    out = manifest.output_dir
+    out.mkdir(parents=True, exist_ok=True)
+    with _exclusive(out):
+        digests = _input_digests(manifest)
+        fingerprint = manifest_fingerprint(manifest, digests)
+        expected_keys = [
+            (src, tgt, fraction)
+            for src, tgt in manifest.pairs()
+            for fraction in manifest.fractions
+        ]
+        ledger_path = out / "ledger.json"
+        journal_path = out / "ledger.journal"
+        ledger = _open_ledger(ledger_path, journal_path, fingerprint, expected_keys)
+
+        bitexts = {
+            lang: corpus.load_pivot_bitext(pivot, target, lang)
+            for lang, (pivot, target) in manifest.data_sources.items()
+        }
+        pair_data = {
+            (src, tgt): _prepare_pair(manifest, bitexts, digests, src, tgt)
+            for src, tgt in manifest.pairs()
+        }
+
+        todo = []
+        for key in expected_keys:
+            record = ledger.cells[key]
+            hyp_ok = (
+                record.hypothesis_path is not None
+                and (out / record.hypothesis_path).is_file()
+            )
+            if not (record.status == "done" and hyp_ok):
+                todo.append(key)
+
+        # A pair's BLEU memo grows with each of its cells, and its EM index
+        # is built at its first builtin cell. The pair's working set is
+        # dropped once its last cell is recorded, so only pairs in progress
+        # hold them.
+        cells_left = Counter((src, tgt) for src, tgt, _ in todo)
+        lock = threading.Lock()
+        recorded = 0
+
+        def worker(key: tuple[str, str, float]) -> None:
+            nonlocal recorded
+            src, tgt, fraction = key
+            started = time.monotonic()
+            try:
+                score, rel_hyp = _run_cell(manifest, pair_data[(src, tgt)], fraction)
+                record = CellRecord(
+                    src=src, tgt=tgt, fraction=fraction, status="done",
+                    bleu=score, hypothesis_path=rel_hyp,
+                    wall_time=time.monotonic() - started,
+                )
+            except Exception as exc:  # cell failures must not sink the run
+                record = CellRecord(
+                    src=src, tgt=tgt, fraction=fraction, status="failed",
+                    wall_time=time.monotonic() - started, error=str(exc),
+                )
+            line = ledger.journal_line(record)
+            with lock:
+                journal.write(line)
+                journal.flush()
+                ledger.cells[key] = record
+                recorded += 1
+                if recorded & (recorded - 1) == 0:
+                    ledger.save(ledger_path)
+                cells_left[(src, tgt)] -= 1
+                if not cells_left[(src, tgt)]:
+                    del pair_data[(src, tgt)]
+
+        # Builtin cells hold the interpreter lock, so only external commands
+        # gain from running in parallel.
+        jobs = manifest.max_parallel_jobs if manifest.trainer_spec.kind == "external" else 1
+        if todo:
+            with (
+                open(journal_path, "wb") as journal,
+                ThreadPoolExecutor(max_workers=jobs) as pool,
+            ):
+                futures = [pool.submit(worker, key) for key in todo]
+                for future in as_completed(futures):
+                    future.result()
+
+        ledger.save(ledger_path)
+        journal_path.unlink(missing_ok=True)
+
+        rows = ["pair,fraction,bleu"]
+        for key in sorted(ledger.cells):
+            record = ledger.cells[key]
+            if record.status == "done":
+                rows.append(
+                    f"{record.src}-{record.tgt},{repr(float(record.fraction))},"
+                    f"{repr(float(record.bleu))}"
+                )
+        _write_text_atomic(out / "scores.csv", "\n".join(rows) + "\n")
+        return ledger
 
 
 # ---------------------------------------------------------------------------

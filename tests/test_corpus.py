@@ -99,8 +99,11 @@ _lines = st.lists(
 
 
 # Any sentence: arbitrary Unicode without "\n", with tabs and "\r" common.
+# Inputs are read as UTF-8, so a sentence never holds a lone surrogate.
 _sentences = st.text(
-    alphabet=st.one_of(st.characters(exclude_characters="\n"), st.sampled_from("\t\r "))
+    alphabet=st.one_of(
+        st.characters(codec="utf-8", exclude_characters="\n"), st.sampled_from("\t\r ")
+    )
 )
 
 

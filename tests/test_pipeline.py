@@ -1,17 +1,24 @@
 """Tests for manifests, the experiment runner, resume, and reporting."""
 
+import dataclasses
+import fcntl
 import hashlib
 import json
 import os
 import random
+import shutil
+import tempfile
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mtlearn.trainer
-from mtlearn import analysis, pipeline, sampling, trainer
+from mtlearn import analysis, cli, pipeline, sampling, trainer
 
 
 def make_experiment(root, trainer_cfg=None, n_sentences=100, seed=3):
@@ -267,6 +274,11 @@ class TestLedger:
         assert len(ledger.failed()) == 1
 
 
+def bundle_files(out):
+    """Every path under a bundle, relative to it."""
+    return sorted(p.relative_to(out).as_posix() for p in out.rglob("*"))
+
+
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("tinyrun")
@@ -432,6 +444,7 @@ class TestRunExperiment:
         ledger_path = manifest.output_dir / "ledger.json"
         before = ledger_path.read_bytes()
         scores_before = (manifest.output_dir / "scores.csv").read_bytes()
+        files_before = bundle_files(manifest.output_dir)
 
         calls = []
 
@@ -445,6 +458,7 @@ class TestRunExperiment:
         assert ledger.all_done()
         assert ledger_path.read_bytes() == before
         assert (manifest.output_dir / "scores.csv").read_bytes() == scores_before
+        assert bundle_files(manifest.output_dir) == files_before
 
     def test_stale_cells_dropped(self, tmp_path):
         manifest = pipeline.load_manifest(make_experiment(tmp_path))
@@ -518,6 +532,149 @@ class TestFailureAndResume:
         for hyp in sorted((clean_manifest.output_dir / "hyps").rglob("*.txt")):
             twin = flaky_manifest.output_dir / hyp.relative_to(clean_manifest.output_dir)
             assert twin.read_bytes() == hyp.read_bytes()
+
+
+def failed_twin(record):
+    """A failed record for the same cell, which resume must run again."""
+    return pipeline.CellRecord(
+        src=record.src, tgt=record.tgt, fraction=record.fraction,
+        status="failed", wall_time=0.5, error="injected",
+    )
+
+
+class TestJournal:
+    def test_ledger_saved_at_powers_of_two_and_at_the_end(self, tmp_path, monkeypatch):
+        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        out = manifest.output_dir
+        real_save = pipeline.RunLedger.save
+        saves = []
+
+        def counting_save(ledger, path):
+            journal = path.with_name("ledger.journal")
+            lines = journal.read_bytes().count(b"\n") if journal.exists() else None
+            done = sum(c.status == "done" for c in ledger.cells.values())
+            saves.append((done, lines))
+            real_save(ledger, path)
+
+        monkeypatch.setattr(pipeline.RunLedger, "save", counting_save)
+        assert pipeline.run_experiment(manifest).all_done()
+        # Each checkpoint comes after its cells are in the journal; the
+        # journal goes only after the final save.
+        assert saves == [(n, n) for n in (1, 2, 4, 8, 16, 18)]
+        assert not (out / "ledger.journal").exists()
+
+        saves.clear()
+        files_before = bundle_files(out)
+        assert pipeline.run_experiment(manifest).all_done()
+        assert saves == [(18, None)]
+        assert bundle_files(out) == files_before
+
+    def test_journal_of_every_cell_completes_a_checkpoint(self, tmp_path, monkeypatch):
+        # A run killed after its last cell but before its final save.
+        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        out = manifest.output_dir
+        finished = pipeline.run_experiment(manifest)
+        complete = (out / "ledger.json").read_bytes()
+        checkpoint = pipeline.RunLedger(
+            fingerprint=finished.fingerprint,
+            cells={
+                key: record if i < 16 else pipeline.CellRecord(*key)
+                for i, (key, record) in enumerate(finished.cells.items())
+            },
+        )
+        checkpoint.save(out / "ledger.json")
+        (out / "ledger.journal").write_bytes(
+            b"".join(finished.journal_line(r) for r in finished.cells.values())
+        )
+
+        def no_training(pairs, iterations):
+            raise AssertionError("every cell is in the journal")
+
+        monkeypatch.setattr(mtlearn.trainer, "train_model1", no_training)
+        ledger = pipeline.run_experiment(manifest)
+        assert ledger.all_done()
+        assert (out / "ledger.json").read_bytes() == complete
+        assert not (out / "ledger.journal").exists()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        picks=st.lists(st.tuples(st.integers(0, 17), st.booleans()), max_size=30),
+        foreign=st.lists(st.integers(0, 17), max_size=3),
+        data=st.data(),
+    )
+    def test_replay_restores_exactly_the_complete_lines(
+        self, tiny_run, picks, foreign, data
+    ):
+        _, manifest, finished = tiny_run
+        records = list(finished.cells.values())
+        written = [
+            failed_twin(records[i]) if failed else records[i] for i, failed in picks
+        ]
+        lines = [finished.journal_line(r) for r in written]
+        journal = b"".join(lines)
+        cut = data.draw(st.integers(0, len(journal)), label="cut")
+        other = pipeline.RunLedger(fingerprint="0" * 64, cells={})
+        tail = b"".join(other.journal_line(failed_twin(records[i])) for i in foreign)
+
+        expected = {}
+        end = 0
+        for record, line in zip(written, lines):
+            end += len(line)
+            if end <= cut:
+                expected[(record.src, record.tgt, record.fraction)] = record
+
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            shutil.copytree(manifest.output_dir, out)
+            (out / "ledger.json").unlink()
+            (out / "ledger.journal").write_bytes(journal[:cut] + tail)
+
+            replayed = pipeline.RunLedger(fingerprint=finished.fingerprint, cells={})
+            replayed.replay(out / "ledger.journal")
+            assert replayed.cells == expected
+
+            ledger = pipeline.run_experiment(
+                dataclasses.replace(manifest, output_dir=out)
+            )
+            assert ledger.all_done()
+            assert not (out / "ledger.journal").exists()
+            for rel in bundle_files(manifest.output_dir):
+                path = manifest.output_dir / rel
+                if path.is_file() and rel != "ledger.json":
+                    assert (out / rel).read_bytes() == path.read_bytes(), rel
+            assert bundle_files(out) == bundle_files(manifest.output_dir)
+
+
+class TestOneRunPerOutputDirectory:
+    def test_second_run_is_refused_and_changes_nothing(self, tmp_path, capsys):
+        manifest_path = make_experiment(tmp_path)
+        manifest = pipeline.load_manifest(manifest_path)
+        out = manifest.output_dir
+        pipeline.run_experiment(manifest)
+        # A bundle whose run was killed mid-way, so a run would have work.
+        (out / "hyps" / "aa-bb" / "0.5.txt").unlink()
+
+        def snapshot():
+            return {
+                p.relative_to(out).as_posix(): p.stat().st_mtime_ns
+                for p in out.rglob("*")
+            }
+
+        before = snapshot()
+        fd = os.open(out, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            with pytest.raises(pipeline.RunInProgressError):
+                pipeline.run_experiment(manifest)
+            assert cli.main(["run", "--manifest", str(manifest_path)]) == 2
+            assert "another run" in capsys.readouterr().err
+        finally:
+            os.close(fd)
+        assert snapshot() == before
+
+        assert issubclass(pipeline.RunInProgressError, pipeline.LedgerError)
+        # The lock goes with its holder.
+        assert pipeline.run_experiment(manifest).all_done()
 
 
 class TestReports:
