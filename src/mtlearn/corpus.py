@@ -10,6 +10,7 @@ train/dev/test with a seeded, platform-independent shuffle.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import unicodedata
@@ -48,6 +49,22 @@ class PivotBitext:
 
     def __len__(self) -> int:
         return len(self.pivot_lines)
+
+    @functools.cached_property
+    def pivot_keys(self) -> list[str]:
+        """`normalize_pivot` of each pivot line, computed on first use.
+
+        A language takes part in several pairs, so its lines are normalized
+        once per bitext rather than once per pair; pivot_lines must not
+        change after the first join. A line that is already normal is its
+        own key, so the keys that live as long as the bitext cost no second
+        copy of its text.
+        """
+        lines = self.pivot_lines
+        return [
+            line if key == line else key
+            for line, key in zip(lines, map(normalize_pivot, lines))
+        ]
 
 
 @dataclass
@@ -153,16 +170,14 @@ def build_parallel(a: PivotBitext, b: PivotBitext) -> ParallelPair:
         raise ValueError("both bitexts must be nonempty")
 
     b_occurrences: dict[str, list[int]] = {}
-    for j, pivot in enumerate(b.pivot_lines):
-        key = normalize_pivot(pivot)
+    for j, key in enumerate(b.pivot_keys):
         if key:
             b_occurrences.setdefault(key, []).append(j)
 
     pairs: list[tuple[str, str]] = []
     provenance: list[tuple[int, int]] = []
     seen: dict[str, int] = {}
-    for i, pivot in enumerate(a.pivot_lines):
-        key = normalize_pivot(pivot)
+    for i, key in enumerate(a.pivot_keys):
         if not key:
             continue
         occ = seen.get(key, 0)

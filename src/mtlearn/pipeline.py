@@ -132,6 +132,11 @@ class ExperimentManifest:
             raise ManifestError(f"fractions must lie in (0, 1]: {fracs}")
         if fracs[-1] != 1.0:
             raise ManifestError("fractions must include 1.0 (full data)")
+        slugs = [fraction_slug(f) for f in fracs]
+        if len(set(slugs)) != len(slugs):
+            # Cells of one pair name their files by slug, so they would
+            # overwrite each other's subset and hypothesis files.
+            raise ManifestError(f"fractions must differ at 4 decimals: {fracs}")
 
     def pairs(self) -> list[tuple[str, str]]:
         """All ordered language pairs, in manifest language order."""

@@ -6,6 +6,8 @@ lexical table, which is crude but deterministic and shows genuine
 data-scaling behavior. A `Model1Corpus` indexes one training set once
 (tokens, EM rows, co-occurrence cells), and `train_model1` trains on any
 subset of it, so the nested fractions of a learning curve share one index.
+A trained `LexicalTable` keeps EM's arrays: its sum check and argmax are
+computed from them, and its `entries` dicts are built only when read.
 The external adapter runs an arbitrary command with file-path
 placeholders so a real NMT stack can be plugged into the same pipeline.
 """
@@ -13,13 +15,14 @@ placeholders so a real NMT stack can be plugged into the same pipeline.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import shlex
 import signal
 import subprocess
 from array import array
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .corpus import read_lines
@@ -36,7 +39,6 @@ class ExternalTrainerError(RuntimeError):
     """An external trainer command failed; carries captured diagnostics."""
 
 
-@dataclass(frozen=True)
 class LexicalTable:
     """Lexical translation probabilities t(tgt | src) from IBM Model 1.
 
@@ -46,26 +48,119 @@ class LexicalTable:
     parameters entering EM iteration k, so the sequence is non-decreasing.
     skipped_pairs counts training pairs dropped because one side was empty.
     argmax maps each source token to its most probable target token, ties
-    broken lexicographically (smallest target token wins); it is derived
-    from entries once, so decoding does no search.
+    broken lexicographically (smallest target token in code-point order
+    wins), so decoding does no search.
+
+    A table holds its distributions as flat arrays, one cell per (source,
+    target) in entries order. The sum check and argmax are computed from
+    those arrays when the table is made, and entries is built from them on
+    first read: decoding reads only argmax. `train_model1` hands over its EM
+    arrays; a table constructed from dicts flattens them into the same
+    arrays and goes through the same check. Tables are equal when their
+    entries, log_likelihoods and skipped_pairs are.
     """
 
-    entries: dict[str, dict[str, float]]
-    log_likelihoods: tuple[float, ...]
-    skipped_pairs: int = 0
-    argmax: dict[str, str] = field(init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        entries: dict[str, dict[str, float]],
+        log_likelihoods: tuple[float, ...],
+        skipped_pairs: int = 0,
+    ) -> None:
+        import numpy as np
 
-    def __post_init__(self) -> None:
-        argmax: dict[str, str] = {}
-        for src, dist in self.entries.items():
-            if not dist:
-                raise ValueError(f"empty distribution for source token {src!r}")
-            total = sum(dist.values())
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"distribution for {src!r} sums to {total!r}, not 1")
-            top = max(dist.values())
-            argmax[src] = min(t for t, p in dist.items() if p == top)
-        object.__setattr__(self, "argmax", argmax)
+        targets = [t for dist in entries.values() for t in dist]
+        rank = {t: r for r, t in enumerate(sorted(set(targets)))}
+        self._init(
+            list(entries),
+            np.fromiter(map(len, entries.values()), dtype=np.int64, count=len(entries)),
+            np.array(targets, dtype=object),
+            np.fromiter(map(rank.__getitem__, targets), dtype=np.int64, count=len(targets)),
+            np.fromiter(
+                (p for dist in entries.values() for p in dist.values()),
+                dtype=np.float64,
+                count=len(targets),
+            ),
+            log_likelihoods,
+            skipped_pairs,
+        )
+
+    @classmethod
+    def _from_arrays(cls, *arrays) -> LexicalTable:
+        """A table over the arrays that `_init` takes, without dicts."""
+        table = cls.__new__(cls)
+        table._init(*arrays)
+        return table
+
+    def _init(
+        self,
+        sources: list[str],
+        lengths: np.ndarray,
+        targets: np.ndarray,
+        ranks: np.ndarray,
+        probs: np.ndarray,
+        log_likelihoods: tuple[float, ...],
+        skipped_pairs: int,
+    ) -> None:
+        """Check and keep one table's arrays.
+
+        Source i owns the next lengths[i] cells; cell c has target word
+        targets[c] (an object array), probability probs[c], and ranks[c],
+        the rank of its word in code-point order among the words the table
+        may hold, so a source's cells have distinct ranks.
+        """
+        import numpy as np
+
+        empty = np.flatnonzero(lengths == 0)
+        if len(empty):
+            raise ValueError(f"empty distribution for source token {sources[empty[0]]!r}")
+        starts = np.cumsum(lengths) - lengths
+        totals = np.add.reduceat(probs, starts)
+        bad = np.flatnonzero(~(np.abs(totals - 1.0) <= 1e-9))  # NaN is bad too
+        if len(bad):
+            i = bad[0]
+            raise ValueError(
+                f"distribution for {sources[i]!r} sums to {float(totals[i])!r}, not 1"
+            )
+        # A source's argmax is the smallest-ranked of its cells that reach
+        # its maximum, which is the (-p, token) order; exactly one cell per
+        # source has that rank.
+        top = np.repeat(np.maximum.reduceat(probs, starts), lengths)
+        key = np.where(probs == top, ranks, np.iinfo(ranks.dtype).max)
+        best = np.repeat(np.minimum.reduceat(key, starts), lengths)
+        self.argmax: dict[str, str] = dict(zip(sources, targets[key == best].tolist()))
+        self.log_likelihoods = log_likelihoods
+        self.skipped_pairs = skipped_pairs
+        self._sources = sources
+        self._lengths = lengths
+        self._targets = targets
+        self._probs = probs
+
+    @functools.cached_property
+    def entries(self) -> dict[str, dict[str, float]]:
+        """Each source token's distribution, built from the arrays on first read."""
+        targets = self._targets.tolist()
+        probs = self._probs.tolist()
+        entries: dict[str, dict[str, float]] = {}
+        lo = 0
+        for src, hi in zip(self._sources, self._lengths.cumsum().tolist()):
+            entries[src] = dict(zip(targets[lo:hi], probs[lo:hi]))
+            lo = hi
+        return entries
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LexicalTable):
+            return NotImplemented
+        return (self.entries, self.log_likelihoods, self.skipped_pairs) == (
+            other.entries,
+            other.log_likelihoods,
+            other.skipped_pairs,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"LexicalTable(entries={self.entries!r}, "
+            f"log_likelihoods={self.log_likelihoods!r}, skipped_pairs={self.skipped_pairs!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -105,9 +200,11 @@ class Model1Corpus:
     skipped when trained on). The EM rows, one per (target token, source
     position) of each sentence, NULL included, are laid out once in the
     order that `train_model1` fixes, and the co-occurring (source, target)
-    cells are sorted once. `subset` selects the training pairs of one
-    fraction; the learning curve's nested fractions of a pair thus share
-    one index instead of re-tokenizing the same sentences for each one.
+    cells are sorted once, each with the rank of its target word in
+    code-point order for the argmax tie-break. `subset` selects the
+    training pairs of one fraction; the learning curve's nested fractions
+    of a pair thus share one index instead of re-tokenizing the same
+    sentences for each one.
     """
 
     def __init__(self, train_pairs: Iterable[tuple[str, str]]) -> None:
@@ -171,7 +268,12 @@ class Model1Corpus:
         self.cell[order] = np.cumsum(first, dtype=np.int32) - 1
         del order, first
         self.cell_src = cells // n_tgt
-        self.cell_tgt = np.array(self.tgt_words, dtype=object)[cells % n_tgt]  # words
+        tgt = cells % n_tgt
+        words = np.array(self.tgt_words, dtype=object)
+        rank = np.empty(len(words), dtype=np.int32)
+        rank[words.argsort()] = np.arange(len(words), dtype=np.int32)  # code-point order
+        self.cell_tgt = words[tgt]
+        self.cell_rank = rank[tgt]  # for the argmax tie-break
 
     def __len__(self) -> int:
         return len(self.src_len)
@@ -250,6 +352,7 @@ def train_model1(
     cell = (np.cumsum(used, dtype=np.int32) - 1)[cell]
     cell_src = corpus.cell_src[used]
     cell_tgt = corpus.cell_tgt[used]
+    cell_rank = corpus.cell_rank[used]
     del used
     width = np.repeat(src_len, tgt_len)
     n_tok = len(width)
@@ -280,20 +383,15 @@ def train_model1(
         p = counts / totals[cell_src]
     del tok, src_row, cell, log_len
 
-    targets = cell_tgt.tolist()
-    probs = p.tolist()
     present = np.flatnonzero(per_src)
-    ends = np.cumsum(per_src[present]).tolist()
-    entries: dict[str, dict[str, float]] = {}
-    lo = 0
-    for s, hi in zip(present.tolist(), ends):
-        entries[corpus.src_words[s]] = dict(zip(targets[lo:hi], probs[lo:hi]))
-        lo = hi
-
-    return LexicalTable(
-        entries=entries,
-        log_likelihoods=tuple(log_likelihoods),
-        skipped_pairs=skipped,
+    return LexicalTable._from_arrays(
+        [corpus.src_words[s] for s in present.tolist()],
+        per_src[present],
+        cell_tgt,
+        cell_rank,
+        p,
+        tuple(log_likelihoods),
+        skipped,
     )
 
 

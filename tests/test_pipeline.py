@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtlearn.trainer
-from mtlearn import analysis, cli, pipeline, sampling, trainer
+from mtlearn import analysis, cli, corpus, pipeline, sampling, trainer
 
 
 def make_experiment(root, trainer_cfg=None, n_sentences=100, seed=3):
@@ -198,6 +198,23 @@ class TestManifestValidation:
         with pytest.raises(pipeline.ManifestError, match=r"in \(0, 1\]"):
             pipeline.ExperimentManifest(**kwargs, fractions=(-0.1, 1.0))
 
+    def test_fractions_sharing_a_file_name_rejected(self, tmp_path, capsys):
+        # fraction_slug keeps 4 decimals; two cells of a pair would write
+        # the same subset and hypothesis files.
+        kwargs = self.base_kwargs(tmp_path)
+        fractions = [0.12341, 0.12344, 1.0]
+        with pytest.raises(pipeline.ManifestError, match="4 decimals"):
+            pipeline.ExperimentManifest(**kwargs, fractions=tuple(fractions))
+        path = tmp_path / "manifest.json"
+        raw = json.loads(path.read_text())
+        raw["fractions"] = fractions
+        path.write_text(json.dumps(raw))
+        with pytest.raises(pipeline.ManifestError, match="4 decimals"):
+            pipeline.load_manifest(path)
+        assert cli.main(["run", "--manifest", str(path)]) == 2
+        assert "4 decimals" in capsys.readouterr().err
+        assert not kwargs["output_dir"].exists()
+
     def test_pair_seeds_are_direction_sensitive(self, tmp_path):
         manifest = pipeline.load_manifest(make_experiment(tmp_path))
         assert manifest.pair_split_seed("aa", "bb") != manifest.pair_split_seed("bb", "aa")
@@ -363,6 +380,49 @@ class TestRunExperiment:
         pipeline.run_experiment(manifest)
         inputs = [p for paths in manifest.data_sources.values() for p in paths]
         assert sorted(hashed) == sorted(inputs)
+
+    def test_each_pivot_line_normalized_once_per_run(self, tmp_path, monkeypatch):
+        # Each language takes part in several pairs; its pivot lines are
+        # normalized once, not once per pair.
+        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        real_normalize = corpus.normalize_pivot
+        normalized = []
+
+        def counting_normalize(sentence):
+            normalized.append(sentence)
+            return real_normalize(sentence)
+
+        monkeypatch.setattr(corpus, "normalize_pivot", counting_normalize)
+        assert pipeline.run_experiment(manifest).all_done()
+        lines = [
+            line
+            for pivot, _ in manifest.data_sources.values()
+            for line in corpus.read_lines(pivot)
+        ]
+        assert sorted(normalized) == sorted(lines)
+
+    def test_run_never_builds_a_tables_entries(self, tmp_path, monkeypatch):
+        # Decoding reads only argmax, so no cell pays for the entries dicts.
+        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        real_entries = trainer.LexicalTable.__dict__["entries"]
+        real_train = trainer.train_model1
+        built, trained = [], []
+
+        def spying_entries(table):
+            built.append(table)
+            return real_entries.__get__(table, type(table))
+
+        def keeping_train(pairs, iterations):
+            trained.append(real_train(pairs, iterations))
+            return trained[-1]
+
+        monkeypatch.setattr(trainer.LexicalTable, "entries", property(spying_entries))
+        monkeypatch.setattr(mtlearn.trainer, "train_model1", keeping_train)
+        assert pipeline.run_experiment(manifest).all_done()
+        assert len(trained) == 2 * len(sampling.FRACTION_GRID)
+        assert built == []
+        assert trained[0].entries  # the spy sees a read
+        assert built == [trained[0]]
 
     def test_builtin_cells_run_one_at_a_time(self, tmp_path, monkeypatch):
         manifest = pipeline.load_manifest(make_experiment(tmp_path))

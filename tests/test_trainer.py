@@ -236,6 +236,109 @@ class TestTrainModel1:
             trainer.LexicalTable(entries={"a": {}}, log_likelihoods=())
 
 
+def entries_as_built_before(table):
+    """Reference: the dicts as `train_model1` built them eagerly after EM.
+
+    One dict per source token, zipped from the cell targets and
+    probabilities in cell order; the table's arrays are its EM arrays.
+    """
+    targets = table._targets.tolist()
+    probs = table._probs.tolist()
+    ends = table._lengths.cumsum().tolist()
+    entries = {}
+    lo = 0
+    for src, hi in zip(table._sources, ends):
+        entries[src] = dict(zip(targets[lo:hi], probs[lo:hi]))
+        lo = hi
+    return entries
+
+
+def argmax_as_searched_before(entries):
+    """Reference: the per-distribution argmax search, smallest token on ties."""
+    argmax = {}
+    for src, dist in entries.items():
+        top = max(dist.values())
+        argmax[src] = min(t for t, p in dist.items() if p == top)
+    return argmax
+
+
+def hexed(entries):
+    return {s: [(t, p.hex()) for t, p in dist.items()] for s, dist in entries.items()}
+
+
+# Target words whose code-point order differs from case-blind and from
+# locale order: capitals sort before lowercase, accented letters after "z".
+ODD_WORDS = ["a", "B", "b", "Z", "z", "é", "É", "ä", "ß", "Ω", "zz", "aé"]
+
+
+class TestArrayTable:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        corpus=corpora,
+        words=st.lists(st.sampled_from(ODD_WORDS), min_size=3, max_size=3, unique=True),
+        iterations=st.integers(min_value=1, max_value=3),
+    )
+    def test_trained_table_matches_eager_dicts_and_search(self, corpus, words, iterations):
+        rename = dict(zip("xyz", words))
+        corpus = [
+            (s, " ".join(rename[w] for w in t.split())) for s, t in corpus
+        ]
+        if not any(s.split() and t.split() for s, t in corpus):
+            return
+        table = trainer.train_model1(corpus, iterations)
+        assert "entries" not in vars(table)  # built on first read only
+        want = entries_as_built_before(table)
+        assert hexed(table.entries) == hexed(want)
+        assert table.argmax == argmax_as_searched_before(want)
+        assert list(table.argmax) == list(want)
+        rebuilt = trainer.LexicalTable(
+            entries=want,
+            log_likelihoods=table.log_likelihoods,
+            skipped_pairs=table.skipped_pairs,
+        )
+        assert rebuilt == table
+        assert rebuilt.argmax == table.argmax
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=st.dictionaries(
+            st.sampled_from(ODD_WORDS + [NULL]),
+            st.dictionaries(
+                st.sampled_from(ODD_WORDS), st.integers(1, 3), min_size=1, max_size=6
+            ),
+            max_size=5,
+        ),
+        fault=st.sampled_from([None, "empty", "mass", "1e-8", "1e-10"]),
+        data=st.data(),
+    )
+    def test_table_from_dicts_keeps_errors_and_tie_break(self, counts, fault, data):
+        # Small integer counts tie often; dividing by the total sums to 1
+        # within rounding.
+        entries = {
+            s: {t: c / sum(dist.values()) for t, c in dist.items()}
+            for s, dist in counts.items()
+        }
+        if fault and entries:
+            dist = entries[data.draw(st.sampled_from(sorted(entries)))]
+            if fault == "empty":
+                dist.clear()
+            elif fault == "mass":
+                for t in dist:
+                    dist[t] *= 1.5
+            else:  # either side of the 1e-9 tolerance
+                dist[next(iter(dist))] += float(fault)
+            error = {"empty": "empty", "mass": "sums to", "1e-8": "sums to"}.get(fault)
+            if error:
+                with pytest.raises(ValueError, match=error):
+                    trainer.LexicalTable(entries=entries, log_likelihoods=())
+                return
+        table = trainer.LexicalTable(entries=entries, log_likelihoods=(-1.0,))
+        assert table.argmax == argmax_as_searched_before(entries)
+        assert hexed(table.entries) == hexed(entries)
+        assert table == trainer.LexicalTable(entries=dict(entries), log_likelihoods=(-1.0,))
+        assert table != trainer.LexicalTable(entries=entries, log_likelihoods=())
+
+
 class TestDecode:
     def test_argmax_lookup(self):
         table = trainer.LexicalTable(entries={"a": {"x": 1.0}}, log_likelihoods=())
