@@ -23,7 +23,8 @@ from mtlearn import analysis, pipeline, synthetic
 # base vocabulary into its own forms, from 5% (aa) up to 60% (ee), so
 # vocabulary overlap between any two languages is exactly computable.
 
-workdir = Path(tempfile.mkdtemp(prefix="mtlearn_demo_"))
+tmp = tempfile.TemporaryDirectory(prefix="mtlearn_demo_")
+workdir = Path(tmp.name)
 info = synthetic.write_family(workdir, n_sentences=500, vocab_size=400)
 print("family written to", workdir)
 
@@ -64,4 +65,5 @@ r = analysis.pearson(
     [overlap[p] for p in pairs],
 )
 print(f"\nPearson r between AUC and vocabulary overlap: {r:.3f}")
-print("report bundle:", manifest.output_dir)
+print("report bundle:", sorted(p.name for p in manifest.output_dir.iterdir()))
+tmp.cleanup()

@@ -52,7 +52,8 @@ print(f"spoken without ro sources: r = {r:.3f} over {len(points)} pairs")
 # scatter plots, summary.json) for any AUC source, including these
 # reference values. The same function serves live pipeline runs.
 
-out = Path(tempfile.mkdtemp(prefix="mtlearn_tables_")) / "report"
-summary = pipeline.report_from_auc(auc, (written, spoken), out)
-print("\nwrote", sorted(p.name for p in out.iterdir() if p.is_file()))
+with tempfile.TemporaryDirectory(prefix="mtlearn_tables_") as tmp:
+    out = Path(tmp) / "report"
+    summary = pipeline.report_from_auc(auc, (written, spoken), out)
+    print("\nwrote", sorted(p.name for p in out.iterdir() if p.is_file()))
 print("summary pearson_written:", round(summary["pearson_written"], 3))

@@ -177,9 +177,9 @@ def pearson(xs: list[float], ys: list[float]) -> float:
 
 
 def filter_by_source(
-    points: list[ScatterPoint], excluded: str
+    points: list[ScatterPoint], excluded: str | None
 ) -> list[ScatterPoint]:
-    """Drop scatter points whose source language is `excluded`."""
+    """Drop scatter points whose source language is `excluded` (None drops none)."""
     return [p for p in points if p.pair_id[0] != excluded]
 
 
@@ -246,24 +246,39 @@ def curves_to_csv(curves: list[LearningCurve]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_raw_points(text: str, header: str) -> dict[str, list[tuple[float, float]]]:
+    """(fraction, bleu) points of a CSV whose first three columns are
+    pair,fraction,bleu, grouped by the pair column in appearance order."""
+    lines = text.splitlines()
+    if not lines or lines[0] != header:
+        raise ValueError(f"bad or missing header; expected {header}")
+    columns = header.count(",") + 1
+    raw_by_pair: dict[str, list[tuple[float, float]]] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != columns:
+            raise ValueError(f"line {lineno}: expected {columns} columns, got {len(cells)}")
+        raw_by_pair.setdefault(cells[0], []).append((float(cells[1]), float(cells[2])))
+    return raw_by_pair
+
+
+def read_scores_csv(text: str) -> dict[tuple[str, str], list[tuple[float, float]]]:
+    """Parse a scores CSV (pair,fraction,bleu) into raw points by pair."""
+    return {
+        parse_pair(pair): raw
+        for pair, raw in _read_raw_points(text, "pair,fraction,bleu").items()
+    }
+
+
 def read_curves_csv(text: str) -> list[LearningCurve]:
     """Parse a curves CSV back into LearningCurve objects.
 
     Rows are grouped by the pair column (appearance order); relatives are
     recomputed from the raw BLEU values rather than trusted from the file.
     """
-    lines = text.splitlines()
-    if not lines or lines[0] != "pair,fraction,bleu,relative":
-        raise ValueError("not a curves CSV (bad or missing header)")
-    raw_by_pair: dict[str, list[tuple[float, float]]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != 4:
-            raise ValueError(f"line {lineno}: expected 4 columns, got {len(cells)}")
-        pair, fraction, bleu = cells[0], float(cells[1]), float(cells[2])
-        raw_by_pair.setdefault(pair, []).append((fraction, bleu))
+    raw_by_pair = _read_raw_points(text, "pair,fraction,bleu,relative")
     return [
         relative_curve(raw, pair_id=parse_pair(pair) if pair else None)
         for pair, raw in raw_by_pair.items()

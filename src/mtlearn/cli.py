@@ -111,24 +111,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_scores_csv(path: str) -> dict[tuple[str, str], list[tuple[float, float]]]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "pair,fraction,bleu":
-        raise ValueError(f"{path} is not a scores CSV (expected header pair,fraction,bleu)")
-    raw: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 3 columns")
-        pair = analysis.parse_pair(cells[0])
-        raw.setdefault(pair, []).append((float(cells[1]), float(cells[2])))
-    return raw
-
-
 def _cmd_curve(args: argparse.Namespace) -> int:
-    raw = _read_scores_csv(args.scores)
+    raw = analysis.read_scores_csv(Path(args.scores).read_text(encoding="utf-8"))
     curves = [
         analysis.relative_curve(points, pair_id=pair)
         for pair, points in sorted(raw.items())
@@ -169,9 +153,9 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     auc_by_pair = _auc_from_source(args.auc)
     written, spoken = analysis.embedded_matrices()
     matrix = written if args.against == "written" else spoken
-    points = analysis.build_scatter(auc_by_pair, matrix)
-    if args.exclude_source:
-        points = analysis.filter_by_source(points, args.exclude_source)
+    points = analysis.filter_by_source(
+        analysis.build_scatter(auc_by_pair, matrix), args.exclude_source
+    )
     r = analysis.pearson(
         [p.auc for p in points], [p.intelligibility for p in points]
     )
@@ -180,15 +164,6 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         label += f", excluding source {args.exclude_source}"
     print(f"r = {r:.3f}  (AUC vs {label}, n = {len(points)})")
     return 0
-
-
-def _load_manifest_with_overrides(args: argparse.Namespace) -> pipeline.ExperimentManifest:
-    manifest = pipeline.load_manifest(args.manifest)
-    if getattr(args, "seed", None) is not None:
-        manifest = dataclasses.replace(manifest, seed=args.seed)
-    if getattr(args, "jobs", None) is not None:
-        manifest = dataclasses.replace(manifest, max_parallel_jobs=args.jobs)
-    return manifest
 
 
 def _report_matrices(
@@ -200,7 +175,11 @@ def _report_matrices(
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    manifest = _load_manifest_with_overrides(args)
+    manifest = pipeline.load_manifest(args.manifest)
+    if args.seed is not None:
+        manifest = dataclasses.replace(manifest, seed=args.seed)
+    if args.jobs is not None:
+        manifest = dataclasses.replace(manifest, max_parallel_jobs=args.jobs)
     ledger = pipeline.run_experiment(manifest)
     done = sum(1 for c in ledger.cells.values() if c.status == "done")
     failed = ledger.failed()
@@ -221,9 +200,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    manifest = None
-    if args.manifest:
-        manifest = _load_manifest_with_overrides(args)
+    manifest = pipeline.load_manifest(args.manifest) if args.manifest else None
     out = Path(args.out) if args.out else (manifest.output_dir if manifest else None)
     if out is None:
         raise pipeline.ManifestError("report needs --manifest or --out")
@@ -231,8 +208,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     if args.auc == "table3":
         summary = pipeline.report_from_auc(
-            analysis.embedded_reference_auc(), matrices, out,
-            exclude_source=args.exclude_source,
+            analysis.embedded_reference_auc(), matrices, out
         )
     else:
         if manifest is None:
@@ -241,18 +217,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if not ledger_path.is_file():
             raise pipeline.LedgerError(f"no ledger at {ledger_path}; run the pipeline first")
         ledger = pipeline.RunLedger.load(ledger_path)
-        summary = pipeline.build_report(
-            ledger, matrices, out, exclude_source=args.exclude_source
-        )
-
-    def show(name: str) -> str:
-        value = summary[name]
-        return f"{value:.3f}" if value is not None else "undefined"
+        summary = pipeline.build_report(ledger, matrices, out)
 
     print(f"report written to {out}")
-    print(f"pearson_written = {show('pearson_written')}")
-    print(f"pearson_spoken = {show('pearson_spoken')}")
-    print(f"pearson_spoken_excl_ro = {show('pearson_spoken_excl_ro')}")
+    for key in ("pearson_written", "pearson_spoken", "pearson_spoken_excl_ro"):
+        value = summary[key]
+        print(f"{key} = {value:.3f}" if value is not None else f"{key} = undefined")
     return 0
 
 
@@ -326,9 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest")
     p.add_argument("--auc", choices=("ledger", "table3"), default="ledger")
     p.add_argument("--out", help="report directory (defaults to the manifest output_dir)")
-    p.add_argument("--exclude-source", default="ro")
-    p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
-    p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("tables", help="print the embedded reference tables")

@@ -266,9 +266,15 @@ def write_split_bundle(
     spec: SplitSpec,
     extra_meta: dict | None = None,
 ) -> None:
-    """Write train/dev/test TSVs plus the JSON sidecar for one pair."""
+    """Write train/dev/test TSVs plus the JSON sidecar for one pair.
+
+    The sidecar is removed before the first TSV is written and written
+    last, so a write cut short leaves no meta.json vouching for TSVs it
+    does not describe.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    (directory / "meta.json").unlink(missing_ok=True)
     write_pairs_tsv(train, directory / "train.tsv")
     write_pairs_tsv(dev, directory / "dev.tsv")
     write_pairs_tsv(test, directory / "test.tsv")

@@ -722,49 +722,19 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
 # ---------------------------------------------------------------------------
 
 
-def _safe_pearson(xs: list[float], ys: list[float]) -> float | None:
-    """Pearson r, or None when it is undefined for this data."""
-    try:
-        return analysis.pearson(xs, ys)
-    except ValueError:
-        return None
-
-
-def _scatter_svg(
-    points: list[analysis.ScatterPoint],
-    r: float | None,
-    medium_label: str,
-    excluded_source: str | None,
-) -> str:
-    r_text = f"Pearson r = {r:.3f}" if r is not None else "Pearson r undefined"
-    marked = [
-        (
-            p.auc,
-            p.intelligibility,
-            analysis.pair_str(p.pair_id),
-            p.pair_id[0] == excluded_source,
-        )
-        for p in points
-    ]
-    return charts.scatter_chart(
-        f"AUC vs {medium_label} intelligibility ({r_text})",
-        "learning-curve AUC",
-        f"{medium_label} intelligibility",
-        marked,
-    )
-
-
 def report_from_auc(
     auc_by_pair: dict[tuple[str, str], float],
     matrices: tuple[analysis.IntelligibilityMatrix, analysis.IntelligibilityMatrix],
     output_dir: str | Path,
-    exclude_source: str = "ro",
 ) -> dict:
     """Emit the correlation half of the report bundle from AUC values.
 
-    Writes auc.csv, the three scatter CSVs and SVGs, and summary.json.
-    Pearson values are null when fewer than 3 scatter points match a
-    matrix or the matched values have no variance. Returns the summary.
+    Writes auc.csv, then a scatter CSV, a scatter SVG and a Pearson r for
+    each of three views: written, spoken, and spoken without ro-source
+    pairs (drawn as hollow points and flagged in the CSV), and last
+    summary.json. Pearson values are null when fewer than 3 scatter points
+    are kept or the kept values have no variance; a view with no points at
+    all gets no SVG. Returns the summary.
     """
     out = Path(output_dir)
     written, spoken = matrices
@@ -775,53 +745,44 @@ def report_from_auc(
     ]
     _write_text_atomic(out / "auc.csv", analysis.auc_to_csv(auc_rows))
 
-    points_written = analysis.build_scatter(auc_by_pair, written)
-    points_spoken = analysis.build_scatter(auc_by_pair, spoken)
-    points_excl = analysis.filter_by_source(points_spoken, exclude_source)
-
-    r_written = _safe_pearson(
-        [p.auc for p in points_written], [p.intelligibility for p in points_written]
-    )
-    r_spoken = _safe_pearson(
-        [p.auc for p in points_spoken], [p.intelligibility for p in points_spoken]
-    )
-    r_excl = _safe_pearson(
-        [p.auc for p in points_excl], [p.intelligibility for p in points_excl]
-    )
-
-    _write_text_atomic(
-        out / "scatter_written.csv", analysis.scatter_to_csv(points_written)
-    )
-    _write_text_atomic(
-        out / "scatter_spoken.csv", analysis.scatter_to_csv(points_spoken)
-    )
-    _write_text_atomic(
-        out / "scatter_spoken_excl_ro.csv",
-        analysis.scatter_to_csv(points_spoken, excluded_source=exclude_source),
-    )
-
-    plots = out / "plots"
-    if points_written:
-        _write_text_atomic(
-            plots / "scatter_written.svg",
-            _scatter_svg(points_written, r_written, "written", None),
-        )
-    if points_spoken:
-        _write_text_atomic(
-            plots / "scatter_spoken.svg",
-            _scatter_svg(points_spoken, r_spoken, "spoken", None),
-        )
-        _write_text_atomic(
-            plots / "scatter_spoken_excl_ro.svg",
-            _scatter_svg(points_spoken, r_excl, "spoken", exclude_source),
-        )
-
-    summary = {
+    summary: dict = {
         "auc": {analysis.pair_str(pair): auc_by_pair[pair] for pair in sorted(auc_by_pair)},
-        "pearson_written": r_written,
-        "pearson_spoken": r_spoken,
-        "pearson_spoken_excl_ro": r_excl,
     }
+    for view, matrix, excluded in (
+        ("written", written, None),
+        ("spoken", spoken, None),
+        ("spoken_excl_ro", spoken, "ro"),
+    ):
+        points = analysis.build_scatter(auc_by_pair, matrix)
+        kept = analysis.filter_by_source(points, excluded)
+        try:
+            r = analysis.pearson(
+                [p.auc for p in kept], [p.intelligibility for p in kept]
+            )
+        except ValueError:
+            r = None
+        summary[f"pearson_{view}"] = r
+        _write_text_atomic(
+            out / f"scatter_{view}.csv",
+            analysis.scatter_to_csv(points, excluded_source=excluded),
+        )
+        if not points:
+            continue
+        r_text = f"Pearson r = {r:.3f}" if r is not None else "Pearson r undefined"
+        marked = [
+            (p.auc, p.intelligibility, analysis.pair_str(p.pair_id), p.pair_id[0] == excluded)
+            for p in points
+        ]
+        _write_text_atomic(
+            out / "plots" / f"scatter_{view}.svg",
+            charts.scatter_chart(
+                f"AUC vs {matrix.medium} intelligibility ({r_text})",
+                "learning-curve AUC",
+                f"{matrix.medium} intelligibility",
+                marked,
+            ),
+        )
+
     _write_text_atomic(
         out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )
@@ -832,7 +793,6 @@ def build_report(
     ledger: RunLedger,
     matrices: tuple[analysis.IntelligibilityMatrix, analysis.IntelligibilityMatrix],
     output_dir: str | Path,
-    exclude_source: str = "ro",
 ) -> dict:
     """Turn a complete ledger into the full report bundle.
 
@@ -883,4 +843,4 @@ def build_report(
     auc_by_pair = {
         c.pair_id: analysis.auc_trapezoid(c).auc for c in curves
     }
-    return report_from_auc(auc_by_pair, matrices, out, exclude_source=exclude_source)
+    return report_from_auc(auc_by_pair, matrices, out)

@@ -362,6 +362,18 @@ class TestCsvRoundTrips:
         with pytest.raises(ValueError, match="4 columns"):
             analysis.read_curves_csv("pair,fraction,bleu,relative\nes-pt,1.0\n")
 
+    def test_read_scores_csv(self):
+        raw = analysis.read_scores_csv(
+            "pair,fraction,bleu\nes-pt,1.0,30.0\n\npt-es,0.5,2.5\nes-pt,0.5,24.0\n"
+        )
+        assert raw == {("es", "pt"): [(1.0, 30.0), (0.5, 24.0)], ("pt", "es"): [(0.5, 2.5)]}
+        with pytest.raises(ValueError, match="header"):
+            analysis.read_scores_csv("pair,fraction,bleu,relative\n")
+        with pytest.raises(ValueError, match="line 2: expected 3 columns"):
+            analysis.read_scores_csv("pair,fraction,bleu\nes-pt,1.0,30.0,1.0\n")
+        with pytest.raises(ValueError, match="malformed pair"):
+            analysis.read_scores_csv("pair,fraction,bleu\n,1.0,30.0\n")
+
     def test_auc_csv(self):
         scores = [
             analysis.AucScore(auc=74.71, pair_id=("es", "pt")),

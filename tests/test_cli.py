@@ -353,6 +353,15 @@ class TestRunAndReport:
         assert cli.main(["report", "--auc", "table3"]) == 2
         assert "needs --manifest or --out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag", [["--exclude-source", "ro"], ["--seed", "3"], ["--jobs", "2"]]
+    )
+    def test_report_has_no_exclude_seed_or_jobs_flag(self, tmp_path, capsys, flag):
+        out = tmp_path / "ref_report"
+        assert cli.main(["report", "--auc", "table3", "--out", str(out), *flag]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_ledger_mode_requires_existing_ledger(self, tiny_bitexts, capsys):
         _, manifest_path = tiny_bitexts
         rc = cli.main(["report", "--manifest", str(manifest_path)])

@@ -1,4 +1,5 @@
-"""Smoke test of the walkthroughs in demos/: each runs and leaves the checkout alone."""
+"""Smoke test of the walkthroughs in demos/: each runs and leaves the checkout
+and the temp directory as it found them."""
 
 import os
 import subprocess
@@ -26,13 +27,16 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs_without_writing_to_the_checkout(demo, tmp_path):
-    # Demos write their bundles under the temp directory; bytecode caching
-    # is off so that importing mtlearn from src/ writes nothing either.
+    # Demos write their bundles under the temp directory and delete them;
+    # bytecode caching is off so that importing mtlearn from src/ writes
+    # nothing either.
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
     env = {
         **os.environ,
         "PYTHONPATH": str(ROOT / "src"),
         "PYTHONDONTWRITEBYTECODE": "1",
-        "TMPDIR": str(tmp_path),
+        "TMPDIR": str(tmpdir),
     }
     before = checkout_state()
     proc = subprocess.run(
@@ -46,3 +50,4 @@ def test_demo_runs_without_writing_to_the_checkout(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
     assert checkout_state() == before
+    assert list(tmpdir.iterdir()) == []

@@ -593,6 +593,35 @@ class TestFailureAndResume:
             twin = flaky_manifest.output_dir / hyp.relative_to(clean_manifest.output_dir)
             assert twin.read_bytes() == hyp.read_bytes()
 
+    def test_corpus_rebuild_cut_after_train_tsv_is_not_reused(self, tmp_path, monkeypatch):
+        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        pipeline.run_experiment(manifest)
+        out = manifest.output_dir
+        pair_dir = out / "corpus" / "aa-bb"
+        kept = [pair_dir / "train.tsv", *sorted((out / "subsets" / "aa-bb").glob("*.json"))]
+        first = {path: path.read_bytes() for path in kept}
+
+        # Another split of the same data is cut right after train.tsv.
+        real_write = corpus.write_pairs_tsv
+
+        def write_then_cut(pair, path):
+            real_write(pair, path)
+            if Path(path).name == "train.tsv":
+                raise RuntimeError("cut")
+
+        monkeypatch.setattr(corpus, "write_pairs_tsv", write_then_cut)
+        with pytest.raises(RuntimeError, match="cut"):
+            pipeline.run_experiment(dataclasses.replace(manifest, test_ratio=0.3))
+        assert (pair_dir / "train.tsv").read_bytes() != first[pair_dir / "train.tsv"]
+
+        monkeypatch.setattr(corpus, "write_pairs_tsv", real_write)
+        assert pipeline.run_experiment(manifest).all_done()
+        assert {path: path.read_bytes() for path in kept} == first
+        meta = json.loads((pair_dir / "meta.json").read_text())
+        for split in ("train", "dev", "test"):
+            rows = corpus.read_pairs_tsv(pair_dir / f"{split}.tsv")
+            assert meta["counts"][split] == len(rows), split
+
 
 def failed_twin(record):
     """A failed record for the same cell, which resume must run again."""
@@ -790,6 +819,27 @@ class TestReports:
         assert "Pearson r = 0.796" in svg
         lines = (tmp_path / "scatter_spoken_excl_ro.csv").read_text().splitlines()
         assert sum(1 for l in lines[1:] if l.endswith(",true")) == 4
+
+    def test_reference_report_bytes_pinned(self, tmp_path):
+        # The only report that draws hollow (excluded) points.
+        pipeline.report_from_auc(
+            analysis.embedded_reference_auc(), analysis.embedded_matrices(), tmp_path
+        )
+        digests = {
+            str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.rglob("*")
+            if p.is_file()
+        }
+        assert digests == {
+            "auc.csv": "a35a2e0e7bd68b20818d945eecd20100057492d0e05925673bec8ada2168ae54",
+            "plots/scatter_spoken.svg": "1e85d9f68700370518a85120ca0e50063d83f252c5d4410727233eb403f4b15c",
+            "plots/scatter_spoken_excl_ro.svg": "17bab15e67a7b048dc95b45530dd508daa3fb910e5035742da89e291e448f61e",
+            "plots/scatter_written.svg": "ebadd539a10572239d8f804de5eab2c000c7cf49cd8e26b05d8dd66a827df189",
+            "scatter_spoken.csv": "6391083414f245d8163b17a0ab460aa13e452122a3c4b174617e923927b547ec",
+            "scatter_spoken_excl_ro.csv": "9cfe351cf855949b3ccf527ef2197330b6a690ceb2fa643ac5c5fc3e5123bbdb",
+            "scatter_written.csv": "767610d624da9607d68397717730b93b4372df43593f5fdaf626e6e4f1268c20",
+            "summary.json": "8e97db60a72b2a1a87206867f2448f38e6e505cb3d016ccee45dd3d665560e81",
+        }
 
     def test_report_is_deterministic(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
