@@ -6,7 +6,10 @@ trainer to run. `run_experiment` drives corpus construction, subset
 generation, per-cell training/decoding/scoring with a bounded worker pool,
 and records every (pair, fraction) cell in a ledger that survives
 interruption: re-running skips finished cells, so a killed run resumes
-where it stopped. Each finished cell is appended as one line to
+where it stopped. A rerun prepares only the pairs that have a cell to run
+or miss a corpus or subset file; it trusts the files of the others, so a
+run of another manifest deletes the old ``ledger.json`` before it writes
+anything into the directory. Each finished cell is appended as one line to
 ``ledger.journal``; ``ledger.json`` is checkpointed when the number of
 cells recorded reaches a power of two and written in full at the end,
 when the journal is deleted. A run holds an exclusive lock on its output
@@ -52,6 +55,7 @@ import os
 import threading
 import time
 from collections import Counter
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -406,11 +410,21 @@ class RunLedger:
 
     @classmethod
     def load(cls, path: Path) -> "RunLedger":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        cells = {}
-        for record in raw["cells"].values():
-            cell = CellRecord.from_dict(record)
-            cells[(cell.src, cell.tgt, cell.fraction)] = cell
+        """Read a ledger; LedgerError when it is not valid JSON of a ledger.
+
+        I/O errors (OSError) propagate unchanged.
+        """
+        data = Path(path).read_bytes()
+        try:
+            raw = json.loads(data.decode("utf-8"))
+            cells = {}
+            for record in raw["cells"].values():
+                cell = CellRecord.from_dict(record)
+                cells[(cell.src, cell.tgt, cell.fraction)] = cell
+            if not isinstance(raw["fingerprint"], str):
+                raise TypeError("fingerprint is not a string")
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise LedgerError(f"malformed ledger {path}: {exc!r}") from exc
         return cls(fingerprint=raw["fingerprint"], cells=cells)
 
 
@@ -436,14 +450,30 @@ class _PairData:
         return trainer.Model1Corpus(self.train_pairs)
 
 
+def _pair_files(manifest: ExperimentManifest, src: str, tgt: str) -> list[Path]:
+    """Every file `_prepare_pair` writes for one pair."""
+    pair_dir = manifest.output_dir / "corpus" / f"{src}-{tgt}"
+    names = ["meta.json", "train.tsv", "dev.tsv", "test.tsv"]
+    if manifest.trainer_spec.kind == "external":
+        names.append("test.src.txt")
+    subset_dir = manifest.output_dir / "subsets" / f"{src}-{tgt}"
+    return [pair_dir / name for name in names] + [
+        subset_dir / f"{fraction_slug(f)}.json" for f in manifest.fractions
+    ]
+
+
 def _prepare_pair(
     manifest: ExperimentManifest,
-    bitexts: dict[str, corpus.PivotBitext],
+    bitext: Callable[[str], corpus.PivotBitext],
     digests: dict[Path, str],
     src: str,
     tgt: str,
 ) -> _PairData:
-    """Build (or reuse) the corpus and subset artifacts for one pair."""
+    """Build (or reuse) the corpus and subset artifacts for one pair.
+
+    ``bitext(lang)`` gives a language's pivot bitext; it is called only
+    when the pair's corpus must be rebuilt.
+    """
     out = manifest.output_dir
     pair_dir = out / "corpus" / f"{src}-{tgt}"
     split_seed = manifest.pair_split_seed(src, tgt)
@@ -481,7 +511,7 @@ def _prepare_pair(
         train_rows = corpus.read_pairs_tsv(pair_dir / "train.tsv")
         test_rows = corpus.read_pairs_tsv(pair_dir / "test.tsv")
     else:
-        pair = corpus.build_parallel(bitexts[src], bitexts[tgt])
+        pair = corpus.build_parallel(bitext(src), bitext(tgt))
         train, dev, test = corpus.split_pair(pair, spec)
         corpus.write_split_bundle(
             pair_dir, src, tgt, train, dev, test, spec,
@@ -581,20 +611,20 @@ def _open_ledger(
 ) -> RunLedger:
     """This run's ledger: ledger.json, with any journal replayed onto it.
 
-    A ledger of another fingerprint is discarded. The cells are exactly
-    expected_keys, in order, missing ones pending. A journal left by a
-    killed run is folded into ledger.json and deleted, so no torn line can
-    get glued to the next one appended.
+    A ledger.json that is unreadable or carries another fingerprint is
+    deleted before this run writes anything: its done cells vouch for
+    files this run is about to overwrite, and a rerun of its manifest
+    trusts the files of every pair whose cells are all done. The cells
+    are exactly expected_keys, in order, missing ones pending. A journal
+    left by a killed run is folded into ledger.json and deleted, so no
+    torn line can get glued to the next one appended.
     """
-    ledger: RunLedger | None = None
-    if ledger_path.is_file():
-        try:
-            prev = RunLedger.load(ledger_path)
-            if prev.fingerprint == fingerprint:
-                ledger = prev
-        except (json.JSONDecodeError, KeyError, TypeError, OSError):
-            ledger = None
-    if ledger is None:
+    try:
+        ledger = RunLedger.load(ledger_path)
+    except (LedgerError, OSError):
+        ledger = None
+    if ledger is None or ledger.fingerprint != fingerprint:
+        ledger_path.unlink(missing_ok=True)
         ledger = RunLedger(fingerprint=fingerprint, cells={})
     replayed = ledger.replay(journal_path)
     # Drop stale cells so |cells| == |pairs| x |fractions| always holds.
@@ -611,15 +641,22 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
     """Run every (pair, fraction) cell, resuming any earlier progress.
 
     Cells already marked done (with their hypothesis file still present)
-    are skipped. A failing cell is recorded as failed and does not stop
-    the others. Each recorded cell is appended to ``ledger.journal`` and
-    flushed, so a killed run loses at most the cells it was working on;
-    ``ledger.json`` is checkpointed when the number of cells recorded in
-    this run is a power of two, so it shows progress, and written in full
-    at the end, when the journal is deleted. A pass with nothing to run
-    creates no journal. The run holds an exclusive lock on output_dir;
-    a second run on the same directory raises `RunInProgressError`
-    before it reads or writes anything.
+    are skipped. Only pairs with a cell to run, or missing one of the
+    files `_prepare_pair` writes, are prepared again, and a language's
+    bitext is loaded only when a pair must rebuild its corpus; the other
+    pairs' files are trusted, since `_open_ledger` removes a ledger of
+    another manifest before anything is written. A failing cell is
+    recorded as failed and does not stop the others. Each recorded cell
+    is appended to ``ledger.journal`` and flushed, so a killed run loses
+    at most the cells it was working on; ``ledger.json`` is checkpointed
+    when the number of cells recorded in this run is a power of two, so
+    it shows progress, and written in full at the end, when the journal
+    is deleted. A pass with nothing to run creates no journal. The run
+    holds an exclusive lock on output_dir; a second run on the same
+    directory raises `RunInProgressError` before it reads or writes
+    anything. An exception that stops the run, such as KeyboardInterrupt,
+    cancels the queued cells; cells already running finish and are
+    journaled.
     """
     out = manifest.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -634,15 +671,6 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
         ledger_path = out / "ledger.json"
         journal_path = out / "ledger.journal"
         ledger = _open_ledger(ledger_path, journal_path, fingerprint, expected_keys)
-
-        bitexts = {
-            lang: corpus.load_pivot_bitext(pivot, target, lang)
-            for lang, (pivot, target) in manifest.data_sources.items()
-        }
-        pair_data = {
-            (src, tgt): _prepare_pair(manifest, bitexts, digests, src, tgt)
-            for src, tgt in manifest.pairs()
-        }
 
         todo = []
         for key in expected_keys:
@@ -659,6 +687,21 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
         # dropped once its last cell is recorded, so only pairs in progress
         # hold them.
         cells_left = Counter((src, tgt) for src, tgt, _ in todo)
+
+        @functools.cache
+        def bitext(lang: str) -> corpus.PivotBitext:
+            return corpus.load_pivot_bitext(*manifest.data_sources[lang], lang)
+
+        pair_data = {}
+        for pair in manifest.pairs():
+            if pair in cells_left or not all(
+                path.is_file() for path in _pair_files(manifest, *pair)
+            ):
+                data = _prepare_pair(manifest, bitext, digests, *pair)
+                if pair in cells_left:
+                    pair_data[pair] = data
+        bitext.cache_clear()  # no cell reads a bitext
+
         lock = threading.Lock()
         recorded = 0
 
@@ -699,8 +742,14 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
                 ThreadPoolExecutor(max_workers=jobs) as pool,
             ):
                 futures = [pool.submit(worker, key) for key in todo]
-                for future in as_completed(futures):
-                    future.result()
+                try:
+                    for future in as_completed(futures):
+                        future.result()
+                except BaseException:
+                    # Leaving the block waits for the pool; without this
+                    # it would first run every queued cell.
+                    pool.shutdown(cancel_futures=True)
+                    raise
 
         ledger.save(ledger_path)
         journal_path.unlink(missing_ok=True)

@@ -368,6 +368,22 @@ class TestRunAndReport:
         assert rc == 1
         assert "no ledger" in capsys.readouterr().err
 
+    def test_report_of_a_malformed_ledger_exits_1(self, tiny_bitexts, capsys):
+        root, manifest_path = tiny_bitexts
+        (root / "out").mkdir()
+        (root / "out" / "ledger.json").write_text('{"fingerprint": "x", "cells": []}')
+        rc = cli.main(["report", "--manifest", str(manifest_path)])
+        assert rc == 1
+        assert "malformed ledger" in capsys.readouterr().err
+
+    def test_run_over_a_malformed_ledger_replaces_it(self, tiny_bitexts, capsys):
+        root, manifest_path = tiny_bitexts
+        (root / "out").mkdir()
+        (root / "out" / "ledger.json").write_text('{"fingerprint": "x", "cells": []}')
+        assert cli.main(["run", "--manifest", str(manifest_path)]) == 0
+        assert "18/18 cells done" in capsys.readouterr().out
+        assert cli.main(["report", "--manifest", str(manifest_path)]) == 0
+
     def test_missing_manifest_is_config_error(self, tmp_path, capsys):
         rc = cli.main(["run", "--manifest", str(tmp_path / "ghost.json")])
         assert rc == 2

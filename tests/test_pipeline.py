@@ -7,6 +7,8 @@ import json
 import os
 import random
 import shutil
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -623,6 +625,172 @@ class TestFailureAndResume:
             assert meta["counts"][split] == len(rows), split
 
 
+# An external trainer that learns nothing but gets BLEU above 0 on the tiny
+# experiment: it swaps the two cipher prefixes of the test source.
+PREFIX_SWAP_TRAINER = {
+    "kind": "external",
+    "command_template": "sed y/ab/ba/ {test_src} > {hyp_out} # {train}",
+}
+
+
+class Interrupt(BaseException):
+    """Stands in for a KeyboardInterrupt that stops a run."""
+
+
+def interrupt_every_journal_line(ledger, record):
+    raise Interrupt
+
+
+def count_preparation(monkeypatch):
+    """Record the calls of pair preparation and of what it reads and builds.
+
+    Returns {function name: [positional args of each call]}.
+    """
+    calls = {}
+    for module, name in (
+        (pipeline, "_prepare_pair"),
+        (corpus, "load_pivot_bitext"),
+        (corpus, "read_pairs_tsv"),
+        (sampling, "subsample"),
+    ):
+        def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.setdefault(_name, []).append(args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def prepared_pairs(calls):
+    return [args[3:] for args in calls.get("_prepare_pair", [])]
+
+
+def bundle_bytes(out, skip=("ledger.json",)):
+    """{path relative to the bundle: bytes} of every file not in skip."""
+    return {
+        p.relative_to(out).as_posix(): p.read_bytes()
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.relative_to(out).as_posix() not in skip
+    }
+
+
+class TestLazyResume:
+    """A rerun prepares only the pairs it has work for."""
+
+    def test_finished_bundle_prepares_and_reads_nothing(self, tmp_path, monkeypatch):
+        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        assert pipeline.run_experiment(manifest).all_done()
+        before = bundle_bytes(manifest.output_dir, skip=())
+        calls = count_preparation(monkeypatch)
+        assert pipeline.run_experiment(manifest).all_done()
+        assert calls == {}
+        assert bundle_bytes(manifest.output_dir, skip=()) == before
+
+    def test_missing_hypothesis_prepares_only_its_pair(self, tmp_path, monkeypatch):
+        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        assert pipeline.run_experiment(manifest).all_done()
+        out = manifest.output_dir
+        before = bundle_bytes(out)
+        (out / "hyps" / "bb-aa" / "0.5.txt").unlink()
+        calls = count_preparation(monkeypatch)
+        assert pipeline.run_experiment(manifest).all_done()
+        assert prepared_pairs(calls) == [("bb", "aa")]
+        # The pair's corpus is reused, so no bitext is loaded.
+        assert "load_pivot_bitext" not in calls
+        assert len(calls["read_pairs_tsv"]) == 2
+        assert bundle_bytes(out) == before
+
+    @pytest.mark.parametrize(
+        "rel, trainer_cfg, bitexts_loaded",
+        [
+            ("subsets/aa-bb/0.5.json", None, 0),
+            ("corpus/aa-bb/meta.json", None, 2),
+            ("corpus/aa-bb/test.src.txt", PREFIX_SWAP_TRAINER, 0),
+        ],
+    )
+    def test_missing_prepared_file_is_restored(
+        self, tmp_path, monkeypatch, rel, trainer_cfg, bitexts_loaded
+    ):
+        manifest = pipeline.load_manifest(make_experiment(tmp_path, trainer_cfg))
+        assert pipeline.run_experiment(manifest).all_done()
+        out = manifest.output_dir
+        before = bundle_bytes(out, skip=())
+        (out / rel).unlink()
+        calls = count_preparation(monkeypatch)
+        assert pipeline.run_experiment(manifest).all_done()
+        assert prepared_pairs(calls) == [("aa", "bb")]
+        assert len(calls.get("load_pivot_bitext", [])) == bitexts_loaded
+        # No cell ran, so even ledger.json is unchanged.
+        assert bundle_bytes(out, skip=()) == before
+
+    def test_interrupted_run_of_another_manifest_is_not_trusted(
+        self, tmp_path, monkeypatch
+    ):
+        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        assert pipeline.run_experiment(manifest).all_done()
+        fresh = bundle_bytes(manifest.output_dir)
+
+        other = dataclasses.replace(manifest, seed=manifest.seed + 1)
+        monkeypatch.setattr(pipeline.RunLedger, "journal_line", interrupt_every_journal_line)
+        with pytest.raises(Interrupt):
+            pipeline.run_experiment(other)
+        monkeypatch.undo()
+
+        assert pipeline.run_experiment(manifest).all_done()
+        assert bundle_bytes(manifest.output_dir) == fresh
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"fingerprint": "x", "cells": []}',
+            b'{"fingerprint": "x", "cells": {"aa-bb/0.2": 1}}',
+            b'{"fingerprint": "x", "cells": {"aa-bb/0.2": {"colour": 1}}}',
+            b'{"fingerprint": 7, "cells": {}}',
+            b'{"cells": {}}',
+            b"[]",
+            b"not json",
+            b"\xff\xfe",
+        ],
+    )
+    def test_malformed_ledger_is_removed_before_the_run_writes(
+        self, tmp_path, monkeypatch, content
+    ):
+        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        ledger_path = manifest.output_dir / "ledger.json"
+        manifest.output_dir.mkdir()
+        ledger_path.write_bytes(content)
+        with pytest.raises(pipeline.LedgerError, match="malformed ledger"):
+            pipeline.RunLedger.load(ledger_path)
+
+        real_prepare = pipeline._prepare_pair
+
+        def prepare_after_removal(*args):
+            assert not ledger_path.exists()
+            return real_prepare(*args)
+
+        monkeypatch.setattr(pipeline, "_prepare_pair", prepare_after_removal)
+        ledger = pipeline.run_experiment(manifest)
+        assert ledger.all_done()
+        assert pipeline.RunLedger.load(ledger_path).fingerprint == ledger.fingerprint
+
+
+class TestInterrupt:
+    def test_interrupt_cancels_queued_cells(self, tmp_path, monkeypatch):
+        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        real_run_cell = pipeline._run_cell
+        ran = []
+
+        def counting_run_cell(*args):
+            ran.append(args[2])
+            return real_run_cell(*args)
+
+        monkeypatch.setattr(pipeline, "_run_cell", counting_run_cell)
+        monkeypatch.setattr(pipeline.RunLedger, "journal_line", interrupt_every_journal_line)
+        with pytest.raises(Interrupt):
+            pipeline.run_experiment(manifest)
+        assert 1 <= len(ran) <= manifest.max_parallel_jobs + 1
+
+
 def failed_twin(record):
     """A failed record for the same cell, which resume must run again."""
     return pipeline.CellRecord(
@@ -976,6 +1144,24 @@ class TestExternalTrainerThroughPipeline:
         monkeypatch.setattr(mtlearn.trainer, "run_external", no_training)
         assert pipeline.run_experiment(manifest).all_done()
         assert test_src.stat().st_mtime_ns == old_ns
+
+    def test_run_and_report_never_import_numpy(self, tmp_path):
+        # numpy raises peak RSS by about 13 MB, a third of what an
+        # external-trainer run needs; only the builtin trainer imports it.
+        manifest_path = make_experiment(tmp_path, PREFIX_SWAP_TRAINER)
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); from mtlearn import cli\n"
+            f"assert cli.main(['run', '--manifest', {str(manifest_path)!r}]) == 0\n"
+            f"assert cli.main(['run', '--manifest', {str(manifest_path)!r}]) == 0\n"
+            f"assert cli.main(['report', '--manifest', {str(manifest_path)!r}]) == 0\n"
+            "print('numpy' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "False"
 
     def test_output_dir_with_space_and_semicolon(self, tmp_path):
         manifest_path = make_experiment(
