@@ -3,13 +3,13 @@
 A JSON manifest describes an experiment: which languages to pair up, where
 their pivot-aligned data lives, how to split and subsample, and which
 trainer to run. `run_experiment` drives corpus construction, subset
-generation, per-cell training/decoding/scoring with a bounded worker pool,
-and records every (pair, fraction) cell in a ledger that survives
-interruption: re-running skips finished cells, so a killed run resumes
-where it stopped. A rerun prepares only the pairs that have a cell to run
-or miss a corpus or subset file; it trusts the files of the others, so a
-run of another manifest deletes the old ``ledger.json`` before it writes
-anything into the directory. Each finished cell is appended as one line to
+generation, and per-cell training/decoding/scoring, and records every
+(pair, fraction) cell in a ledger that survives interruption: re-running
+skips finished cells, so a killed run resumes where it stopped. A rerun
+prepares only the pairs that have a cell to run or miss a corpus or
+subset file; it trusts the files of the others, so a run of another
+manifest deletes the old ``ledger.json`` before it writes anything into
+the directory. Each finished cell is appended as one line to
 ``ledger.journal``; ``ledger.json`` is checkpointed when the number of
 cells recorded reaches a power of two and written in full at the end,
 when the journal is deleted. A run holds an exclusive lock on its output
@@ -20,14 +20,16 @@ tables, SVG charts, JSON summary).
 Everything emitted is deterministic: artifact reuse is guarded by content
 fingerprints, aggregation rows are sorted, and floats are serialized via
 repr, so two runs of the same manifest produce byte-identical bundles no
-matter how the work was scheduled. The worker pool is thread-based:
-`max_parallel_jobs` bounds how many external trainer commands run at
-once, while builtin-trainer cells run one at a time, because they hold
-the interpreter lock and a second thread would only add memory. A pair's
-working set (its BLEU references and, for the builtin trainer, the EM
-index of its training set, built at its first cell) is dropped once its
-last cell is recorded. The 5-language synthetic experiment finishes in
-seconds either way.
+matter how the work was scheduled; a file that already holds the bytes
+to be written is left untouched, mtime included. Preparation puts every
+cell to run, in ledger order, on one queue with its pair's working set
+(its BLEU references and, for the builtin trainer, the EM index of its
+training set, built at its first cell), and worker threads drain it; a
+pair's working set is freed once its last cell has run. A run that stops
+empties the queue, so no new cell starts, while cells already running
+finish and are journaled. `max_parallel_jobs` threads run external
+trainer commands; builtin-trainer cells run in one thread, because they
+hold the interpreter lock and a second thread would only add memory.
 
 Manifest schema (paths are resolved relative to the manifest file)::
 
@@ -46,6 +48,7 @@ Manifest schema (paths are resolved relative to the manifest file)::
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import fcntl
 import functools
@@ -54,10 +57,9 @@ import json
 import os
 import threading
 import time
-from collections import Counter
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import analysis, bleu, charts, corpus, sampling, trainer
@@ -83,10 +85,20 @@ def fraction_slug(fraction: float) -> str:
 
 
 def _write_text_atomic(path: Path, text: str) -> None:
-    """Write UTF-8 text so readers never observe a half-written file."""
+    """Write UTF-8 text so readers never observe a half-written file.
+
+    A file that already holds exactly these bytes is left untouched, so a
+    rerun keeps its inode and mtime.
+    """
+    data = text.encode("utf-8")
+    try:
+        if path.read_bytes() == data:
+            return
+    except FileNotFoundError:
+        pass
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="\n")
+    tmp.write_bytes(data)
     os.replace(tmp, path)
 
 
@@ -332,16 +344,7 @@ class CellRecord:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "src": self.src,
-            "tgt": self.tgt,
-            "fraction": self.fraction,
-            "status": self.status,
-            "bleu": self.bleu,
-            "hypothesis_path": self.hypothesis_path,
-            "wall_time": self.wall_time,
-            "error": self.error,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CellRecord":
@@ -522,11 +525,9 @@ def _prepare_pair(
 
     if manifest.trainer_spec.kind == "external":
         # External commands read the test source from a file.
-        src_lines = "\n".join(s for s, _ in test_rows) + "\n"
-        test_src_path = pair_dir / "test.src.txt"
-        # Bytes, not text: reading text would turn a "\r" into "\n".
-        if not test_src_path.is_file() or test_src_path.read_bytes() != src_lines.encode("utf-8"):
-            _write_text_atomic(test_src_path, src_lines)
+        _write_text_atomic(
+            pair_dir / "test.src.txt", "\n".join(s for s, _ in test_rows) + "\n"
+        )
 
     subset_dir = out / "subsets" / f"{src}-{tgt}"
     subset_seed = manifest.pair_subset_seed(src, tgt)
@@ -534,10 +535,9 @@ def _prepare_pair(
     for fraction in manifest.fractions:
         sm = sampling.subsample(len(train_rows), fraction, subset_seed, src=src, tgt=tgt)
         subsets[fraction] = sm
-        sm_path = subset_dir / f"{fraction_slug(fraction)}.json"
-        text = sm.to_json() + "\n"
-        if not sm_path.is_file() or sm_path.read_text(encoding="utf-8") != text:
-            _write_text_atomic(sm_path, text)
+        _write_text_atomic(
+            subset_dir / f"{fraction_slug(fraction)}.json", sm.to_json() + "\n"
+        )
 
     return _PairData(
         src=src,
@@ -551,38 +551,47 @@ def _prepare_pair(
 
 def _run_cell(
     manifest: ExperimentManifest, data: _PairData, fraction: float
-) -> tuple[float, str]:
+) -> CellRecord:
     """Train, decode, and score one (pair, fraction) cell.
 
-    Returns (bleu, hypothesis path relative to output_dir) after writing
-    the hypothesis file atomically.
+    Returns the cell's record: done, with its BLEU and its hypothesis file
+    (written atomically, path relative to output_dir), or failed, with the
+    error. Either way it carries the cell's wall time.
     """
+    started = time.monotonic()
+    record = CellRecord(src=data.src, tgt=data.tgt, fraction=fraction)
     out = manifest.output_dir
     slug = fraction_slug(fraction)
     rel_hyp = f"hyps/{data.src}-{data.tgt}/{slug}.txt"
     hyp_path = out / rel_hyp
     indices = data.subsets[fraction].indices
 
-    if manifest.trainer_spec.kind == "builtin-em":
-        table = trainer.train_model1(
-            data.em_corpus.subset(indices), manifest.trainer_spec.em_iterations
-        )
-        hyps = [trainer.decode(table, s) for s in data.test_src]
-        _write_text_atomic(hyp_path, "\n".join(hyps) + "\n")
-    else:
-        subset_tsv = out / "subsets" / f"{data.src}-{data.tgt}" / f"{slug}.train.tsv"
-        subset_pairs = [data.train_pairs[i] for i in indices]
-        _write_text_atomic(subset_tsv, corpus.pairs_tsv(subset_pairs))
-        hyp_path.parent.mkdir(parents=True, exist_ok=True)
-        hyps = trainer.run_external(
-            manifest.trainer_spec,
-            str(subset_tsv),
-            str(out / "corpus" / f"{data.src}-{data.tgt}" / "test.src.txt"),
-            str(hyp_path),
-        )
-
-    score = bleu.corpus_bleu(hyps, data.test_refs).score
-    return score, rel_hyp
+    try:
+        if manifest.trainer_spec.kind == "builtin-em":
+            table = trainer.train_model1(
+                data.em_corpus.subset(indices), manifest.trainer_spec.em_iterations
+            )
+            hyps = [trainer.decode(table, s) for s in data.test_src]
+            _write_text_atomic(hyp_path, "\n".join(hyps) + "\n")
+        else:
+            subset_tsv = out / "subsets" / f"{data.src}-{data.tgt}" / f"{slug}.train.tsv"
+            subset_pairs = [data.train_pairs[i] for i in indices]
+            _write_text_atomic(subset_tsv, corpus.pairs_tsv(subset_pairs))
+            hyp_path.parent.mkdir(parents=True, exist_ok=True)
+            hyps = trainer.run_external(
+                manifest.trainer_spec,
+                str(subset_tsv),
+                str(out / "corpus" / f"{data.src}-{data.tgt}" / "test.src.txt"),
+                str(hyp_path),
+            )
+        record.bleu = bleu.corpus_bleu(hyps, data.test_refs).score
+        record.hypothesis_path = rel_hyp
+        record.status = "done"
+    except Exception as exc:  # cell failures must not sink the run
+        record.status = "failed"
+        record.error = str(exc)
+    record.wall_time = time.monotonic() - started
+    return record
 
 
 @contextlib.contextmanager
@@ -654,9 +663,10 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
     is deleted. A pass with nothing to run creates no journal. The run
     holds an exclusive lock on output_dir; a second run on the same
     directory raises `RunInProgressError` before it reads or writes
-    anything. An exception that stops the run, such as KeyboardInterrupt,
-    cancels the queued cells; cells already running finish and are
-    journaled.
+    anything. The cells to run form one queue that `max_parallel_jobs`
+    worker threads (one for the builtin trainer) drain. An exception that
+    stops the run, such as KeyboardInterrupt, empties that queue, so no
+    new cell starts; cells already running finish and are journaled.
     """
     out = manifest.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -672,7 +682,7 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
         journal_path = out / "ledger.journal"
         ledger = _open_ledger(ledger_path, journal_path, fingerprint, expected_keys)
 
-        todo = []
+        todo: dict[tuple[str, str], list[tuple[str, str, float]]] = {}
         for key in expected_keys:
             record = ledger.cells[key]
             hyp_ok = (
@@ -680,76 +690,64 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
                 and (out / record.hypothesis_path).is_file()
             )
             if not (record.status == "done" and hyp_ok):
-                todo.append(key)
-
-        # A pair's BLEU memo grows with each of its cells, and its EM index
-        # is built at its first builtin cell. The pair's working set is
-        # dropped once its last cell is recorded, so only pairs in progress
-        # hold them.
-        cells_left = Counter((src, tgt) for src, tgt, _ in todo)
+                todo.setdefault(key[:2], []).append(key)
 
         @functools.cache
         def bitext(lang: str) -> corpus.PivotBitext:
             return corpus.load_pivot_bitext(*manifest.data_sources[lang], lang)
 
-        pair_data = {}
+        # Each cell to run, in ledger order, with its pair's working set: a
+        # BLEU memo that grows with each of the pair's cells and, for the
+        # builtin trainer, an EM index built at its first cell. Only the
+        # queue entries and the worker running a cell hold a working set,
+        # so it is freed once the pair's last cell has run.
+        queue = collections.deque()
         for pair in manifest.pairs():
-            if pair in cells_left or not all(
-                path.is_file() for path in _pair_files(manifest, *pair)
-            ):
+            keys = todo.get(pair, [])
+            if keys or not all(path.is_file() for path in _pair_files(manifest, *pair)):
                 data = _prepare_pair(manifest, bitext, digests, *pair)
-                if pair in cells_left:
-                    pair_data[pair] = data
+                queue.extend((key, data) for key in keys)
+                del data
         bitext.cache_clear()  # no cell reads a bitext
 
         lock = threading.Lock()
         recorded = 0
 
-        def worker(key: tuple[str, str, float]) -> None:
+        def worker() -> None:
             nonlocal recorded
-            src, tgt, fraction = key
-            started = time.monotonic()
             try:
-                score, rel_hyp = _run_cell(manifest, pair_data[(src, tgt)], fraction)
-                record = CellRecord(
-                    src=src, tgt=tgt, fraction=fraction, status="done",
-                    bleu=score, hypothesis_path=rel_hyp,
-                    wall_time=time.monotonic() - started,
-                )
-            except Exception as exc:  # cell failures must not sink the run
-                record = CellRecord(
-                    src=src, tgt=tgt, fraction=fraction, status="failed",
-                    wall_time=time.monotonic() - started, error=str(exc),
-                )
-            line = ledger.journal_line(record)
-            with lock:
-                journal.write(line)
-                journal.flush()
-                ledger.cells[key] = record
-                recorded += 1
-                if recorded & (recorded - 1) == 0:
-                    ledger.save(ledger_path)
-                cells_left[(src, tgt)] -= 1
-                if not cells_left[(src, tgt)]:
-                    del pair_data[(src, tgt)]
+                while True:
+                    try:
+                        key, data = queue.popleft()
+                    except IndexError:
+                        return
+                    record = _run_cell(manifest, data, key[2])
+                    line = ledger.journal_line(record)
+                    with lock:
+                        journal.write(line)
+                        journal.flush()
+                        ledger.cells[key] = record
+                        recorded += 1
+                        if recorded & (recorded - 1) == 0:
+                            ledger.save(ledger_path)
+            finally:
+                queue.clear()  # a worker that raises stops the run
 
         # Builtin cells hold the interpreter lock, so only external commands
         # gain from running in parallel.
         jobs = manifest.max_parallel_jobs if manifest.trainer_spec.kind == "external" else 1
-        if todo:
+        if queue:
             with (
                 open(journal_path, "wb") as journal,
                 ThreadPoolExecutor(max_workers=jobs) as pool,
             ):
-                futures = [pool.submit(worker, key) for key in todo]
                 try:
-                    for future in as_completed(futures):
+                    for future in [pool.submit(worker) for _ in range(jobs)]:
                         future.result()
-                except BaseException:
-                    # Leaving the block waits for the pool; without this
-                    # it would first run every queued cell.
-                    pool.shutdown(cancel_futures=True)
-                    raise
+                finally:
+                    # Leaving the block waits for the cells still running;
+                    # with the queue empty, no worker starts another.
+                    queue.clear()
 
         ledger.save(ledger_path)
         journal_path.unlink(missing_ok=True)

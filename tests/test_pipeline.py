@@ -1,5 +1,6 @@
 """Tests for manifests, the experiment runner, resume, and reporting."""
 
+import concurrent.futures
 import dataclasses
 import fcntl
 import hashlib
@@ -306,6 +307,22 @@ def tiny_run(tmp_path_factory):
     return root, manifest, ledger
 
 
+def count_cells(monkeypatch):
+    """Record the (src, tgt, fraction) of every `_run_cell` call.
+
+    Returns the list the calls are appended to.
+    """
+    real_run_cell = pipeline._run_cell
+    ran = []
+
+    def counting_run_cell(manifest, data, fraction):
+        ran.append((data.src, data.tgt, fraction))
+        return real_run_cell(manifest, data, fraction)
+
+    monkeypatch.setattr(pipeline, "_run_cell", counting_run_cell)
+    return ran
+
+
 class TestRunExperiment:
     def test_all_18_cells_done(self, tiny_run):
         _, manifest, ledger = tiny_run
@@ -447,6 +464,25 @@ class TestRunExperiment:
         monkeypatch.setattr(mtlearn.trainer, "train_model1", tracking_train)
         assert pipeline.run_experiment(manifest).all_done()
         assert running["peak"] == 1
+
+    def test_workers_run_every_cell_once(self, tmp_path, monkeypatch):
+        # More workers than cores and a short switch interval, so workers
+        # often take from the shared queue at the same moment.
+        manifest = dataclasses.replace(
+            pipeline.load_manifest(make_experiment(tmp_path, PREFIX_SWAP_TRAINER)),
+            max_parallel_jobs=6,
+        )
+        ran = count_cells(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            ledger = pipeline.run_experiment(manifest)
+        finally:
+            sys.setswitchinterval(interval)
+        assert ledger.all_done()
+        assert sorted(ran) == sorted(ledger.cells)
+        saved = pipeline.RunLedger.load(manifest.output_dir / "ledger.json")
+        assert saved.cells == ledger.cells
 
     def test_finished_pair_working_set_is_released(self, tmp_path, monkeypatch):
         # A pair's BLEU memo and EM index are freed once its last cell is
@@ -641,6 +677,23 @@ def interrupt_every_journal_line(ledger, record):
     raise Interrupt
 
 
+def interrupt_journal_line(monkeypatch, call):
+    """Make only the call-th `RunLedger.journal_line` call of a run raise."""
+    real_journal_line = pipeline.RunLedger.journal_line
+    lock = threading.Lock()
+    calls = [0]
+
+    def journal_line(ledger, record):
+        with lock:
+            calls[0] += 1
+            this_call = calls[0]
+        if this_call == call:
+            raise Interrupt
+        return real_journal_line(ledger, record)
+
+    monkeypatch.setattr(pipeline.RunLedger, "journal_line", journal_line)
+
+
 def count_preparation(monkeypatch):
     """Record the calls of pair preparation and of what it reads and builds.
 
@@ -739,6 +792,28 @@ class TestLazyResume:
         assert pipeline.run_experiment(manifest).all_done()
         assert bundle_bytes(manifest.output_dir) == fresh
 
+    def test_rerun_replaces_no_file(self, tmp_path):
+        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        out = manifest.output_dir
+
+        def finish():
+            ledger = pipeline.run_experiment(manifest)
+            pipeline.build_report(ledger, analysis.embedded_matrices(), out)
+
+        def inodes_and_mtimes():
+            return {
+                p.relative_to(out).as_posix(): (p.stat().st_ino, p.stat().st_mtime_ns)
+                for p in out.rglob("*")
+                if p.is_file()
+            }
+
+        finish()
+        before = inodes_and_mtimes()
+        assert "ledger.json" in before and "summary.json" in before
+        finish()
+        assert inodes_and_mtimes() == before
+        assert not list(out.rglob("*.tmp"))
+
     @pytest.mark.parametrize(
         "content",
         [
@@ -776,19 +851,86 @@ class TestLazyResume:
 
 class TestInterrupt:
     def test_interrupt_cancels_queued_cells(self, tmp_path, monkeypatch):
-        manifest = pipeline.load_manifest(make_experiment(tmp_path))
-        real_run_cell = pipeline._run_cell
-        ran = []
-
-        def counting_run_cell(*args):
-            ran.append(args[2])
-            return real_run_cell(*args)
-
-        monkeypatch.setattr(pipeline, "_run_cell", counting_run_cell)
+        # A stopped run starts no cell after those its workers are running:
+        # the builtin trainer runs in 1 thread, the external one in
+        # max_parallel_jobs = 2. Repeated, since a race shows only at times.
+        ran = count_cells(monkeypatch)
         monkeypatch.setattr(pipeline.RunLedger, "journal_line", interrupt_every_journal_line)
+        for trainer_cfg, workers in ((None, 1), (PREFIX_SWAP_TRAINER, 2)):
+            for attempt in range(5):
+                root = tmp_path / f"{workers}-{attempt}"
+                manifest = pipeline.load_manifest(make_experiment(root, trainer_cfg))
+                assert manifest.max_parallel_jobs == 2
+                ran.clear()
+                with pytest.raises(Interrupt):
+                    pipeline.run_experiment(manifest)
+                assert 1 <= len(ran) <= workers, (trainer_cfg, attempt)
+
+    def test_a_failing_worker_stops_the_others_at_once(self, tmp_path, monkeypatch):
+        # The main thread learns of the failure only 0.3 s later; the other
+        # worker must not start a cell in the meantime.
+        manifest = pipeline.load_manifest(make_experiment(tmp_path, PREFIX_SWAP_TRAINER))
+        real_result = concurrent.futures.Future.result
+
+        def late_result(future, timeout=None):
+            time.sleep(0.3)
+            return real_result(future, timeout)
+
+        ran = count_cells(monkeypatch)
+        monkeypatch.setattr(concurrent.futures.Future, "result", late_result)
+        interrupt_journal_line(monkeypatch, 1)
         with pytest.raises(Interrupt):
             pipeline.run_experiment(manifest)
-        assert 1 <= len(ran) <= manifest.max_parallel_jobs + 1
+        assert 1 <= len(ran) <= 2
+
+    def test_interrupt_of_the_waiting_thread_lets_the_running_cell_finish(
+        self, tmp_path, monkeypatch
+    ):
+        # Ctrl-C raises KeyboardInterrupt in the main thread, which is then
+        # waiting for the workers; here that wait raises once a cell runs.
+        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        real_run_cell = pipeline._run_cell
+        started = threading.Event()
+        ran = []
+
+        def slow_first_cell(*args):
+            ran.append(args[2])
+            if not started.is_set():
+                started.set()
+                time.sleep(0.2)  # the main thread stops the run meanwhile
+            return real_run_cell(*args)
+
+        def interrupted_result(future, timeout=None):
+            assert started.wait(10)
+            raise Interrupt
+
+        monkeypatch.setattr(pipeline, "_run_cell", slow_first_cell)
+        monkeypatch.setattr(concurrent.futures.Future, "result", interrupted_result)
+        with pytest.raises(Interrupt):
+            pipeline.run_experiment(manifest)
+        assert len(ran) == 1
+        journal = (manifest.output_dir / "ledger.journal").read_bytes()
+        assert journal.count(b"\n") == 1
+
+    def test_cells_running_when_the_run_stops_are_journaled(self, tmp_path, monkeypatch):
+        fresh = pipeline.load_manifest(make_experiment(tmp_path / "fresh", PREFIX_SWAP_TRAINER))
+        assert pipeline.run_experiment(fresh).all_done()
+        manifest = pipeline.load_manifest(make_experiment(tmp_path / "cut", PREFIX_SWAP_TRAINER))
+        out = manifest.output_dir
+        ran = count_cells(monkeypatch)
+        interrupt_journal_line(monkeypatch, 3)
+        with pytest.raises(Interrupt):
+            pipeline.run_experiment(manifest)
+        # Every cell but the one whose journal line raised is recorded,
+        # including any the other worker was running at the time.
+        journaled = (out / "ledger.journal").read_bytes().count(b"\n")
+        assert journaled == len(ran) - 1
+
+        monkeypatch.undo()
+        ran = count_cells(monkeypatch)
+        assert pipeline.run_experiment(manifest).all_done()
+        assert len(ran) == 18 - journaled
+        assert bundle_bytes(out) == bundle_bytes(fresh.output_dir)
 
 
 def failed_twin(record):
