@@ -7,13 +7,15 @@ generation, and per-cell training/decoding/scoring, and records every
 (pair, fraction) cell in a ledger that survives interruption: re-running
 skips finished cells, so a killed run resumes where it stopped. A rerun
 prepares only the pairs that have a cell to run or miss a corpus or
-subset file; it trusts the files of the others, so a run of another
-manifest deletes the old ``ledger.json`` before it writes anything into
-the directory. Each finished cell is appended as one line to
-``ledger.journal``; ``ledger.json`` is checkpointed when the number of
-cells recorded reaches a power of two and written in full at the end,
-when the journal is deleted. A run holds an exclusive lock on its output
-directory, so a second run on the same directory fails at once.
+subset file, which it learns from one listing of each bundle directory;
+it trusts the files of the others, so a run of another manifest deletes
+the old ``ledger.json`` before it writes anything into the directory.
+Each finished cell is appended as one line to ``ledger.journal``;
+``ledger.json`` is checkpointed when the number of cells recorded reaches
+a power of two and written in full at the end, when the journal is
+deleted, unless it already holds the ledger: a rerun that records no cell
+writes no ledger. A run holds an exclusive lock on its output directory,
+so a second run on the same directory fails at once.
 `build_report` turns a complete ledger into the report bundle (CSV
 tables, SVG charts, JSON summary).
 
@@ -55,11 +57,12 @@ import functools
 import hashlib
 import json
 import os
+import signal
 import threading
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import analysis, bleu, charts, corpus, sampling, trainer
@@ -344,7 +347,8 @@ class CellRecord:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # Shallow, unlike dataclasses.asdict: the dict is only serialized.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CellRecord":
@@ -453,16 +457,15 @@ class _PairData:
         return trainer.Model1Corpus(self.train_pairs)
 
 
-def _pair_files(manifest: ExperimentManifest, src: str, tgt: str) -> list[Path]:
-    """Every file `_prepare_pair` writes for one pair."""
-    pair_dir = manifest.output_dir / "corpus" / f"{src}-{tgt}"
+def _pair_files(manifest: ExperimentManifest, src: str, tgt: str) -> dict[str, list[str]]:
+    """Every file `_prepare_pair` writes for one pair, by directory under output_dir."""
     names = ["meta.json", "train.tsv", "dev.tsv", "test.tsv"]
     if manifest.trainer_spec.kind == "external":
         names.append("test.src.txt")
-    subset_dir = manifest.output_dir / "subsets" / f"{src}-{tgt}"
-    return [pair_dir / name for name in names] + [
-        subset_dir / f"{fraction_slug(f)}.json" for f in manifest.fractions
-    ]
+    return {
+        f"corpus/{src}-{tgt}": names,
+        f"subsets/{src}-{tgt}": [f"{fraction_slug(f)}.json" for f in manifest.fractions],
+    }
 
 
 def _prepare_pair(
@@ -617,7 +620,7 @@ def _open_ledger(
     journal_path: Path,
     fingerprint: str,
     expected_keys: list[tuple[str, str, float]],
-) -> RunLedger:
+) -> tuple[RunLedger, bool]:
     """This run's ledger: ledger.json, with any journal replayed onto it.
 
     A ledger.json that is unreadable or carries another fingerprint is
@@ -626,7 +629,10 @@ def _open_ledger(
     trusts the files of every pair whose cells are all done. The cells
     are exactly expected_keys, in order, missing ones pending. A journal
     left by a killed run is folded into ledger.json and deleted, so no
-    torn line can get glued to the next one appended.
+    torn line can get glued to the next one appended. Also returns
+    whether ledger.json now holds this ledger: it does when the journal
+    was folded in, or when it had this fingerprint and exactly these
+    cells, so `RunLedger.load` of it gives the ledger returned.
     """
     try:
         ledger = RunLedger.load(ledger_path)
@@ -635,6 +641,7 @@ def _open_ledger(
     if ledger is None or ledger.fingerprint != fingerprint:
         ledger_path.unlink(missing_ok=True)
         ledger = RunLedger(fingerprint=fingerprint, cells={})
+    saved = ledger.cells.keys() == set(expected_keys)
     replayed = ledger.replay(journal_path)
     # Drop stale cells so |cells| == |pairs| x |fractions| always holds.
     ledger.cells = {
@@ -643,7 +650,7 @@ def _open_ledger(
     if replayed:
         ledger.save(ledger_path)
     journal_path.unlink(missing_ok=True)
-    return ledger
+    return ledger, saved or replayed > 0
 
 
 def run_experiment(manifest: ExperimentManifest) -> RunLedger:
@@ -654,19 +661,24 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
     files `_prepare_pair` writes, are prepared again, and a language's
     bitext is loaded only when a pair must rebuild its corpus; the other
     pairs' files are trusted, since `_open_ledger` removes a ledger of
-    another manifest before anything is written. A failing cell is
+    another manifest before anything is written. Whether a file exists
+    is read from one listing of its directory. A failing cell is
     recorded as failed and does not stop the others. Each recorded cell
     is appended to ``ledger.journal`` and flushed, so a killed run loses
     at most the cells it was working on; ``ledger.json`` is checkpointed
     when the number of cells recorded in this run is a power of two, so
     it shows progress, and written in full at the end, when the journal
-    is deleted. A pass with nothing to run creates no journal. The run
-    holds an exclusive lock on output_dir; a second run on the same
-    directory raises `RunInProgressError` before it reads or writes
-    anything. The cells to run form one queue that `max_parallel_jobs`
-    worker threads (one for the builtin trainer) drain. An exception that
-    stops the run, such as KeyboardInterrupt, empties that queue, so no
-    new cell starts; cells already running finish and are journaled.
+    is deleted. A pass that records no cell creates no journal, and
+    writes ``ledger.json`` only when it does not already hold the
+    ledger. The run holds an exclusive lock on output_dir; a second run
+    on the same directory raises `RunInProgressError` before it reads or
+    writes anything. The cells to run form one queue that
+    `max_parallel_jobs` worker threads (one for the builtin trainer)
+    drain. An exception that stops the run, such as KeyboardInterrupt,
+    empties that queue, so no new cell starts; cells already running
+    finish and are journaled. SIGINT is blocked while the workers start,
+    so a Ctrl-C is raised only once the pool knows every worker; the
+    workers keep it blocked, so it always reaches the main thread.
     """
     out = manifest.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -680,17 +692,31 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
         ]
         ledger_path = out / "ledger.json"
         journal_path = out / "ledger.journal"
-        ledger = _open_ledger(ledger_path, journal_path, fingerprint, expected_keys)
+        ledger, saved = _open_ledger(ledger_path, journal_path, fingerprint, expected_keys)
+
+        # Each pair's preparation writes only in its own directories and
+        # comes after its own check, so no listing goes stale before it is
+        # read.
+        @functools.cache
+        def files_in(rel_dir: str) -> frozenset[str]:
+            """The files in out/rel_dir, as `Path.is_file` sees them.
+
+            One listing; a directory that cannot be listed holds none.
+            """
+            try:
+                with os.scandir(os.path.join(out, rel_dir)) as entries:
+                    return frozenset(entry.name for entry in entries if entry.is_file())
+            except (OSError, ValueError):
+                return frozenset()
 
         todo: dict[tuple[str, str], list[tuple[str, str, float]]] = {}
         for key in expected_keys:
             record = ledger.cells[key]
-            hyp_ok = (
-                record.hypothesis_path is not None
-                and (out / record.hypothesis_path).is_file()
-            )
-            if not (record.status == "done" and hyp_ok):
-                todo.setdefault(key[:2], []).append(key)
+            if record.status == "done" and record.hypothesis_path is not None:
+                rel_dir, name = os.path.split(record.hypothesis_path)
+                if name in files_in(rel_dir):
+                    continue
+            todo.setdefault(key[:2], []).append(key)
 
         @functools.cache
         def bitext(lang: str) -> corpus.PivotBitext:
@@ -704,7 +730,9 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
         queue = collections.deque()
         for pair in manifest.pairs():
             keys = todo.get(pair, [])
-            if keys or not all(path.is_file() for path in _pair_files(manifest, *pair)):
+            if keys or not all(
+                files_in(d).issuperset(names) for d, names in _pair_files(manifest, *pair).items()
+            ):
                 data = _prepare_pair(manifest, bitext, digests, *pair)
                 queue.extend((key, data) for key in keys)
                 del data
@@ -742,14 +770,24 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
                 ThreadPoolExecutor(max_workers=jobs) as pool,
             ):
                 try:
-                    for future in [pool.submit(worker) for _ in range(jobs)]:
+                    # A Ctrl-C while a worker starts would leave it out of
+                    # the pool's threads, so the block would not wait for
+                    # it: SIGINT waits until all are submitted. The workers
+                    # inherit the mask, so the main thread takes it.
+                    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                    try:
+                        futures = [pool.submit(worker) for _ in range(jobs)]
+                    finally:
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                    for future in futures:
                         future.result()
                 finally:
                     # Leaving the block waits for the cells still running;
                     # with the queue empty, no worker starts another.
                     queue.clear()
 
-        ledger.save(ledger_path)
+        if recorded or not saved:
+            ledger.save(ledger_path)
         journal_path.unlink(missing_ok=True)
 
         rows = ["pair,fraction,bleu"]

@@ -2,9 +2,7 @@
 
 import itertools
 import json
-import tempfile
 import unicodedata
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -107,16 +105,25 @@ _sentences = st.text(
 )
 
 
+@pytest.fixture(scope="class")
+def examples_dir(tmp_path_factory):
+    """One directory for every example of a class's properties.
+
+    Each example overwrites its file there: a directory made and removed
+    per example would count against Hypothesis's deadline.
+    """
+    return tmp_path_factory.mktemp("examples")
+
+
 class TestReadLines:
     @given(_lines)
-    def test_roundtrip_over_arbitrary_unicode(self, lines):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "lines.txt"
-            path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
-            assert corpus.read_lines(path) == lines
-            # Without the final newline, the last line still reads back.
-            path.write_bytes("\n".join(lines).encode("utf-8"))
-            assert corpus.read_lines(path) == (lines if lines[-1:] != [""] else lines[:-1])
+    def test_roundtrip_over_arbitrary_unicode(self, examples_dir, lines):
+        path = examples_dir / "lines.txt"
+        path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+        assert corpus.read_lines(path) == lines
+        # Without the final newline, the last line still reads back.
+        path.write_bytes("\n".join(lines).encode("utf-8"))
+        assert corpus.read_lines(path) == (lines if lines[-1:] != [""] else lines[:-1])
 
     def test_crlf_reads_like_lf(self, tmp_path):
         path = tmp_path / "crlf.txt"
@@ -362,17 +369,16 @@ class TestTsvIO:
         assert corpus.read_pairs_tsv(path) == [("x ", "y ")]
 
     @given(st.lists(st.tuples(_sentences, _sentences)))
-    def test_roundtrip_over_arbitrary_unicode(self, pairs):
+    def test_roundtrip_over_arbitrary_unicode(self, examples_dir, pairs):
         # Tabs, and a final "\r", become spaces; every other character,
         # Unicode separators and inner "\r" included, reads back as written.
         def as_field(sentence):
             sentence = sentence.replace("\t", " ")
             return sentence[:-1] + " " if sentence.endswith("\r") else sentence
 
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "pairs.tsv"
-            corpus.write_pairs_tsv(corpus.ParallelPair(src="es", tgt="pt", pairs=pairs), path)
-            assert corpus.read_pairs_tsv(path) == [(as_field(s), as_field(t)) for s, t in pairs]
+        path = examples_dir / "pairs.tsv"
+        corpus.write_pairs_tsv(corpus.ParallelPair(src="es", tgt="pt", pairs=pairs), path)
+        assert corpus.read_pairs_tsv(path) == [(as_field(s), as_field(t)) for s, t in pairs]
 
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"

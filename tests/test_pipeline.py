@@ -8,6 +8,7 @@ import json
 import os
 import random
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -718,6 +719,14 @@ def prepared_pairs(calls):
     return [args[3:] for args in calls.get("_prepare_pair", [])]
 
 
+def remove(path):
+    """Delete a file, or a directory with everything in it."""
+    if path.is_dir():
+        shutil.rmtree(path)
+    else:
+        path.unlink()
+
+
 def bundle_bytes(out, skip=("ledger.json",)):
     """{path relative to the bundle: bytes} of every file not in skip."""
     return {
@@ -754,11 +763,33 @@ class TestLazyResume:
         assert bundle_bytes(out) == before
 
     @pytest.mark.parametrize(
+        "rel, fractions_run",
+        [("hyps/aa-bb", sampling.FRACTION_GRID), ("hyps/aa-bb/0.5.txt", (0.5,))],
+    )
+    def test_hypothesis_missing_or_a_directory_runs_again(
+        self, tmp_path, monkeypatch, rel, fractions_run
+    ):
+        # A removed hyps/<pair>/ holds no file; a directory in place of a
+        # hypothesis file is no file either.
+        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        assert pipeline.run_experiment(manifest).all_done()
+        remove(manifest.output_dir / rel)
+        if rel.endswith(".txt"):
+            (manifest.output_dir / rel).mkdir()
+        calls = count_preparation(monkeypatch)
+        ran = count_cells(monkeypatch)
+        pipeline.run_experiment(manifest)
+        assert ran == [("aa", "bb", f) for f in fractions_run]
+        assert prepared_pairs(calls) == [("aa", "bb")]
+
+    @pytest.mark.parametrize(
         "rel, trainer_cfg, bitexts_loaded",
         [
             ("subsets/aa-bb/0.5.json", None, 0),
             ("corpus/aa-bb/meta.json", None, 2),
             ("corpus/aa-bb/test.src.txt", PREFIX_SWAP_TRAINER, 0),
+            ("subsets/aa-bb", None, 0),
+            ("corpus/aa-bb", None, 2),
         ],
     )
     def test_missing_prepared_file_is_restored(
@@ -768,7 +799,7 @@ class TestLazyResume:
         assert pipeline.run_experiment(manifest).all_done()
         out = manifest.output_dir
         before = bundle_bytes(out, skip=())
-        (out / rel).unlink()
+        remove(out / rel)
         calls = count_preparation(monkeypatch)
         assert pipeline.run_experiment(manifest).all_done()
         assert prepared_pairs(calls) == [("aa", "bb")]
@@ -847,6 +878,81 @@ class TestLazyResume:
         ledger = pipeline.run_experiment(manifest)
         assert ledger.all_done()
         assert pipeline.RunLedger.load(ledger_path).fingerprint == ledger.fingerprint
+
+
+class TestLedgerWrites:
+    """ledger.json is written only when it would change, and never lies."""
+
+    def test_rerun_with_nothing_to_do_serializes_no_record(self, tmp_path, monkeypatch):
+        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        assert pipeline.run_experiment(manifest).all_done()
+        before = bundle_bytes(manifest.output_dir, skip=())
+        calls = []
+        for owner, name in ((pipeline.RunLedger, "save"), (pipeline.CellRecord, "to_dict")):
+            def counting(*args, _real=getattr(owner, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+        assert pipeline.run_experiment(manifest).all_done()
+        assert calls == []
+        assert bundle_bytes(manifest.output_dir, skip=()) == before
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.sampled_from(["fresh", "rerun", "stale_cell", "foreign"])),
+                st.tuples(st.sampled_from(["delete_hyp", "drop_cell"]), st.integers(0, 17)),
+                st.tuples(st.just("killed"), st.lists(st.integers(0, 17), max_size=4)),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_ledger_json_loads_as_the_ledger_returned(self, tiny_run, steps):
+        _, manifest, finished = tiny_run
+        keys = list(finished.cells)
+
+        def edit_ledger(out, edit):
+            # By hand: another layout than RunLedger.save writes.
+            path = out / "ledger.json"
+            raw = json.loads(path.read_text())
+            edit(raw["cells"])
+            path.write_text(json.dumps(raw))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            shutil.copytree(manifest.output_dir, out)
+            for step, *args in steps:
+                before = bundle_bytes(out, skip=())
+                if step == "fresh":
+                    shutil.rmtree(out)
+                elif step == "stale_cell":
+                    stale = pipeline.CellRecord("aa", "bb", 0.15, "done", 1.0, "scores.csv")
+                    edit_ledger(out, lambda cells: cells.update({"aa-bb/0.15": stale.to_dict()}))
+                elif step == "foreign":
+                    foreign = pipeline.RunLedger(fingerprint="0" * 64, cells=finished.cells)
+                    foreign.save(out / "ledger.json")
+                elif step == "delete_hyp":
+                    (out / finished.cells[keys[args[0]]].hypothesis_path).unlink()
+                elif step == "drop_cell":
+                    edit_ledger(out, lambda cells: cells.pop(finished.key_str(keys[args[0]])))
+                elif step == "killed":
+                    # The checkpoint shows the journaled cells pending; the
+                    # last line is torn.
+                    picked = [keys[i] for i in args[0]]
+                    edit_ledger(out, lambda cells: cells.update(
+                        {finished.key_str(k): pipeline.CellRecord(*k).to_dict() for k in picked}
+                    ))
+                    journal = b"".join(finished.journal_line(finished.cells[k]) for k in picked)
+                    (out / "ledger.journal").write_bytes(journal + b'{"fingerprint": ')
+                ledger = pipeline.run_experiment(dataclasses.replace(manifest, output_dir=out))
+                assert ledger.all_done()
+                assert pipeline.RunLedger.load(out / "ledger.json") == ledger
+                assert not (out / "ledger.journal").exists()
+                if step == "rerun":
+                    assert bundle_bytes(out, skip=()) == before
 
 
 class TestInterrupt:
@@ -932,6 +1038,48 @@ class TestInterrupt:
         assert len(ran) == 18 - journaled
         assert bundle_bytes(out) == bundle_bytes(fresh.output_dir)
 
+    def test_interrupt_while_a_worker_starts_loses_no_cell(self, tmp_path, monkeypatch):
+        # Ctrl-C reaches the main thread in ThreadPoolExecutor.submit, after
+        # Thread.start has launched the worker but before the pool records
+        # it, while the worker runs its first cell.
+        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        out = manifest.output_dir
+        real_start = threading.Thread.start
+        real_run_cell = pipeline._run_cell
+        cell_started = threading.Event()
+        ran = []
+
+        def slow_cell(*args):
+            ran.append(args[2])
+            cell_started.set()
+            time.sleep(0.2)  # the main thread is interrupted meanwhile
+            return real_run_cell(*args)
+
+        def start_then_interrupt(thread):
+            real_start(thread)
+            assert cell_started.wait(10)
+            signal.raise_signal(signal.SIGINT)
+
+        threads_before = set(threading.enumerate())
+        monkeypatch.setattr(pipeline, "_run_cell", slow_cell)
+        monkeypatch.setattr(threading.Thread, "start", start_then_interrupt)
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                pipeline.run_experiment(manifest)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        monkeypatch.undo()
+        assert set(threading.enumerate()) == threads_before
+        assert len(ran) == 1
+        journaled = pipeline.RunLedger(fingerprint=pipeline.manifest_fingerprint(manifest), cells={})
+        assert journaled.replay(out / "ledger.journal") == 1
+        assert [record.fraction for record in journaled.cells.values()] == ran
+
+        ran = count_cells(monkeypatch)
+        assert pipeline.run_experiment(manifest).all_done()
+        assert len(ran) == 17
+
 
 def failed_twin(record):
     """A failed record for the same cell, which resume must run again."""
@@ -962,10 +1110,11 @@ class TestJournal:
         assert saves == [(n, n) for n in (1, 2, 4, 8, 16, 18)]
         assert not (out / "ledger.journal").exists()
 
+        # ledger.json already holds the ledger of a rerun that runs nothing.
         saves.clear()
         files_before = bundle_files(out)
         assert pipeline.run_experiment(manifest).all_done()
-        assert saves == [(18, None)]
+        assert saves == []
         assert bundle_files(out) == files_before
 
     def test_journal_of_every_cell_completes_a_checkpoint(self, tmp_path, monkeypatch):
