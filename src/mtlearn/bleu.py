@@ -6,7 +6,10 @@ spirit of the WMT "13a" convention, clipped n-gram precisions for n = 1..4
 aggregated at the corpus level, uniform weights, no smoothing, and the
 standard brevity penalty. Scores are on the 0-100 scale. `References`
 memoizes the statistics of each (sentence, hypothesis), so scoring one
-test set many times counts each distinct pair once.
+test set many times counts each distinct pair once, and a hypothesis
+whose tokens equal its reference's gets its row without counting any
+n-gram: every n-gram then matches itself. `score_from_stats` turns summed
+rows into a score; `corpus_bleu` is that sum over a test set.
 """
 
 from __future__ import annotations
@@ -101,7 +104,11 @@ class References(Sequence[str]):
     equal values, so neither loses anything. A reference's own n-gram
     counts are not kept: they would double the memo's memory and save
     little, since in the default synthetic family a reference meets 1.45
-    distinct hypotheses on average (12,010 rows over 8,280 references).
+    distinct hypotheses on average (12,010 rows over 8,272 references).
+    Most of those rows need no count at all: in 7,574 of the 12,010 with
+    the builtin trainer, and in 7,636 of 10,828 with the benchmark's awk
+    trainer, the hypothesis tokenizes to its reference's tokens, and such
+    a row is read off the reference length alone.
     """
 
     def __init__(self, sentences: Iterable[str]) -> None:
@@ -119,32 +126,37 @@ class References(Sequence[str]):
 
         The row is matches[1..4], totals[1..4], hyp_len, ref_len, where
         matches are clipped n-gram matches and totals the hypothesis's
-        n-gram count of each order.
+        n-gram count of each order. When the hypothesis has its
+        reference's tokens (a string equal to the reference is checked
+        first, since that is cheap), the matches are the totals,
+        max(L - n + 1, 0) for reference length L, and no n-gram is counted.
         """
         key = (index, hypothesis)
         row = self._rows.get(key)
         if row is None:
-            ref_tokens = tokenize_13a(self._sentences[index])
-            ref_counts = _ngram_counts(ref_tokens)
-            hyp_tokens = tokenize_13a(hypothesis)
-            matches = [0] * MAX_ORDER
-            for gram, count in _ngram_counts(hyp_tokens).items():
-                matches[len(gram) - 1] += min(count, ref_counts[gram])
+            reference = self._sentences[index]
+            ref_tokens = tokenize_13a(reference)
+            hyp_tokens = ref_tokens if hypothesis == reference else tokenize_13a(hypothesis)
             hyp_len = len(hyp_tokens)
             totals = [max(hyp_len - n, 0) for n in range(MAX_ORDER)]
-            row = self._rows[key] = (*matches, *totals, hyp_len, len(ref_tokens))
+            if hyp_tokens == ref_tokens:
+                row = (*totals, *totals, hyp_len, hyp_len)
+            else:
+                ref_counts = _ngram_counts(ref_tokens)
+                matches = [0] * MAX_ORDER
+                for gram, count in _ngram_counts(hyp_tokens).items():
+                    matches[len(gram) - 1] += min(count, ref_counts[gram])
+                row = (*matches, *totals, hyp_len, len(ref_tokens))
+            self._rows[key] = row
         return row
 
 
 def corpus_bleu(hypotheses: list[str], references: Sequence[str]) -> BleuScore:
     """Corpus-level BLEU of hypotheses against single references.
 
-    Clipped match counts and total counts are summed over all segments
-    before dividing (corpus-level aggregation), precisions use uniform 1/4
-    weights, and there is no smoothing: if any order has zero matches the
-    score is 0. The brevity penalty is exp(1 - ref_len/hyp_len) when the
-    hypothesis corpus is shorter than the reference corpus, else 1.
-    Passing a `References` reuses its memoized statistics.
+    The statistics rows of all segments are summed and scored with
+    `score_from_stats`. Passing a `References` reuses its memoized
+    statistics.
     """
     if len(hypotheses) != len(references):
         raise ValueError(
@@ -155,8 +167,23 @@ def corpus_bleu(hypotheses: list[str], references: Sequence[str]) -> BleuScore:
     if not isinstance(references, References):
         references = References(references)
 
-    rows = map(references.stats, range(len(hypotheses)), hypotheses)
-    sums = [sum(column) for column in zip(*rows)]
+    # The memo is keyed by (index, hypothesis), which enumerate yields; it
+    # is read here so that a row already counted costs no method call.
+    memo = references._rows
+    stats = references.stats
+    rows = [memo.get(key) or stats(*key) for key in enumerate(hypotheses)]
+    return score_from_stats([sum(column) for column in zip(*rows)])
+
+
+def score_from_stats(sums: Sequence[int]) -> BleuScore:
+    """Corpus BLEU from summed `References.stats` rows.
+
+    Clipped match counts and total counts are summed over all segments
+    before dividing (corpus-level aggregation), precisions use uniform 1/4
+    weights, and there is no smoothing: if any order has zero matches the
+    score is 0. The brevity penalty is exp(1 - ref_len/hyp_len) when the
+    hypothesis corpus is shorter than the reference corpus, else 1.
+    """
     matches = sums[:MAX_ORDER]
     totals = sums[MAX_ORDER:2 * MAX_ORDER]
     hyp_len, ref_len = sums[2 * MAX_ORDER:]

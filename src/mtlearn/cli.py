@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit status contract: 0 on success, 1 when any experiment cell failed (or
-a report was refused), 2 on configuration errors including bad flags and
+a report was refused: its ledger is missing, malformed, unfinished or of
+other inputs than the manifest's), 2 on configuration errors including bad flags and
 unreadable inputs, and when another run is using the output directory.
 """
 
@@ -217,6 +218,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if not ledger_path.is_file():
             raise pipeline.LedgerError(f"no ledger at {ledger_path}; run the pipeline first")
         ledger = pipeline.RunLedger.load(ledger_path)
+        if ledger.fingerprint != pipeline.manifest_fingerprint(manifest):
+            raise pipeline.LedgerError(
+                f"the ledger at {ledger_path} does not match the inputs and "
+                f"settings of {args.manifest}; run the pipeline first"
+            )
         summary = pipeline.build_report(ledger, matrices, out)
 
     print(f"report written to {out}")

@@ -234,9 +234,14 @@ def _tsv_field(sentence: str) -> str:
     return sentence[:-1] + " " if sentence.endswith("\r") else sentence
 
 
+def tsv_lines(pairs: list[tuple[str, str]]) -> list[str]:
+    """Each sentence pair as one 2-column TSV line (src TAB tgt, newline)."""
+    return [f"{_tsv_field(s)}\t{_tsv_field(t)}\n" for s, t in pairs]
+
+
 def pairs_tsv(pairs: list[tuple[str, str]]) -> str:
-    """Sentence pairs as 2-column TSV text (src TAB tgt, one per line)."""
-    return "".join(f"{_tsv_field(s)}\t{_tsv_field(t)}\n" for s, t in pairs)
+    """Sentence pairs as 2-column TSV text: their `tsv_lines`, joined."""
+    return "".join(tsv_lines(pairs))
 
 
 def write_pairs_tsv(pair: ParallelPair, path: str | Path) -> None:

@@ -25,13 +25,15 @@ repr, so two runs of the same manifest produce byte-identical bundles no
 matter how the work was scheduled; a file that already holds the bytes
 to be written is left untouched, mtime included. Preparation puts every
 cell to run, in ledger order, on one queue with its pair's working set
-(its BLEU references and, for the builtin trainer, the EM index of its
-training set, built at its first cell), and worker threads drain it; a
-pair's working set is freed once its last cell has run. A run that stops
-empties the queue, so no new cell starts, while cells already running
-finish and are journaled. `max_parallel_jobs` threads run external
-trainer commands; builtin-trainer cells run in one thread, because they
-hold the interpreter lock and a second thread would only add memory.
+(its BLEU references and, built at its first cell, the EM index of its
+training set for the builtin trainer, or the TSV line of each training
+pair for an external one, from which every fraction's subset file is
+joined), and worker threads drain it; a pair's working set is freed once
+its last cell has run. A run that stops empties the queue, so no new
+cell starts, while cells already running finish and are journaled.
+`max_parallel_jobs` threads run external trainer commands; builtin-trainer
+cells run in one thread, because they hold the interpreter lock and a
+second thread would only add memory.
 
 Manifest schema (paths are resolved relative to the manifest file)::
 
@@ -456,6 +458,20 @@ class _PairData:
         """The builtin trainer's index of train_pairs, built at first use."""
         return trainer.Model1Corpus(self.train_pairs)
 
+    @functools.cached_property
+    def train_tsv_lines(self) -> list[str]:
+        """`corpus.tsv_lines` of train_pairs, formatted at first use."""
+        return corpus.tsv_lines(self.train_pairs)
+
+    def subset_tsv(self, indices: list[int]) -> str:
+        """`corpus.pairs_tsv` of the training pairs at indices.
+
+        Built from `train_tsv_lines`, so the fractions of a pair format
+        each training pair once between them.
+        """
+        lines = self.train_tsv_lines
+        return "".join([lines[i] for i in indices])
+
 
 def _pair_files(manifest: ExperimentManifest, src: str, tgt: str) -> dict[str, list[str]]:
     """Every file `_prepare_pair` writes for one pair, by directory under output_dir."""
@@ -557,9 +573,13 @@ def _run_cell(
 ) -> CellRecord:
     """Train, decode, and score one (pair, fraction) cell.
 
-    Returns the cell's record: done, with its BLEU and its hypothesis file
-    (written atomically, path relative to output_dir), or failed, with the
-    error. Either way it carries the cell's wall time.
+    An external trainer reads the cell's training pairs from
+    ``subsets/<pair>/<fraction>.train.tsv``, which is joined from the
+    pair's `_PairData.train_tsv_lines` and so holds the bytes of
+    `corpus.pairs_tsv` of those pairs. Returns the cell's record: done,
+    with its BLEU and its hypothesis file (written atomically, path
+    relative to output_dir), or failed, with the error. Either way it
+    carries the cell's wall time.
     """
     started = time.monotonic()
     record = CellRecord(src=data.src, tgt=data.tgt, fraction=fraction)
@@ -578,8 +598,7 @@ def _run_cell(
             _write_text_atomic(hyp_path, "\n".join(hyps) + "\n")
         else:
             subset_tsv = out / "subsets" / f"{data.src}-{data.tgt}" / f"{slug}.train.tsv"
-            subset_pairs = [data.train_pairs[i] for i in indices]
-            _write_text_atomic(subset_tsv, corpus.pairs_tsv(subset_pairs))
+            _write_text_atomic(subset_tsv, data.subset_tsv(indices))
             hyp_path.parent.mkdir(parents=True, exist_ok=True)
             hyps = trainer.run_external(
                 manifest.trainer_spec,

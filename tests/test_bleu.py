@@ -96,27 +96,28 @@ def reference_tokenize(text):
 # ---------------------------------------------------------------------------
 
 
-def oracle_bleu(hyp_token_lists, ref_token_lists):
-    matches = {1: 0, 2: 0, 3: 0, 4: 0}
-    totals = {1: 0, 2: 0, 3: 0, 4: 0}
-    hyp_len = sum(len(t) for t in hyp_token_lists)
-    ref_len = sum(len(t) for t in ref_token_lists)
-    for hyp, ref in zip(hyp_token_lists, ref_token_lists):
-        for n in (1, 2, 3, 4):
-            hyp_ngrams = {}
-            for i in range(len(hyp) - n + 1):
-                g = tuple(hyp[i:i + n])
-                hyp_ngrams[g] = hyp_ngrams.get(g, 0) + 1
-            ref_ngrams = {}
-            for i in range(len(ref) - n + 1):
-                g = tuple(ref[i:i + n])
-                ref_ngrams[g] = ref_ngrams.get(g, 0) + 1
-            for g, count in hyp_ngrams.items():
-                matches[n] += min(count, ref_ngrams.get(g, 0))
-            totals[n] += max(len(hyp) - n + 1, 0)
-    precisions = []
+def oracle_row(hyp, ref):
+    """matches[1..4], totals[1..4], hyp_len, ref_len of one segment."""
+    matches, totals = [], []
     for n in (1, 2, 3, 4):
-        precisions.append(matches[n] / totals[n] if totals[n] else 0.0)
+        hyp_ngrams = {}
+        for i in range(len(hyp) - n + 1):
+            g = tuple(hyp[i:i + n])
+            hyp_ngrams[g] = hyp_ngrams.get(g, 0) + 1
+        ref_ngrams = {}
+        for i in range(len(ref) - n + 1):
+            g = tuple(ref[i:i + n])
+            ref_ngrams[g] = ref_ngrams.get(g, 0) + 1
+        matches.append(sum(min(c, ref_ngrams.get(g, 0)) for g, c in hyp_ngrams.items()))
+        totals.append(max(len(hyp) - n + 1, 0))
+    return (*matches, *totals, len(hyp), len(ref))
+
+
+def oracle_bleu(hyp_token_lists, ref_token_lists):
+    sums = [sum(column) for column in zip(*map(oracle_row, hyp_token_lists, ref_token_lists))]
+    matches, totals = sums[:4], sums[4:8]
+    hyp_len, ref_len = sums[8:]
+    precisions = [m / t if t else 0.0 for m, t in zip(matches, totals)]
     if hyp_len == 0:
         bp = 0.0
     elif hyp_len > ref_len:
@@ -275,3 +276,58 @@ class TestCorpusBleuProperties:
     @given(st.lists(sentences(min_words=4), min_size=1, max_size=6))
     def test_identity_scores_100_when_sentences_have_4_tokens(self, refs):
         assert bleu.corpus_bleu(list(refs), bleu.References(refs)).score == 100.0
+
+    @given(st.lists(st.tuples(st.one_of(st.text(), sentences()), sentences()), min_size=1))
+    def test_score_from_summed_stats_is_corpus_bleu(self, corpus):
+        hyps, refs = map(list, zip(*corpus))
+        rows = [bleu.References(refs).stats(i, h) for i, h in enumerate(hyps)]
+        sums = [sum(column) for column in zip(*rows)]
+        assert bleu.score_from_stats(sums) == bleu.corpus_bleu(hyps, refs)
+
+
+# Reference sentences with punctuation, numbers and non-ASCII letters, and
+# hypotheses that are mostly the reference itself or differ from it only in
+# whitespace or in where the tokenizer splits, as a well-trained model's are.
+RICH_WORDS = WORDS + ["ça", "naïve", "Ωμέγα", "日本語", "e\u0301", "don't", "?!", "٣.٤", "x²"]
+SPACES = st.sampled_from([" ", "  ", "\t", "\u00a0", "\u3000", " \n "])
+
+
+def rich_sentences(max_words=8):
+    return st.lists(st.sampled_from(RICH_WORDS), max_size=max_words).map(" ".join)
+
+
+@st.composite
+def hypotheses_of(draw, reference):
+    kind = draw(st.sampled_from(["same", "respaced", "retokenized", "other"]))
+    if kind == "same":
+        return reference
+    if kind == "respaced":
+        words = reference.split()
+        gaps = draw(st.lists(SPACES, min_size=len(words) + 1, max_size=len(words) + 1))
+        return gaps[0] + "".join(w + g for w, g in zip(words, gaps[1:]))
+    if kind == "retokenized":
+        return " ".join(bleu.tokenize_13a(reference))
+    return draw(st.one_of(rich_sentences(), st.text()))
+
+
+class TestReferenceStats:
+    @given(st.lists(rich_sentences(), min_size=1, max_size=4), st.data())
+    def test_rows_match_bruteforce_oracle(self, refs, data):
+        shared = bleu.References(refs)
+        for i, ref in enumerate(refs):
+            for _ in range(2):  # a second hypothesis may hit the memo
+                hyp = data.draw(hypotheses_of(ref))
+                expected = oracle_row(reference_tokenize(hyp), reference_tokenize(ref))
+                assert shared.stats(i, hyp) == expected
+                assert bleu.References(refs).stats(i, hyp) == expected
+
+    def test_equal_tokens_count_no_ngram(self, monkeypatch):
+        refs = bleu.References(["the cat , sat", "a b"])
+
+        def no_counting(tokens):
+            raise AssertionError("equal tokens need no n-gram count")
+
+        monkeypatch.setattr(bleu, "_ngram_counts", no_counting)
+        assert refs.stats(0, "the cat , sat") == (4, 3, 2, 1, 4, 3, 2, 1, 4, 4)
+        assert refs.stats(0, " the  cat, sat ") == (4, 3, 2, 1, 4, 3, 2, 1, 4, 4)
+        assert refs.stats(1, "a\tb") == (2, 1, 0, 0, 2, 1, 0, 0, 2, 2)

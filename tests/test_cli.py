@@ -376,6 +376,35 @@ class TestRunAndReport:
         assert rc == 1
         assert "malformed ledger" in capsys.readouterr().err
 
+    def test_report_refuses_a_ledger_of_other_inputs(self, tiny_bitexts, capsys):
+        root, manifest_path = tiny_bitexts
+        out = root / "out"
+
+        def files(directory):
+            return {p: p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+
+        assert cli.main(["run", "--manifest", str(manifest_path)]) == 0
+        bundle = files(out)
+        assert cli.main(["report", "--manifest", str(manifest_path)]) == 0
+        assert files(out) == bundle
+        table3 = ["report", "--manifest", str(manifest_path), "--auc", "table3", "--out"]
+        assert cli.main([*table3, str(root / "table3_before")]) == 0
+        capsys.readouterr()
+
+        aa = root / "data" / "aa.txt"
+        lines = aa.read_text().splitlines()
+        lines[0] += " aat99"
+        aa.write_text("\n".join(lines) + "\n")
+        assert cli.main(["report", "--manifest", str(manifest_path)]) == 1
+        assert "does not match the inputs" in capsys.readouterr().err
+        assert files(out) == bundle
+
+        assert cli.main([*table3, str(root / "table3_after")]) == 0
+        before = files(root / "table3_before")
+        after = files(root / "table3_after")
+        assert [p.name for p in after] == [p.name for p in before]
+        assert list(after.values()) == list(before.values())
+
     def test_run_over_a_malformed_ledger_replaces_it(self, tiny_bitexts, capsys):
         root, manifest_path = tiny_bitexts
         (root / "out").mkdir()

@@ -13,12 +13,26 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def checkout_state():
-    """Every path of the checkout outside .git, with its modification time."""
-    return {
-        path: path.stat().st_mtime_ns
-        for path in ROOT.rglob("*")
-        if path.relative_to(ROOT).parts[0] != ".git"
-    }
+    """Every file of the checkout that git does not ignore, with its mtime.
+
+    Tracked files and new files outside .gitignore count; ignored paths
+    such as .hypothesis/ do not, since another test process sharing the
+    checkout may write there while a demo runs. A tracked file that is
+    gone maps to None.
+    """
+    names = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT,
+        capture_output=True,
+        check=True,
+    ).stdout.decode("utf-8").split("\0")
+    state = {}
+    for name in filter(None, names):
+        try:
+            state[name] = (ROOT / name).stat().st_mtime_ns
+        except FileNotFoundError:
+            state[name] = None
+    return state
 
 
 def test_demos_found():

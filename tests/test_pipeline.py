@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtlearn.trainer
-from mtlearn import analysis, cli, corpus, pipeline, sampling, trainer
+from mtlearn import analysis, bleu, cli, corpus, pipeline, sampling, trainer
 
 
 def make_experiment(root, trainer_cfg=None, n_sentences=100, seed=3):
@@ -1315,6 +1315,34 @@ class TestReports:
             assert (a_dir / rel).read_bytes() == (b_dir / rel).read_bytes()
 
 
+# Training rows a corpus TSV could not hold as they are: tabs, a final "\r",
+# and U+2028 and U+0085, which split lines for str.splitlines but not here.
+_row_text = st.text(
+    alphabet=st.one_of(
+        st.characters(codec="utf-8", exclude_characters="\n"),
+        st.sampled_from("\t\r\u2028\x85 "),
+    ),
+    max_size=12,
+)
+
+
+class TestSubsetTsv:
+    @given(st.lists(st.tuples(_row_text, _row_text), max_size=30), st.data())
+    def test_joined_lines_are_pairs_tsv_of_nested_subsets(self, rows, data):
+        pair = pipeline._PairData(
+            src="aa", tgt="bb", train_pairs=rows, test_src=[],
+            test_refs=bleu.References([]), subsets={},
+        )
+        # The fractions of a pair keep prefixes of one order, in any order
+        # of cells, and all read the lines formatted at the first.
+        order = data.draw(st.permutations(range(len(rows))))
+        sizes = data.draw(st.lists(st.integers(0, len(rows)), min_size=1, max_size=5))
+        for size in sizes:
+            indices = sorted(order[:size])
+            assert pair.subset_tsv(indices) == corpus.pairs_tsv([rows[i] for i in indices])
+        assert pair.train_tsv_lines == corpus.tsv_lines(rows)
+
+
 class TestExternalTrainerThroughPipeline:
     def test_copy_adapter_runs_whole_grid(self, tmp_path):
         manifest_path = make_experiment(
@@ -1406,6 +1434,22 @@ class TestExternalTrainerThroughPipeline:
         assert reused == fresh
         assert all(b"\r" not in data for data in fresh.values())
         assert fresh["subsets/bb-aa/1.0.train.tsv"].endswith(b" \n")
+
+    def test_subset_files_are_pairs_tsv_of_their_rows(self, tmp_path, monkeypatch):
+        fresh, reused = self.fresh_and_reused_bundles(
+            tmp_path,
+            monkeypatch,
+            lambda line: line.replace(" ", "\t", 1).replace(" ", "\u2028", 1) + "\r\r\n",
+        )
+        assert reused == fresh
+        for pair in ("aa-bb", "bb-aa"):
+            rows = corpus.read_pairs_tsv(tmp_path / "out" / "corpus" / pair / "train.tsv")
+            assert any("\u2028" in side for row in rows for side in row)
+            for fraction in sampling.FRACTION_GRID:
+                slug = pipeline.fraction_slug(fraction)
+                indices = json.loads(fresh[f"subsets/{pair}/{slug}.json"])["indices"]
+                expected = corpus.pairs_tsv([rows[i] for i in indices])
+                assert fresh[f"subsets/{pair}/{slug}.train.tsv"] == expected.encode("utf-8")
 
     def test_resume_keeps_a_test_source_with_a_cr_inside(self, tmp_path, monkeypatch):
         # Read as text, "a\rb" would come back as "a\nb" and never match,
