@@ -23,14 +23,19 @@ Everything emitted is deterministic: artifact reuse is guarded by content
 fingerprints, aggregation rows are sorted, and floats are serialized via
 repr, so two runs of the same manifest produce byte-identical bundles no
 matter how the work was scheduled; a file that already holds the bytes
-to be written is left untouched, mtime included. Preparation puts every
-cell to run, in ledger order, on one queue with its pair's working set
-(its BLEU references and, built at its first cell, the EM index of its
-training set for the builtin trainer, or the TSV line of each training
-pair for an external one, from which every fraction's subset file is
-joined), and worker threads drain it; a pair's working set is freed once
-its last cell has run. A run that stops empties the queue, so no new
-cell starts, while cells already running finish and are journaled.
+to be written is left untouched, mtime included. Every cell to run goes,
+in ledger order, on one queue that worker threads drain. The worker that
+takes a pair's first cell prepares the pair's working set (its BLEU
+references and, built at its first cell, the EM index of its training set
+for the builtin trainer, or the TSV line of each training pair for an
+external one, from which every fraction's subset file is joined); the
+pair's other cells share it, and it is freed once its last cell has run.
+So at most `max_parallel_jobs` working sets are alive at a time, and one
+for the builtin trainer. A language's bitext is loaded at the first pair
+that rebuilds its corpus and dropped once the last pair that uses it is
+prepared, and the bitexts' pivot lines are shared, so an English sentence
+in several of them is held once. A run that stops empties the queue, so
+no new cell starts, while cells already running finish and are journaled.
 `max_parallel_jobs` threads run external trainer commands; builtin-trainer
 cells run in one thread, because they hold the interpreter lock and a
 second thread would only add memory.
@@ -93,7 +98,8 @@ def _write_text_atomic(path: Path, text: str) -> None:
     """Write UTF-8 text so readers never observe a half-written file.
 
     A file that already holds exactly these bytes is left untouched, so a
-    rerun keeps its inode and mtime.
+    rerun keeps its inode and mtime. A write cut short, even by a
+    KeyboardInterrupt, leaves the file as it was and no ``.tmp`` file.
     """
     data = text.encode("utf-8")
     try:
@@ -103,8 +109,12 @@ def _write_text_atomic(path: Path, text: str) -> None:
         pass
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _sha256_file(path: Path) -> str:
@@ -442,9 +452,9 @@ class RunLedger:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class _PairData:
-    """In-memory working set for one ordered pair."""
+    """In-memory working set for one ordered pair, compared by identity."""
 
     src: str
     tgt: str
@@ -677,25 +687,33 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
 
     Cells already marked done (with their hypothesis file still present)
     are skipped. Only pairs with a cell to run, or missing one of the
-    files `_prepare_pair` writes, are prepared again, and a language's
-    bitext is loaded only when a pair must rebuild its corpus; the other
-    pairs' files are trusted, since `_open_ledger` removes a ledger of
-    another manifest before anything is written. Whether a file exists
-    is read from one listing of its directory. A failing cell is
-    recorded as failed and does not stop the others. Each recorded cell
-    is appended to ``ledger.journal`` and flushed, so a killed run loses
-    at most the cells it was working on; ``ledger.json`` is checkpointed
-    when the number of cells recorded in this run is a power of two, so
-    it shows progress, and written in full at the end, when the journal
-    is deleted. A pass that records no cell creates no journal, and
-    writes ``ledger.json`` only when it does not already hold the
-    ledger. The run holds an exclusive lock on output_dir; a second run
-    on the same directory raises `RunInProgressError` before it reads or
-    writes anything. The cells to run form one queue that
+    files `_prepare_pair` writes, are prepared again; the other pairs'
+    files are trusted, since `_open_ledger` removes a ledger of another
+    manifest before anything is written. Whether a file exists is read
+    from one listing of its directory. A failing cell is recorded as
+    failed and does not stop the others. Each recorded cell is appended
+    to ``ledger.journal`` and flushed, so a killed run loses at most the
+    cells it was working on; ``ledger.json`` is checkpointed when the
+    number of cells recorded in this run is a power of two, so it shows
+    progress, and written in full at the end, when the journal is
+    deleted. A pass that records no cell creates no journal, and writes
+    ``ledger.json`` only when it does not already hold the ledger. The
+    run holds an exclusive lock on output_dir; a second run on the same
+    directory raises `RunInProgressError` before it reads or writes
+    anything.
+
+    The cells to run form one queue, in ledger order, that
     `max_parallel_jobs` worker threads (one for the builtin trainer)
-    drain. An exception that stops the run, such as KeyboardInterrupt,
-    empties that queue, so no new cell starts; cells already running
-    finish and are journaled. SIGINT is blocked while the workers start,
+    drain. A pair with cells is prepared once, by the worker that takes
+    its first cell, and its working set is freed after its last cell, so
+    at most one working set per worker is alive; a pair that only misses
+    a file is prepared before the workers start. A language's bitext is
+    loaded only when a pair must rebuild its corpus, and dropped once the
+    last pair that uses it is prepared; pivot lines equal across bitexts
+    are held once. An exception that stops the run, such as
+    KeyboardInterrupt or a failed preparation, empties that queue, so no
+    new cell starts; cells already running finish and are journaled, and
+    the exception is raised. SIGINT is blocked while the workers start,
     so a Ctrl-C is raised only once the pool knows every worker; the
     workers keep it blocked, so it always reaches the main thread.
     """
@@ -713,9 +731,9 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
         journal_path = out / "ledger.journal"
         ledger, saved = _open_ledger(ledger_path, journal_path, fingerprint, expected_keys)
 
-        # Each pair's preparation writes only in its own directories and
-        # comes after its own check, so no listing goes stale before it is
-        # read.
+        # Every listing is read before the workers start, and each pair's
+        # preparation writes only in its own directories after its own
+        # check, so no listing goes stale before it is read.
         @functools.cache
         def files_in(rel_dir: str) -> frozenset[str]:
             """The files in out/rel_dir, as `Path.is_file` sees them.
@@ -737,25 +755,61 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
                     continue
             todo.setdefault(key[:2], []).append(key)
 
-        @functools.cache
-        def bitext(lang: str) -> corpus.PivotBitext:
-            return corpus.load_pivot_bitext(*manifest.data_sources[lang], lang)
-
-        # Each cell to run, in ledger order, with its pair's working set: a
-        # BLEU memo that grows with each of the pair's cells and, for the
-        # builtin trainer, an EM index built at its first cell. Only the
-        # queue entries and the worker running a cell hold a working set,
-        # so it is freed once the pair's last cell has run.
-        queue = collections.deque()
-        for pair in manifest.pairs():
-            keys = todo.get(pair, [])
-            if keys or not all(
+        # Pairs with no cell to run that miss a prepared file; they are
+        # prepared before the workers start.
+        restore = [
+            pair for pair in manifest.pairs()
+            if pair not in todo and not all(
                 files_in(d).issuperset(names) for d, names in _pair_files(manifest, *pair).items()
-            ):
-                data = _prepare_pair(manifest, bitext, digests, *pair)
-                queue.extend((key, data) for key in keys)
-                del data
-        bitext.cache_clear()  # no cell reads a bitext
+            )
+        ]
+
+        # A bitext is loaded at the first pair that rebuilds its corpus and
+        # dropped once the last pair that uses it is prepared. Pivot lines go
+        # through one dict, so a sentence in several bitexts is held once;
+        # the dict is emptied whenever no bitext is loaded.
+        users = collections.Counter(lang for pair in [*restore, *todo] for lang in pair)
+        bitexts: dict[str, corpus.PivotBitext] = {}
+        pivots: dict[str, str] = {}
+
+        def bitext(lang: str) -> corpus.PivotBitext:
+            if lang not in bitexts:
+                loaded = corpus.load_pivot_bitext(*manifest.data_sources[lang], lang)
+                loaded.pivot_lines = [pivots.setdefault(s, s) for s in loaded.pivot_lines]
+                bitexts[lang] = loaded
+            return bitexts[lang]
+
+        def prepare(pair: tuple[str, str]) -> _PairData:
+            data = _prepare_pair(manifest, bitext, digests, *pair)
+            for lang in pair:
+                users[lang] -= 1
+                if not users[lang]:
+                    bitexts.pop(lang, None)
+            if not bitexts:
+                pivots.clear()
+            return data
+
+        for pair in restore:
+            prepare(pair)
+
+        # Each cell to run, in ledger order. The worker that takes a pair's
+        # first cell prepares its working set: a BLEU memo that grows with
+        # each of the pair's cells and, for the builtin trainer, an EM index
+        # built at its first cell. `working` holds it until the pair's last
+        # cell is taken, so it is freed once that cell has run.
+        queue = collections.deque(key for keys in todo.values() for key in keys)
+        left = {pair: len(keys) for pair, keys in todo.items()}
+        working: dict[tuple[str, str], _PairData] = {}
+        prepare_lock = threading.Lock()
+
+        def run_cell(key: tuple[str, str, float]) -> CellRecord:
+            pair = key[:2]
+            with prepare_lock:
+                if pair not in working:
+                    working[pair] = prepare(pair)
+                left[pair] -= 1
+                data = working[pair] if left[pair] else working.pop(pair)
+            return _run_cell(manifest, data, key[2])
 
         lock = threading.Lock()
         recorded = 0
@@ -765,10 +819,10 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
             try:
                 while True:
                     try:
-                        key, data = queue.popleft()
+                        key = queue.popleft()
                     except IndexError:
                         return
-                    record = _run_cell(manifest, data, key[2])
+                    record = run_cell(key)
                     line = ledger.journal_line(record)
                     with lock:
                         journal.write(line)

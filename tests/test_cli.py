@@ -413,6 +413,15 @@ class TestRunAndReport:
         assert "18/18 cells done" in capsys.readouterr().out
         assert cli.main(["report", "--manifest", str(manifest_path)]) == 0
 
+    def test_run_exit_2_when_a_pair_cannot_be_prepared(self, tiny_bitexts, capsys):
+        # A worker prepares the pair at its first cell; the ValueError of a
+        # join with no shared pivot sentence is still a configuration error.
+        root, manifest_path = tiny_bitexts
+        pivot = root / "data" / "bb.pivot.txt"
+        pivot.write_text("".join(f"other {line}\n" for line in pivot.read_text().splitlines()))
+        assert cli.main(["run", "--manifest", str(manifest_path)]) == 2
+        assert "no pivot sentences shared between aa and bb" in capsys.readouterr().err
+
     def test_missing_manifest_is_config_error(self, tmp_path, capsys):
         rc = cli.main(["run", "--manifest", str(tmp_path / "ghost.json")])
         assert rc == 2

@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import fcntl
+import gc
 import hashlib
 import json
 import os
@@ -25,11 +26,12 @@ import mtlearn.trainer
 from mtlearn import analysis, bleu, cli, corpus, pipeline, sampling, trainer
 
 
-def make_experiment(root, trainer_cfg=None, n_sentences=100, seed=3):
-    """Write a tiny 2-language ciphered experiment and its manifest.
+def make_experiment(root, trainer_cfg=None, n_sentences=100, seed=3, languages=("aa", "bb")):
+    """Write a tiny ciphered experiment and its manifest.
 
-    Both languages are word ciphers of a shared pivot; each side drops a
-    different handful of pivot lines so pairing is nontrivial.
+    Every language is a word cipher of a shared pivot; each drops a
+    different handful of pivot lines so pairing is nontrivial. The
+    languages are "aa", "bb" and, when asked for, "cc".
     """
     rnd = random.Random(seed)
     vocab = [f"t{i:02d}" for i in range(40)]
@@ -43,14 +45,15 @@ def make_experiment(root, trainer_cfg=None, n_sentences=100, seed=3):
 
     data = root / "data"
     data.mkdir(parents=True, exist_ok=True)
-    kept = {"aa": pivot[: n_sentences - 5], "bb": pivot[5:]}
+    kept = {"aa": pivot[: n_sentences - 5], "bb": pivot[5:], "cc": pivot[:40] + pivot[45:]}
+    kept = {lang: kept[lang] for lang in languages}
     for lang, lines in kept.items():
         ciphered = [" ".join(lang + w for w in line.split()) for line in lines]
         (data / f"{lang}.pivot.txt").write_text("\n".join(lines) + "\n")
         (data / f"{lang}.txt").write_text("\n".join(ciphered) + "\n")
 
     manifest = {
-        "languages": ["aa", "bb"],
+        "languages": list(kept),
         "data_sources": {
             lang: {"pivot": f"data/{lang}.pivot.txt", "target": f"data/{lang}.txt"}
             for lang in kept
@@ -868,15 +871,24 @@ class TestLazyResume:
         with pytest.raises(pipeline.LedgerError, match="malformed ledger"):
             pipeline.RunLedger.load(ledger_path)
 
+        # A pair is prepared at its first cell, so a later preparation may
+        # see this run's own checkpoint, but never the malformed bytes.
+        fingerprint = pipeline.manifest_fingerprint(manifest)
         real_prepare = pipeline._prepare_pair
+        seen = []
 
         def prepare_after_removal(*args):
-            assert not ledger_path.exists()
+            seen.append(
+                pipeline.RunLedger.load(ledger_path).fingerprint
+                if ledger_path.exists() else None
+            )
             return real_prepare(*args)
 
         monkeypatch.setattr(pipeline, "_prepare_pair", prepare_after_removal)
         ledger = pipeline.run_experiment(manifest)
         assert ledger.all_done()
+        assert seen[0] is None
+        assert set(seen) <= {None, fingerprint}
         assert pipeline.RunLedger.load(ledger_path).fingerprint == ledger.fingerprint
 
 
@@ -1079,6 +1091,162 @@ class TestInterrupt:
         ran = count_cells(monkeypatch)
         assert pipeline.run_experiment(manifest).all_done()
         assert len(ran) == 17
+
+
+class TestBoundedMemory:
+    """A pair's working set lives from its first cell to its last, and a
+    language's bitext until the last pair that uses it is prepared."""
+
+    @pytest.mark.parametrize("trainer_cfg, alive", [(None, 1), (PREFIX_SWAP_TRAINER, 2)])
+    def test_working_sets_and_bitexts_alive_at_each_cell(
+        self, tmp_path, monkeypatch, trainer_cfg, alive
+    ):
+        manifest = pipeline.load_manifest(
+            make_experiment(tmp_path, trainer_cfg, languages=("aa", "bb", "cc"))
+        )
+        assert manifest.max_parallel_jobs == 2
+        real_prepare = pipeline._prepare_pair
+        real_load = corpus.load_pivot_bitext
+        real_run_cell = pipeline._run_cell
+        lock = threading.Lock()
+        working_sets = weakref.WeakSet()
+        prepared = []
+        bitexts = {}
+        dropped_at_first_cell = {}
+
+        def tracking_prepare(*args):
+            data = real_prepare(*args)
+            with lock:
+                working_sets.add(data)
+                prepared.append(args[3:])
+            return data
+
+        def tracking_load(pivot, target, lang):
+            loaded = real_load(pivot, target, lang)
+            bitexts[lang] = weakref.ref(loaded)
+            return loaded
+
+        def checking_run_cell(manifest, data, fraction):
+            with lock:
+                gc.collect()
+                assert len(working_sets) <= alive
+                assert len(prepared) == len(set(prepared))
+                for lang, ref in bitexts.items():
+                    if all(p in prepared for p in manifest.pairs() if lang in p):
+                        assert ref() is None, lang
+                dropped_at_first_cell.setdefault(
+                    (data.src, data.tgt), {lang for lang, ref in bitexts.items() if ref() is None}
+                )
+            return real_run_cell(manifest, data, fraction)
+
+        monkeypatch.setattr(pipeline, "_prepare_pair", tracking_prepare)
+        monkeypatch.setattr(corpus, "load_pivot_bitext", tracking_load)
+        monkeypatch.setattr(pipeline, "_run_cell", checking_run_cell)
+        assert pipeline.run_experiment(manifest).all_done()
+        assert sorted(prepared) == sorted(manifest.pairs())
+        # Every bitext is loaded once; aa is last used by cc-aa.
+        assert sorted(bitexts) == ["aa", "bb", "cc"]
+        assert dropped_at_first_cell == {
+            ("aa", "bb"): set(), ("aa", "cc"): set(), ("bb", "aa"): set(),
+            ("bb", "cc"): set(), ("cc", "aa"): {"aa"}, ("cc", "bb"): {"aa", "bb", "cc"},
+        }
+
+    def test_bitexts_share_their_pivot_lines(self, tmp_path, monkeypatch):
+        manifest = pipeline.load_manifest(
+            make_experiment(tmp_path, languages=("aa", "bb", "cc"))
+        )
+        pivot_lines = {}
+        real_build = corpus.build_parallel
+
+        def keeping_build(a, b):
+            for bitext in (a, b):
+                pivot_lines[bitext.lang] = {id(s): s for s in bitext.pivot_lines}
+            return real_build(a, b)
+
+        monkeypatch.setattr(corpus, "build_parallel", keeping_build)
+        assert pipeline.run_experiment(manifest).all_done()
+        by_text = {}
+        for lines in pivot_lines.values():
+            for s in lines.values():
+                by_text.setdefault(s, set()).add(id(s))
+        assert len(by_text) == 100  # every pivot sentence, in 2 or 3 bitexts
+        assert all(len(ids) == 1 for ids in by_text.values())
+
+
+class TestPreparationFailure:
+    @pytest.mark.parametrize("trainer_cfg", [None, PREFIX_SWAP_TRAINER])
+    def test_failed_preparation_stops_the_run_and_a_rerun_completes_it(
+        self, tmp_path, monkeypatch, trainer_cfg
+    ):
+        languages = ("aa", "bb", "cc")
+        fresh = pipeline.load_manifest(
+            make_experiment(tmp_path / "fresh", trainer_cfg, languages=languages)
+        )
+        assert pipeline.run_experiment(fresh).all_done()
+        manifest = pipeline.load_manifest(
+            make_experiment(tmp_path / "cut", trainer_cfg, languages=languages)
+        )
+        out = manifest.output_dir
+        pairs = manifest.pairs()
+        fault = ValueError("injected")
+        real_prepare = pipeline._prepare_pair
+
+        def third_pair_fails(*args):
+            if args[3:] == pairs[2]:
+                raise fault
+            return real_prepare(*args)
+
+        ran = count_cells(monkeypatch)
+        monkeypatch.setattr(pipeline, "_prepare_pair", third_pair_fails)
+        with pytest.raises(ValueError) as raised:
+            pipeline.run_experiment(manifest)
+        assert raised.value is fault
+        earlier = [(src, tgt, f) for src, tgt in pairs[:2] for f in manifest.fractions]
+        assert sorted(ran) == earlier
+        journaled = pipeline.RunLedger(
+            fingerprint=pipeline.manifest_fingerprint(manifest), cells={}
+        )
+        journaled.replay(out / "ledger.journal")
+        assert sorted(journaled.cells) == earlier
+
+        monkeypatch.undo()
+        ran = count_cells(monkeypatch)
+        assert pipeline.run_experiment(manifest).all_done()
+        assert sorted(ran) == sorted(
+            (src, tgt, f) for src, tgt in pairs[2:] for f in manifest.fractions
+        )
+        assert bundle_bytes(out) == bundle_bytes(fresh.output_dir)
+
+
+def interrupted_replace(src, dst):
+    raise KeyboardInterrupt
+
+
+def half_write_then_full_disk(path, data):
+    with open(path, "wb") as fh:
+        fh.write(data[: len(data) // 2])
+    raise OSError(28, "No space left on device")
+
+
+class TestWriteTextAtomic:
+    @pytest.mark.parametrize(
+        "owner, name, fault, error",
+        [
+            (os, "replace", interrupted_replace, KeyboardInterrupt),
+            (Path, "write_bytes", half_write_then_full_disk, OSError),
+        ],
+    )
+    def test_a_cut_write_keeps_the_old_bytes_and_leaves_no_tmp(
+        self, tmp_path, monkeypatch, owner, name, fault, error
+    ):
+        target = tmp_path / "scores.csv"
+        target.write_bytes(b"old\n")
+        monkeypatch.setattr(owner, name, fault)
+        with pytest.raises(error):
+            pipeline._write_text_atomic(target, "new bytes\n")
+        monkeypatch.undo()
+        assert target.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["scores.csv"]
 
 
 def failed_twin(record):
