@@ -323,10 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     except pipeline.RunInProgressError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except pipeline.LedgerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except trainer.ExternalTrainerError as exc:
+    except (pipeline.LedgerError, trainer.ExternalTrainerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (pipeline.ManifestError, ValueError, OSError, json.JSONDecodeError) as exc:

@@ -23,19 +23,21 @@ Everything emitted is deterministic: artifact reuse is guarded by content
 fingerprints, aggregation rows are sorted, and floats are serialized via
 repr, so two runs of the same manifest produce byte-identical bundles no
 matter how the work was scheduled; a file that already holds the bytes
-to be written is left untouched, mtime included. Every cell to run goes,
-in ledger order, on one queue that worker threads drain. The worker that
-takes a pair's first cell prepares the pair's working set (its BLEU
+to be written is left untouched, mtime included. A run is one walk over
+the pairs it prepares, in ledger order, that worker threads take cells
+from. For each pair the walk prepares its working set (its BLEU
 references and, built at its first cell, the EM index of its training set
 for the builtin trainer, or the TSV line of each training pair for an
-external one, from which every fraction's subset file is joined); the
-pair's other cells share it, and it is freed once its last cell has run.
-So at most `max_parallel_jobs` working sets are alive at a time, and one
-for the builtin trainer. A language's bitext is loaded at the first pair
-that rebuilds its corpus and dropped once the last pair that uses it is
-prepared, and the bitexts' pivot lines are shared, so an English sentence
-in several of them is held once. A run that stops empties the queue, so
-no new cell starts, while cells already running finish and are journaled.
+external one, from which every fraction's subset file is joined), yields
+it with each of the pair's cells to run, and lets go of it before the
+next pair; a worker lets go of a cell's working set before it takes the
+next cell. So at most `max_parallel_jobs` working sets are alive at a
+time, and one for the builtin trainer. A language's bitext is loaded at
+the first pair that rebuilds its corpus and dropped once the last pair
+that uses it is prepared, and the bitexts' pivot lines are shared, so an
+English sentence in several of them is held once. A run that stops
+closes the walk, so no new cell starts, while cells already running
+finish and are journaled.
 `max_parallel_jobs` threads run external trainer commands; builtin-trainer
 cells run in one thread, because they hold the interpreter lock and a
 second thread would only add memory.
@@ -200,6 +202,22 @@ def _parse_matrix(medium: str, scores: dict) -> analysis.IntelligibilityMatrix:
         raise ManifestError(f"bad {medium} matrix: {exc}") from exc
 
 
+_JSON_KINDS = {"integer": (int,), "number": (int, float), "string": (str,)}
+
+
+def _typed(value, kind: str, name: str, optional: bool = False):
+    """value if it is a JSON `kind` ("integer", "number" or "string").
+
+    None passes when optional. Anything else raises ManifestError; so does
+    a bool, which Python counts as an int.
+    """
+    if value is None and optional:
+        return None
+    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
+        raise ManifestError(f"{name} must be a JSON {kind}, not {value!r}")
+    return value
+
+
 def load_manifest(path: str | Path) -> ExperimentManifest:
     """Load and validate an experiment manifest from a JSON file.
 
@@ -242,8 +260,10 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
             raise ManifestError(
                 f"data_sources[{lang!r}] must have 'pivot' and 'target' paths"
             )
-        pivot = (base / entry["pivot"]).resolve()
-        target = (base / entry["target"]).resolve()
+        pivot, target = (
+            (base / _typed(entry[key], "string", f"data_sources.{lang}.{key}")).resolve()
+            for key in ("pivot", "target")
+        )
         for p in (pivot, target):
             if not p.is_file():
                 raise ManifestError(f"data source file not found: {p}")
@@ -252,6 +272,10 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
     split = raw.get("split", {})
     if not isinstance(split, dict) or set(split) - {"dev_ratio", "test_ratio", "seed"}:
         raise ManifestError("split accepts only dev_ratio, test_ratio, seed")
+
+    fractions = raw.get("fractions", list(sampling.FRACTION_GRID))
+    if not isinstance(fractions, list):
+        raise ManifestError(f"fractions must be a list of numbers, not {fractions!r}")
 
     trainer_raw = raw.get("trainer", {"kind": "builtin-em"})
     if not isinstance(trainer_raw, dict):
@@ -262,7 +286,10 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
     trainer_kwargs = dict(trainer_raw)
     trainer_kwargs.setdefault("kind", "builtin-em")
     if "workdir" in trainer_kwargs:
-        trainer_kwargs["workdir"] = str((base / trainer_kwargs["workdir"]).resolve())
+        workdir = _typed(trainer_kwargs["workdir"], "string", "trainer.workdir")
+        trainer_kwargs["workdir"] = str((base / workdir).resolve())
+    if "em_iterations" in trainer_kwargs:
+        _typed(trainer_kwargs["em_iterations"], "integer", "trainer.em_iterations")
     try:
         spec = trainer.TrainerSpec(**trainer_kwargs)
     except (ValueError, TypeError) as exc:
@@ -283,13 +310,15 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
             languages=tuple(languages),
             data_sources=data_sources,
             output_dir=(base / raw["output_dir"]).resolve(),
-            dev_ratio=float(split.get("dev_ratio", 0.1)),
-            test_ratio=float(split.get("test_ratio", 0.2)),
-            split_seed=split.get("seed"),
-            fractions=tuple(float(f) for f in raw.get("fractions", sampling.FRACTION_GRID)),
-            seed=int(raw.get("seed", 0)),
+            dev_ratio=float(_typed(split.get("dev_ratio", 0.1), "number", "split.dev_ratio")),
+            test_ratio=float(_typed(split.get("test_ratio", 0.2), "number", "split.test_ratio")),
+            split_seed=_typed(split.get("seed"), "integer", "split.seed", optional=True),
+            fractions=tuple(float(_typed(f, "number", "each fraction")) for f in fractions),
+            seed=_typed(raw.get("seed", 0), "integer", "seed"),
             trainer_spec=spec,
-            max_parallel_jobs=int(raw.get("max_parallel_jobs", 1)),
+            max_parallel_jobs=_typed(
+                raw.get("max_parallel_jobs", 1), "integer", "max_parallel_jobs"
+            ),
             matrices=matrices,
         )
     except ManifestError:
@@ -530,14 +559,12 @@ def _prepare_pair(
         ).encode("utf-8")
     ).hexdigest()
 
-    meta_path = pair_dir / "meta.json"
-    reuse = False
-    if meta_path.is_file():
-        try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            reuse = meta.get("fingerprint") == fingerprint
-        except (json.JSONDecodeError, OSError):
-            reuse = False
+    # A meta.json that is missing, unreadable or not an object is a mismatch.
+    try:
+        meta = json.loads((pair_dir / "meta.json").read_text(encoding="utf-8"))
+        reuse = isinstance(meta, dict) and meta.get("fingerprint") == fingerprint
+    except (OSError, ValueError):
+        reuse = False
 
     if reuse:
         train_rows = corpus.read_pairs_tsv(pair_dir / "train.tsv")
@@ -702,20 +729,23 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
     directory raises `RunInProgressError` before it reads or writes
     anything.
 
-    The cells to run form one queue, in ledger order, that
-    `max_parallel_jobs` worker threads (one for the builtin trainer)
-    drain. A pair with cells is prepared once, by the worker that takes
-    its first cell, and its working set is freed after its last cell, so
-    at most one working set per worker is alive; a pair that only misses
-    a file is prepared before the workers start. A language's bitext is
-    loaded only when a pair must rebuild its corpus, and dropped once the
-    last pair that uses it is prepared; pivot lines equal across bitexts
-    are held once. An exception that stops the run, such as
-    KeyboardInterrupt or a failed preparation, empties that queue, so no
-    new cell starts; cells already running finish and are journaled, and
-    the exception is raised. SIGINT is blocked while the workers start,
-    so a Ctrl-C is raised only once the pool knows every worker; the
-    workers keep it blocked, so it always reaches the main thread.
+    The run is one walk over the pairs to prepare, in ledger order: each
+    pair with a cell to run, and each that misses a file. The walk
+    prepares each pair once, yields its working set with each of its
+    cells, and lets go of it before it prepares the next pair.
+    `max_parallel_jobs` worker threads (one for the builtin trainer) take
+    the cells from it under one lock, and a worker lets go of a working
+    set before it takes its next cell, so at most one working set per
+    worker is alive. A language's bitext is loaded only when a pair must
+    rebuild its corpus, and dropped once the last pair that uses it is
+    prepared; pivot lines equal across bitexts are held once. An exception
+    that stops the run, such as KeyboardInterrupt or a failed preparation,
+    closes the walk, so no new cell starts; cells already running finish
+    and are journaled, and the exception is raised. SIGINT is blocked
+    while the workers start, so a Ctrl-C is raised only once the pool
+    knows every worker, and while the walk is closed, which may wait for
+    a pair's preparation; the workers keep it blocked, so it always
+    reaches the main thread.
     """
     out = manifest.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -755,11 +785,11 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
                     continue
             todo.setdefault(key[:2], []).append(key)
 
-        # Pairs with no cell to run that miss a prepared file; they are
-        # prepared before the workers start.
-        restore = [
+        # The pairs to prepare, in ledger order: each with a cell to run or
+        # missing a file that its preparation writes.
+        pairs = [
             pair for pair in manifest.pairs()
-            if pair not in todo and not all(
+            if pair in todo or not all(
                 files_in(d).issuperset(names) for d, names in _pair_files(manifest, *pair).items()
             )
         ]
@@ -768,7 +798,7 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
         # dropped once the last pair that uses it is prepared. Pivot lines go
         # through one dict, so a sentence in several bitexts is held once;
         # the dict is emptied whenever no bitext is loaded.
-        users = collections.Counter(lang for pair in [*restore, *todo] for lang in pair)
+        users = collections.Counter(lang for pair in pairs for lang in pair)
         bitexts: dict[str, corpus.PivotBitext] = {}
         pivots: dict[str, str] = {}
 
@@ -779,38 +809,22 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
                 bitexts[lang] = loaded
             return bitexts[lang]
 
-        def prepare(pair: tuple[str, str]) -> _PairData:
-            data = _prepare_pair(manifest, bitext, digests, *pair)
-            for lang in pair:
-                users[lang] -= 1
-                if not users[lang]:
-                    bitexts.pop(lang, None)
-            if not bitexts:
-                pivots.clear()
-            return data
+        def walk():
+            """Prepare each pair in turn; yield (key, working set) per cell to run."""
+            for pair in pairs:
+                data = _prepare_pair(manifest, bitext, digests, *pair)
+                for lang in pair:
+                    users[lang] -= 1
+                    if not users[lang]:
+                        bitexts.pop(lang, None)
+                if not bitexts:
+                    pivots.clear()
+                for key in todo.get(pair, ()):
+                    yield key, data
+                del data
 
-        for pair in restore:
-            prepare(pair)
-
-        # Each cell to run, in ledger order. The worker that takes a pair's
-        # first cell prepares its working set: a BLEU memo that grows with
-        # each of the pair's cells and, for the builtin trainer, an EM index
-        # built at its first cell. `working` holds it until the pair's last
-        # cell is taken, so it is freed once that cell has run.
-        queue = collections.deque(key for keys in todo.values() for key in keys)
-        left = {pair: len(keys) for pair, keys in todo.items()}
-        working: dict[tuple[str, str], _PairData] = {}
-        prepare_lock = threading.Lock()
-
-        def run_cell(key: tuple[str, str, float]) -> CellRecord:
-            pair = key[:2]
-            with prepare_lock:
-                if pair not in working:
-                    working[pair] = prepare(pair)
-                left[pair] -= 1
-                data = working[pair] if left[pair] else working.pop(pair)
-            return _run_cell(manifest, data, key[2])
-
+        cells = walk()
+        cells_lock = threading.Lock()  # a generator runs in one thread at a time
         lock = threading.Lock()
         recorded = 0
 
@@ -818,11 +832,12 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
             nonlocal recorded
             try:
                 while True:
-                    try:
-                        key = queue.popleft()
-                    except IndexError:
+                    with cells_lock:
+                        key, data = next(cells, (None, None))
+                    if key is None:
                         return
-                    record = run_cell(key)
+                    record = _run_cell(manifest, data, key[2])
+                    del data  # not held while the next pair is prepared
                     line = ledger.journal_line(record)
                     with lock:
                         journal.write(line)
@@ -832,14 +847,15 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
                         if recorded & (recorded - 1) == 0:
                             ledger.save(ledger_path)
             finally:
-                queue.clear()  # a worker that raises stops the run
+                with cells_lock:
+                    cells.close()  # a worker that raises stops the run
 
         # Builtin cells hold the interpreter lock, so only external commands
         # gain from running in parallel.
         jobs = manifest.max_parallel_jobs if manifest.trainer_spec.kind == "external" else 1
-        if queue:
+        if pairs:
             with (
-                open(journal_path, "wb") as journal,
+                (open(journal_path, "wb") if todo else contextlib.nullcontext()) as journal,
                 ThreadPoolExecutor(max_workers=jobs) as pool,
             ):
                 try:
@@ -856,8 +872,15 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
                         future.result()
                 finally:
                     # Leaving the block waits for the cells still running;
-                    # with the queue empty, no worker starts another.
-                    queue.clear()
+                    # with the walk closed, no worker starts another. The
+                    # close may wait for a pair's preparation, and a second
+                    # Ctrl-C must not cut that wait short.
+                    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                    try:
+                        with cells_lock:
+                            cells.close()
+                    finally:
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
         if recorded or not saved:
             ledger.save(ledger_path)

@@ -47,6 +47,12 @@ class SubsetManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SubsetManifest":
+        """ValueError, naming the problem, unless d is an object with every field."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a subset manifest must be a JSON object, not a {type(d).__name__}")
+        missing = [key for key in ("fraction", "seed", "n_train", "indices") if key not in d]
+        if missing:
+            raise ValueError(f"subset manifest lacks {', '.join(missing)}")
         return cls(
             fraction=d["fraction"],
             seed=d["seed"],

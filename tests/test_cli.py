@@ -214,6 +214,29 @@ class TestTrainAndScore:
         assert rc == 2
         assert "strictly increase" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            ({"indices": [0]}, "lacks fraction, seed, n_train"),
+            ([0, 1], "must be a JSON object, not a list"),
+            ("0.5", "must be a JSON object, not a str"),
+        ],
+    )
+    def test_malformed_subset_is_config_error(self, tmp_path, capsys, content, problem):
+        train = tmp_path / "train.tsv"
+        train.write_text("a\tx\nb\ty\n")
+        subset = tmp_path / "subset.json"
+        subset.write_text(json.dumps(content))
+        rc = cli.main(
+            [
+                "train", "--train", str(train), "--test-src", str(train),
+                "--hyp-out", str(tmp_path / "h"), "--subset", str(subset),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and problem in err
+
     def test_score_identity_and_json(self, tmp_path, capsys):
         text = "a b c d\ne f g h\n"
         hyp = tmp_path / "hyp.txt"

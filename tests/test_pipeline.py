@@ -164,6 +164,46 @@ class TestLoadManifest:
         with pytest.raises(pipeline.ManifestError, match="exactly 'written'"):
             pipeline.load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "keys, value, problem",
+        [
+            (("data_sources", "aa", "pivot"), 5, "data_sources.aa.pivot must be a JSON string"),
+            (("data_sources", "bb", "target"), ["x"], "data_sources.bb.target must be"),
+            (("trainer", "workdir"), 3, "trainer.workdir must be a JSON string"),
+            (("seed",), 1.5, "seed must be a JSON integer"),
+            (("seed",), True, "seed must be a JSON integer"),
+            (("max_parallel_jobs",), True, "max_parallel_jobs must be a JSON integer"),
+            (("max_parallel_jobs",), 2.0, "max_parallel_jobs must be a JSON integer"),
+            (("split", "seed"), 1.5, "split.seed must be a JSON integer"),
+            (("split", "seed"), False, "split.seed must be a JSON integer"),
+            (("split", "dev_ratio"), "0.1", "split.dev_ratio must be a JSON number"),
+            (("fractions",), [0.5, True], "each fraction must be a JSON number"),
+            (("fractions",), 1.0, "fractions must be a list"),
+            (("trainer", "em_iterations"), 1.5, "trainer.em_iterations must be a JSON integer"),
+            (("trainer", "em_iterations"), True, "trainer.em_iterations must be a JSON integer"),
+        ],
+    )
+    def test_wrongly_typed_value_is_a_config_error(self, tmp_path, capsys, keys, value, problem):
+        path = make_experiment(tmp_path)
+        raw = json.loads(path.read_text())
+        parent = raw
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(pipeline.ManifestError, match=problem):
+            pipeline.load_manifest(path)
+        assert cli.main(["run", "--manifest", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {problem}")
+        assert not (tmp_path / "out").exists()
+
+    def test_null_split_seed_is_accepted(self, tmp_path):
+        path = make_experiment(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["split"]["seed"] = None
+        path.write_text(json.dumps(raw))
+        assert pipeline.load_manifest(path).split_seed is None
+
     def test_bad_language_code(self, tmp_path):
         path = make_experiment(tmp_path)
         raw = json.loads(path.read_text())
@@ -471,11 +511,14 @@ class TestRunExperiment:
 
     def test_workers_run_every_cell_once(self, tmp_path, monkeypatch):
         # More workers than cores and a short switch interval, so workers
-        # often take from the shared queue at the same moment.
+        # often take from the shared walk at the same moment.
         manifest = dataclasses.replace(
-            pipeline.load_manifest(make_experiment(tmp_path, PREFIX_SWAP_TRAINER)),
+            pipeline.load_manifest(
+                make_experiment(tmp_path, PREFIX_SWAP_TRAINER, languages=("aa", "bb", "cc"))
+            ),
             max_parallel_jobs=6,
         )
+        calls = count_preparation(monkeypatch)
         ran = count_cells(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -485,6 +528,7 @@ class TestRunExperiment:
             sys.setswitchinterval(interval)
         assert ledger.all_done()
         assert sorted(ran) == sorted(ledger.cells)
+        assert prepared_pairs(calls) == manifest.pairs()
         saved = pipeline.RunLedger.load(manifest.output_dir / "ledger.json")
         assert saved.cells == ledger.cells
 
@@ -891,6 +935,36 @@ class TestLazyResume:
         assert set(seen) <= {None, fingerprint}
         assert pipeline.RunLedger.load(ledger_path).fingerprint == ledger.fingerprint
 
+    @pytest.mark.parametrize("content", [b"[]", b'"fingerprint"', b"\xff\xfe"])
+    def test_malformed_meta_rebuilds_the_corpus(self, tmp_path, monkeypatch, content):
+        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        assert pipeline.run_experiment(manifest).all_done()
+        out = manifest.output_dir
+        fresh = bundle_bytes(out)
+        (out / "hyps" / "aa-bb" / "0.5.txt").unlink()
+        (out / "corpus" / "aa-bb" / "meta.json").write_bytes(content)
+        calls = count_preparation(monkeypatch)
+        assert pipeline.run_experiment(manifest).all_done()
+        assert prepared_pairs(calls) == [("aa", "bb")]
+        assert len(calls["load_pivot_bitext"]) == 2
+        assert bundle_bytes(out) == fresh
+
+    def test_restore_and_cells_in_one_walk(self, tmp_path, monkeypatch):
+        # One pair only misses a subset file, the next only a hypothesis.
+        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        assert pipeline.run_experiment(manifest).all_done()
+        out = manifest.output_dir
+        fresh = bundle_bytes(out)
+        (out / "subsets" / "aa-bb" / "0.5.json").unlink()
+        (out / "hyps" / "bb-aa" / "0.5.txt").unlink()
+        calls = count_preparation(monkeypatch)
+        ran = count_cells(monkeypatch)
+        assert pipeline.run_experiment(manifest).all_done()
+        assert prepared_pairs(calls) == [("aa", "bb"), ("bb", "aa")]
+        assert ran == [("bb", "aa", 0.5)]
+        assert not (out / "ledger.journal").exists()
+        assert bundle_bytes(out) == fresh
+
 
 class TestLedgerWrites:
     """ledger.json is written only when it would change, and never lies."""
@@ -1092,6 +1166,44 @@ class TestInterrupt:
         assert pipeline.run_experiment(manifest).all_done()
         assert len(ran) == 17
 
+    def test_second_interrupt_while_a_pair_is_prepared_still_stops_the_run(
+        self, tmp_path, monkeypatch
+    ):
+        # The run stops while the worker prepares bb-aa, so stopping waits
+        # for that preparation; a second Ctrl-C arrives during the wait.
+        # The worker has taken bb-aa's first cell and runs it; no other
+        # cell starts, and the run returns once the worker has ended.
+        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        threads_before = set(threading.enumerate())
+        real_prepare = pipeline._prepare_pair
+        preparing = threading.Event()
+
+        def slow_second_pair(*args):
+            if args[3:] == ("bb", "aa"):
+                preparing.set()
+                time.sleep(0.2)  # the main thread starts to stop the run
+                os.kill(os.getpid(), signal.SIGINT)
+                time.sleep(0.2)
+            return real_prepare(*args)
+
+        def interrupted_result(future, timeout=None):
+            assert preparing.wait(10)
+            raise Interrupt
+
+        ran = count_cells(monkeypatch)
+        monkeypatch.setattr(pipeline, "_prepare_pair", slow_second_pair)
+        monkeypatch.setattr(concurrent.futures.Future, "result", interrupted_result)
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                pipeline.run_experiment(manifest)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert set(threading.enumerate()) == threads_before
+        assert ran == [("aa", "bb", f) for f in manifest.fractions] + [("bb", "aa", 0.2)]
+        journal = (manifest.output_dir / "ledger.journal").read_bytes()
+        assert journal.count(b"\n") == len(ran)
+
 
 class TestBoundedMemory:
     """A pair's working set lives from its first cell to its last, and a
@@ -1115,6 +1227,9 @@ class TestBoundedMemory:
         dropped_at_first_cell = {}
 
         def tracking_prepare(*args):
+            with lock:
+                gc.collect()
+                assert len(working_sets) <= alive - 1
             data = real_prepare(*args)
             with lock:
                 working_sets.add(data)
