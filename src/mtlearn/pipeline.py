@@ -24,23 +24,25 @@ fingerprints, aggregation rows are sorted, and floats are serialized via
 repr, so two runs of the same manifest produce byte-identical bundles no
 matter how the work was scheduled; a file that already holds the bytes
 to be written is left untouched, mtime included. A run is one walk over
-the pairs it prepares, in ledger order, that worker threads take cells
-from. For each pair the walk prepares its working set (its BLEU
-references and, built at its first cell, the EM index of its training set
-for the builtin trainer, or the TSV line of each training pair for an
-external one, from which every fraction's subset file is joined), yields
-it with each of the pair's cells to run, and lets go of it before the
-next pair; a worker lets go of a cell's working set before it takes the
-next cell. So at most `max_parallel_jobs` working sets are alive at a
-time, and one for the builtin trainer. A language's bitext is loaded at
-the first pair that rebuilds its corpus and dropped once the last pair
-that uses it is prepared, and the bitexts' pivot lines are shared, so an
-English sentence in several of them is held once. A run that stops
-closes the walk, so no new cell starts, while cells already running
-finish and are journaled.
-`max_parallel_jobs` threads run external trainer commands; builtin-trainer
-cells run in one thread, because they hold the interpreter lock and a
-second thread would only add memory.
+the pairs it prepares, in ledger order, and one loop in the calling
+thread takes cells from it; it starts no thread. For each pair the walk
+prepares its working set (its BLEU references and, built at its first
+cell, the EM index of its training set for the builtin trainer, or the
+TSV line of each training pair for an external one, from which every
+fraction's subset file is joined), yields it with each of the pair's
+cells to run, and lets go of it before the next pair. A builtin-trainer
+cell runs inline, one at a time, since it holds the interpreter. An
+external-trainer cell is launched as a child process, and up to
+`max_parallel_jobs` of them run at once; one selector drains their pipes
+and wakes at the earliest deadline. Each turn of the loop fills the free
+slots before it scores the cells whose commands ended, so a cell's
+working set lives from its launch to its scoring: at most one working
+set for the builtin trainer, and at most 2 x `max_parallel_jobs` for an
+external one. A language's bitext is loaded at the first pair that
+rebuilds its corpus and dropped once the last pair that uses it is
+prepared, and the bitexts' pivot lines are shared, so an English
+sentence in several of them is held once. A run that stops starts no new
+cell, while the commands already running are waited for and journaled.
 
 Manifest schema (paths are resolved relative to the manifest file)::
 
@@ -66,11 +68,8 @@ import functools
 import hashlib
 import json
 import os
-import signal
-import threading
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -290,6 +289,8 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
         trainer_kwargs["workdir"] = str((base / workdir).resolve())
     if "em_iterations" in trainer_kwargs:
         _typed(trainer_kwargs["em_iterations"], "integer", "trainer.em_iterations")
+    if "timeout" in trainer_kwargs:
+        _typed(trainer_kwargs["timeout"], "number", "trainer.timeout")
     try:
         spec = trainer.TrainerSpec(**trainer_kwargs)
     except (ValueError, TypeError) as exc:
@@ -605,52 +606,79 @@ def _prepare_pair(
     )
 
 
-def _run_cell(
-    manifest: ExperimentManifest, data: _PairData, fraction: float
+def _hyp_path(data: _PairData, fraction: float) -> str:
+    """A cell's hypothesis file, relative to output_dir."""
+    return f"hyps/{data.src}-{data.tgt}/{fraction_slug(fraction)}.txt"
+
+
+def _score_cell(
+    data: _PairData, fraction: float, started: float, hypotheses: Callable[[], list[str]]
 ) -> CellRecord:
-    """Train, decode, and score one (pair, fraction) cell.
+    """The record of a cell whose hypotheses ``hypotheses()`` gives.
 
-    An external trainer reads the cell's training pairs from
-    ``subsets/<pair>/<fraction>.train.tsv``, which is joined from the
-    pair's `_PairData.train_tsv_lines` and so holds the bytes of
-    `corpus.pairs_tsv` of those pairs. Returns the cell's record: done,
-    with its BLEU and its hypothesis file (written atomically, path
-    relative to output_dir), or failed, with the error. Either way it
-    carries the cell's wall time.
+    Done, with its BLEU and its hypothesis file, or failed, with the error
+    that getting or scoring the hypotheses raised. Either way it carries
+    the wall time since ``started``.
     """
-    started = time.monotonic()
     record = CellRecord(src=data.src, tgt=data.tgt, fraction=fraction)
-    out = manifest.output_dir
-    slug = fraction_slug(fraction)
-    rel_hyp = f"hyps/{data.src}-{data.tgt}/{slug}.txt"
-    hyp_path = out / rel_hyp
-    indices = data.subsets[fraction].indices
-
     try:
-        if manifest.trainer_spec.kind == "builtin-em":
-            table = trainer.train_model1(
-                data.em_corpus.subset(indices), manifest.trainer_spec.em_iterations
-            )
-            hyps = [trainer.decode(table, s) for s in data.test_src]
-            _write_text_atomic(hyp_path, "\n".join(hyps) + "\n")
-        else:
-            subset_tsv = out / "subsets" / f"{data.src}-{data.tgt}" / f"{slug}.train.tsv"
-            _write_text_atomic(subset_tsv, data.subset_tsv(indices))
-            hyp_path.parent.mkdir(parents=True, exist_ok=True)
-            hyps = trainer.run_external(
-                manifest.trainer_spec,
-                str(subset_tsv),
-                str(out / "corpus" / f"{data.src}-{data.tgt}" / "test.src.txt"),
-                str(hyp_path),
-            )
-        record.bleu = bleu.corpus_bleu(hyps, data.test_refs).score
-        record.hypothesis_path = rel_hyp
+        record.bleu = bleu.corpus_bleu(hypotheses(), data.test_refs).score
+        record.hypothesis_path = _hyp_path(data, fraction)
         record.status = "done"
     except Exception as exc:  # cell failures must not sink the run
         record.status = "failed"
         record.error = str(exc)
     record.wall_time = time.monotonic() - started
     return record
+
+
+def _run_cell(
+    manifest: ExperimentManifest, data: _PairData, fraction: float
+) -> CellRecord:
+    """Train, decode, and score one builtin-trainer cell.
+
+    The hypothesis file is written atomically.
+    """
+    started = time.monotonic()
+
+    def hypotheses() -> list[str]:
+        table = trainer.train_model1(
+            data.em_corpus.subset(data.subsets[fraction].indices),
+            manifest.trainer_spec.em_iterations,
+        )
+        hyps = [trainer.decode(table, s) for s in data.test_src]
+        _write_text_atomic(manifest.output_dir / _hyp_path(data, fraction), "\n".join(hyps) + "\n")
+        return hyps
+
+    return _score_cell(data, fraction, started, hypotheses)
+
+
+def _launch_cell(
+    manifest: ExperimentManifest,
+    data: _PairData,
+    fraction: float,
+    jobs: trainer.ExternalJobs,
+) -> trainer.ExternalJob:
+    """Start one external-trainer cell's command in ``jobs``.
+
+    The command reads the cell's training pairs from
+    ``subsets/<pair>/<fraction>.train.tsv``, written here, which is joined
+    from the pair's `_PairData.train_tsv_lines` and so holds the bytes of
+    `corpus.pairs_tsv` of those pairs. `_score_cell` of the job's
+    `hypotheses` gives the cell's record once the job has ended.
+    """
+    out = manifest.output_dir
+    pair = f"{data.src}-{data.tgt}"
+    subset_tsv = out / "subsets" / pair / f"{fraction_slug(fraction)}.train.tsv"
+    _write_text_atomic(subset_tsv, data.subset_tsv(data.subsets[fraction].indices))
+    hyp_path = out / _hyp_path(data, fraction)
+    hyp_path.parent.mkdir(parents=True, exist_ok=True)
+    return jobs.launch(
+        manifest.trainer_spec,
+        str(subset_tsv),
+        str(out / "corpus" / pair / "test.src.txt"),
+        str(hyp_path),
+    )
 
 
 @contextlib.contextmanager
@@ -732,20 +760,28 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
     The run is one walk over the pairs to prepare, in ledger order: each
     pair with a cell to run, and each that misses a file. The walk
     prepares each pair once, yields its working set with each of its
-    cells, and lets go of it before it prepares the next pair.
-    `max_parallel_jobs` worker threads (one for the builtin trainer) take
-    the cells from it under one lock, and a worker lets go of a working
-    set before it takes its next cell, so at most one working set per
-    worker is alive. A language's bitext is loaded only when a pair must
+    cells, and lets go of it before it prepares the next pair. One loop in
+    the calling thread takes the cells; it starts no thread. A builtin
+    cell runs inline (`_run_cell`). An external cell is launched
+    (`_launch_cell`) into one of `max_parallel_jobs` slots, and once its
+    command has ended it is scored (`_score_cell`) and journaled. Each turn
+    of the loop launches into the free slots before it scores the ended
+    cells, then waits on the running commands through one selector until
+    one ends or the earliest deadline passes. A cell holds its working set
+    from its start until it is recorded, so at most one working set is
+    alive for the builtin trainer and 2 x `max_parallel_jobs` for an
+    external one. A language's bitext is loaded only when a pair must
     rebuild its corpus, and dropped once the last pair that uses it is
-    prepared; pivot lines equal across bitexts are held once. An exception
-    that stops the run, such as KeyboardInterrupt or a failed preparation,
-    closes the walk, so no new cell starts; cells already running finish
-    and are journaled, and the exception is raised. SIGINT is blocked
-    while the workers start, so a Ctrl-C is raised only once the pool
-    knows every worker, and while the walk is closed, which may wait for
-    a pair's preparation; the workers keep it blocked, so it always
-    reaches the main thread.
+    prepared; pivot lines equal across bitexts are held once.
+
+    The first exception that stops the run, such as KeyboardInterrupt or a
+    failed preparation, stops new cells: the commands already running are
+    waited for, scored and journaled, and then it is raised. SIGINT is
+    deferred while a cell starts and while it is scored, so a builtin cell
+    once begun finishes and is journaled, and a launched command is always
+    known to the loop. A second exception while the loop drains the
+    running commands kills their process groups and is raised at once, so
+    nothing more is journaled. No child process outlives the call.
     """
     out = manifest.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -761,9 +797,9 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
         journal_path = out / "ledger.journal"
         ledger, saved = _open_ledger(ledger_path, journal_path, fingerprint, expected_keys)
 
-        # Every listing is read before the workers start, and each pair's
-        # preparation writes only in its own directories after its own
-        # check, so no listing goes stale before it is read.
+        # Every listing is read before the first pair is prepared, and each
+        # pair's preparation writes only in its own directories after its
+        # own check, so no listing goes stale before it is read.
         @functools.cache
         def files_in(rel_dir: str) -> frozenset[str]:
             """The files in out/rel_dir, as `Path.is_file` sees them.
@@ -823,64 +859,71 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
                     yield key, data
                 del data
 
-        cells = walk()
-        cells_lock = threading.Lock()  # a generator runs in one thread at a time
-        lock = threading.Lock()
         recorded = 0
+        running: dict[trainer.ExternalJob, tuple] = {}  # job -> (key, data, started)
 
-        def worker() -> None:
+        def journal_record(key: tuple[str, str, float], record: CellRecord) -> None:
             nonlocal recorded
-            try:
-                while True:
-                    with cells_lock:
-                        key, data = next(cells, (None, None))
-                    if key is None:
-                        return
-                    record = _run_cell(manifest, data, key[2])
-                    del data  # not held while the next pair is prepared
-                    line = ledger.journal_line(record)
-                    with lock:
-                        journal.write(line)
-                        journal.flush()
-                        ledger.cells[key] = record
-                        recorded += 1
-                        if recorded & (recorded - 1) == 0:
-                            ledger.save(ledger_path)
-            finally:
-                with cells_lock:
-                    cells.close()  # a worker that raises stops the run
+            journal.write(ledger.journal_line(record))
+            journal.flush()
+            ledger.cells[key] = record
+            recorded += 1
+            if recorded & (recorded - 1) == 0:
+                ledger.save(ledger_path)
 
-        # Builtin cells hold the interpreter lock, so only external commands
-        # gain from running in parallel.
-        jobs = manifest.max_parallel_jobs if manifest.trainer_spec.kind == "external" else 1
+        # SIGINT is deferred while a cell starts and while it is scored, so
+        # a cell once begun is journaled.
+        def start(key: tuple[str, str, float], data: _PairData) -> None:
+            with trainer.sigint_deferred():
+                if manifest.trainer_spec.kind == "builtin-em":
+                    journal_record(key, _run_cell(manifest, data, key[2]))
+                    return
+                started = time.monotonic()
+                try:
+                    running[_launch_cell(manifest, data, key[2], jobs)] = key, data, started
+                except Exception as exc:  # a cell that cannot start fails alone
+                    journal_record(key, CellRecord(
+                        *key, status="failed", error=str(exc),
+                        wall_time=time.monotonic() - started,
+                    ))
+
+        def finish(job: trainer.ExternalJob) -> None:
+            with trainer.sigint_deferred():
+                key, data, started = running.pop(job)
+                journal_record(key, _score_cell(data, key[2], started, job.hypotheses))
+
+        stop: BaseException | None = None  # the first exception, which stops the run
         if pairs:
             with (
                 (open(journal_path, "wb") if todo else contextlib.nullcontext()) as journal,
-                ThreadPoolExecutor(max_workers=jobs) as pool,
+                trainer.ExternalJobs() as jobs,
+                contextlib.closing(walk()) as cells,
             ):
-                try:
-                    # A Ctrl-C while a worker starts would leave it out of
-                    # the pool's threads, so the block would not wait for
-                    # it: SIGINT waits until all are submitted. The workers
-                    # inherit the mask, so the main thread takes it.
-                    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                while True:
+                    # Free slots are filled before ended commands are scored,
+                    # so no slot waits on Python. Builtin cells run here.
                     try:
-                        futures = [pool.submit(worker) for _ in range(jobs)]
-                    finally:
-                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                    for future in futures:
-                        future.result()
-                finally:
-                    # Leaving the block waits for the cells still running;
-                    # with the walk closed, no worker starts another. The
-                    # close may wait for a pair's preparation, and a second
-                    # Ctrl-C must not cut that wait short.
-                    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                        while (
+                            stop is None
+                            and len(jobs.running) < manifest.max_parallel_jobs
+                            and (cell := next(cells, None))
+                        ):
+                            start(*cell)
+                            del cell  # not held while the next pair is prepared
+                    except BaseException as exc:
+                        stop = exc
                     try:
-                        with cells_lock:
-                            cells.close()
-                    finally:
-                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                        for job in [job for job in running if job.ended]:
+                            finish(job)
+                        if not running:
+                            break
+                        jobs.wait()
+                    except BaseException as exc:
+                        if stop is not None:
+                            raise  # a second one: leaving the block kills the commands
+                        stop = exc
+            if stop is not None:
+                raise stop
 
         if recorded or not saved:
             ledger.save(ledger_path)

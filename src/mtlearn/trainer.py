@@ -10,6 +10,9 @@ A trained `LexicalTable` keeps EM's arrays: its sum check and argmax are
 computed from them, and its `entries` dicts are built only when read.
 The external adapter runs an arbitrary command with file-path
 placeholders so a real NMT stack can be plugged into the same pipeline.
+`ExternalJobs` runs several such commands side by side from one thread,
+draining their pipes with one selector and killing each at its timeout;
+`run_external` is its one-command case.
 """
 
 from __future__ import annotations
@@ -17,9 +20,12 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
+import selectors
 import shlex
 import signal
 import subprocess
+import threading
+import time
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -171,6 +177,8 @@ class TrainerSpec:
     command_template, which must contain the placeholders {train},
     {test_src} and {hyp_out}; {workdir} is substituted when present).
     Placeholders become shell-quoted paths, so templates leave them bare.
+    timeout is the seconds an external command may run before it is
+    killed, a finite number above 0.
     """
 
     kind: str
@@ -184,6 +192,11 @@ class TrainerSpec:
             raise ValueError(f"unknown trainer kind: {self.kind!r}")
         if self.kind == "builtin-em" and self.em_iterations < 1:
             raise ValueError("em_iterations must be >= 1")
+        timeout = self.timeout
+        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not (
+            0 < timeout < float("inf")
+        ):
+            raise ValueError(f"timeout must be a finite number of seconds > 0, not {timeout!r}")
         if self.kind == "external":
             for placeholder in ("{train}", "{test_src}", "{hyp_out}"):
                 if placeholder not in self.command_template:
@@ -406,67 +419,201 @@ def decode(table: LexicalTable, src_sentence: str) -> str:
     return " ".join([best.get(token, token) for token in src_sentence.split()])
 
 
+@contextlib.contextmanager
+def sigint_deferred():
+    """Hold back SIGINT for the block, so the block always runs to its end.
+
+    Python runs signal handlers in the main thread only, so there the block
+    swaps in a handler that just notes a SIGINT; at its end the old handler
+    is put back and a noted SIGINT is sent again, so a Ctrl-C meanwhile is
+    raised as KeyboardInterrupt then. Blocking SIGINT in the thread would
+    not do: a thread that does not block it, such as one of numpy's BLAS
+    threads, would take a terminal's SIGINT, and the main thread would
+    still raise at once. In another thread no handler runs.
+    """
+    previous = signal.getsignal(signal.SIGINT)
+    if threading.current_thread() is not threading.main_thread() or previous is None:
+        yield  # no Python handler to defer
+        return
+    noted = []
+    signal.signal(signal.SIGINT, lambda signum, frame: noted.append(signum))
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, previous)
+        if noted:
+            signal.raise_signal(signal.SIGINT)
+
+
+class ExternalJob:
+    """One external trainer command, started by `ExternalJobs.launch`.
+
+    The command template's placeholders are substituted with the given
+    paths, each quoted for the shell, and the command runs through the
+    shell in spec.workdir with the inherited environment and its stdout
+    and stderr piped. It runs in a session of its own, so `kill` reaches
+    everything it started. Once it has `ended`, `hypotheses` checks how
+    it ended and reads what it wrote.
+    """
+
+    def __init__(
+        self, spec: TrainerSpec, train_path: str, test_src_path: str, hyp_out_path: str
+    ) -> None:
+        if spec.kind != "external":
+            raise ValueError(f"an external job requires kind 'external', got {spec.kind!r}")
+        self.command = spec.command_template.format(
+            train=shlex.quote(train_path),
+            test_src=shlex.quote(test_src_path),
+            hyp_out=shlex.quote(hyp_out_path),
+            workdir=shlex.quote(spec.workdir),
+        )
+        self.timeout = spec.timeout
+        self.test_src_path = test_src_path
+        self.hyp_out_path = hyp_out_path
+        self.timed_out = False
+        self.proc = subprocess.Popen(
+            self.command,
+            shell=True,
+            cwd=spec.workdir,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        self.deadline = time.monotonic() + spec.timeout
+        self.output = {self.proc.stdout: bytearray(), self.proc.stderr: bytearray()}
+
+    @property
+    def ended(self) -> bool:
+        """Whether `ExternalJobs.wait` has reaped the command."""
+        return self.proc.returncode is not None
+
+    def kill(self) -> None:
+        """SIGKILL the command's process group, unless it has been reaped.
+
+        The shell leads the group, so this kills what it started too.
+        """
+        if self.proc.returncode is None:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(self.proc.pid, signal.SIGKILL)
+
+    def hypotheses(self) -> list[str]:
+        """The hypotheses of the ended command; ExternalTrainerError if it failed.
+
+        It fails when it timed out or exited non-zero, or when its
+        hypothesis file does not have exactly one line per test source
+        line (lines as `corpus.read_lines` splits them).
+        """
+        if self.timed_out:
+            raise ExternalTrainerError(
+                f"external trainer timed out after {self.timeout}s: {self.command}"
+            )
+        if self.proc.returncode != 0:
+            stdout, stderr = (out.decode(errors="replace") for out in self.output.values())
+            raise ExternalTrainerError(
+                f"external trainer exited {self.proc.returncode}: {self.command}\n"
+                f"stdout:\n{stdout}\nstderr:\n{stderr}"
+            )
+        n_expected = len(read_lines(self.test_src_path))
+        try:
+            hypotheses = read_lines(self.hyp_out_path)
+        except OSError as exc:
+            raise ExternalTrainerError(
+                f"external trainer produced no hypothesis file at {self.hyp_out_path}: {exc}"
+            ) from exc
+        if len(hypotheses) != n_expected:
+            raise ExternalTrainerError(
+                f"hypothesis file {self.hyp_out_path} has {len(hypotheses)} lines, "
+                f"expected {n_expected}"
+            )
+        return hypotheses
+
+
+class ExternalJobs:
+    """External trainer commands run side by side from the calling thread.
+
+    `launch` starts a command. `wait` reads every running command's stdout
+    and stderr through one selector, sleeping until output arrives or the
+    earliest deadline passes, until some commands have ended, and reaps
+    them. A command still running at its deadline is killed with its
+    process group and ends timed out. Leaving the `with` block kills the
+    commands still running and reaps them, with SIGINT deferred, so no
+    child process outlives the block.
+    """
+
+    def __init__(self) -> None:
+        self._selector = selectors.DefaultSelector()
+        self.running: list[ExternalJob] = []
+
+    def __enter__(self) -> ExternalJobs:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        with sigint_deferred():
+            for job in self.running:
+                job.kill()
+            while self.running:
+                self.wait()
+            self._selector.close()
+
+    def launch(
+        self, spec: TrainerSpec, train_path: str, test_src_path: str, hyp_out_path: str
+    ) -> ExternalJob:
+        """Start one command; a Ctrl-C meanwhile is raised once it is running."""
+        with sigint_deferred():
+            job = ExternalJob(spec, train_path, test_src_path, hyp_out_path)
+            self.running.append(job)
+            for pipe in job.output:
+                self._selector.register(pipe, selectors.EVENT_READ, job)
+        return job
+
+    def wait(self) -> None:
+        """Wait until a running command ends, then reap each that has ended.
+
+        A command has ended when both its pipes are closed and it has
+        exited; one that closes its pipes is waited for until its deadline.
+        Reaped commands leave `running`, with `ExternalJob.ended` set.
+        """
+        while self.running:
+            now = time.monotonic()
+            for job in self.running:
+                if job.deadline <= now and not job.timed_out:
+                    job.timed_out = True
+                    job.kill()
+            ended = [job for job in self.running if all(pipe.closed for pipe in job.output)]
+            if ended:
+                for job in ended:
+                    try:
+                        job.proc.wait(max(job.deadline - now, 0.0))
+                    except subprocess.TimeoutExpired:
+                        job.timed_out = True
+                        job.kill()
+                        job.proc.wait()
+                self.running = [job for job in self.running if not job.ended]
+                return
+            deadlines = [job.deadline for job in self.running if not job.timed_out]
+            timeout = max(min(deadlines) - now, 0.0) if deadlines else None
+            for key, _ in self._selector.select(timeout):
+                chunk = os.read(key.fd, 1 << 16)
+                if chunk:
+                    key.data.output[key.fileobj] += chunk
+                else:
+                    self._selector.unregister(key.fileobj)
+                    key.fileobj.close()
+
+
 def run_external(
     spec: TrainerSpec,
     train_path: str,
     test_src_path: str,
     hyp_out_path: str,
 ) -> list[str]:
-    """Run an external trainer command and return its hypotheses.
+    """Run one external trainer command and return its hypotheses.
 
-    The command template's placeholders are substituted with the given
-    paths, each quoted for the shell, and the command runs through the
-    shell in spec.workdir with the inherited environment. It runs in a
-    session of its own, so a timeout kills everything it started. The
-    resulting hypothesis file must have exactly one line per test source
-    line (lines as `corpus.read_lines` splits them).
+    The one-command case of `ExternalJobs`: `ExternalJob` says how the
+    command runs and what it must leave. A timeout, or an exception such
+    as KeyboardInterrupt while it runs, kills it with everything it started.
     """
-    if spec.kind != "external":
-        raise ValueError(f"run_external requires kind 'external', got {spec.kind!r}")
-
-    command = spec.command_template.format(
-        train=shlex.quote(train_path),
-        test_src=shlex.quote(test_src_path),
-        hyp_out=shlex.quote(hyp_out_path),
-        workdir=shlex.quote(spec.workdir),
-    )
-    with subprocess.Popen(
-        command,
-        shell=True,
-        cwd=spec.workdir,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        start_new_session=True,
-    ) as proc:
-        try:
-            stdout, stderr = proc.communicate(timeout=spec.timeout)
-        except BaseException as exc:  # a timeout, or the run being interrupted
-            # The shell leads its own process group; kill what it started too.
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
-            if isinstance(exc, subprocess.TimeoutExpired):
-                raise ExternalTrainerError(
-                    f"external trainer timed out after {spec.timeout}s: {command}"
-                ) from exc
-            raise
-    if proc.returncode != 0:
-        raise ExternalTrainerError(
-            f"external trainer exited {proc.returncode}: {command}\n"
-            f"stdout:\n{stdout}\nstderr:\n{stderr}"
-        )
-
-    n_expected = len(read_lines(test_src_path))
-    try:
-        hypotheses = read_lines(hyp_out_path)
-    except OSError as exc:
-        raise ExternalTrainerError(
-            f"external trainer produced no hypothesis file at {hyp_out_path}: {exc}"
-        ) from exc
-    if len(hypotheses) != n_expected:
-        raise ExternalTrainerError(
-            f"hypothesis file {hyp_out_path} has {len(hypotheses)} lines, "
-            f"expected {n_expected}"
-        )
-    return hypotheses
+    with ExternalJobs() as jobs:
+        job = jobs.launch(spec, train_path, test_src_path, hyp_out_path)
+        jobs.wait()
+    return job.hypotheses()

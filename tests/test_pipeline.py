@@ -1,6 +1,6 @@
 """Tests for manifests, the experiment runner, resume, and reporting."""
 
-import concurrent.futures
+import contextlib
 import dataclasses
 import fcntl
 import gc
@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import mtlearn.trainer
 from mtlearn import analysis, bleu, cli, corpus, pipeline, sampling, trainer
+from test_trainer import process_running
 
 
 def make_experiment(root, trainer_cfg=None, n_sentences=100, seed=3, languages=("aa", "bb")):
@@ -197,6 +198,42 @@ class TestLoadManifest:
         assert capsys.readouterr().err.startswith(f"error: {problem}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "value, problem",
+        [
+            ("600", "trainer.timeout must be a JSON number, not '600'"),
+            (True, "trainer.timeout must be a JSON number, not True"),
+            (0, "bad trainer spec: timeout must be a finite number of seconds > 0, not 0"),
+            (-5, "bad trainer spec: timeout must be a finite number of seconds > 0, not -5"),
+            (
+                float("nan"),
+                "bad trainer spec: timeout must be a finite number of seconds > 0, not nan",
+            ),
+            (
+                float("inf"),
+                "bad trainer spec: timeout must be a finite number of seconds > 0, not inf",
+            ),
+        ],
+    )
+    def test_bad_trainer_timeout_is_a_config_error(self, tmp_path, capsys, value, problem):
+        path = make_experiment(tmp_path, PREFIX_SWAP_TRAINER)
+        raw = json.loads(path.read_text())
+        raw["trainer"]["timeout"] = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(pipeline.ManifestError) as raised:
+            pipeline.load_manifest(path)
+        assert str(raised.value) == problem
+        assert cli.main(["run", "--manifest", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {problem}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_fractional_trainer_timeout_is_accepted(self, tmp_path):
+        path = make_experiment(tmp_path, PREFIX_SWAP_TRAINER)
+        raw = json.loads(path.read_text())
+        raw["trainer"]["timeout"] = 0.5
+        path.write_text(json.dumps(raw))
+        assert pipeline.load_manifest(path).trainer_spec.timeout == 0.5
+
     def test_null_split_seed_is_accepted(self, tmp_path):
         path = make_experiment(tmp_path)
         raw = json.loads(path.read_text())
@@ -352,18 +389,19 @@ def tiny_run(tmp_path_factory):
 
 
 def count_cells(monkeypatch):
-    """Record the (src, tgt, fraction) of every `_run_cell` call.
+    """Record the (src, tgt, fraction) of every cell started.
 
-    Returns the list the calls are appended to.
+    A cell starts with a `_run_cell` call for the builtin trainer and with
+    a `_launch_cell` call for an external one. Returns the list the calls
+    are appended to.
     """
-    real_run_cell = pipeline._run_cell
     ran = []
+    for name in ("_run_cell", "_launch_cell"):
+        def counting(manifest, data, fraction, *rest, _real=getattr(pipeline, name)):
+            ran.append((data.src, data.tgt, fraction))
+            return _real(manifest, data, fraction, *rest)
 
-    def counting_run_cell(manifest, data, fraction):
-        ran.append((data.src, data.tgt, fraction))
-        return real_run_cell(manifest, data, fraction)
-
-    monkeypatch.setattr(pipeline, "_run_cell", counting_run_cell)
+        monkeypatch.setattr(pipeline, name, counting)
     return ran
 
 
@@ -491,27 +529,24 @@ class TestRunExperiment:
         manifest = pipeline.load_manifest(make_experiment(tmp_path))
         assert manifest.max_parallel_jobs == 2
         real_train = trainer.train_model1
-        lock = threading.Lock()
         running = {"now": 0, "peak": 0}
 
         def tracking_train(pairs, iterations):
-            with lock:
-                running["now"] += 1
-                running["peak"] = max(running["peak"], running["now"])
+            running["now"] += 1
+            running["peak"] = max(running["peak"], running["now"])
             try:
-                time.sleep(0.01)  # gives a second worker thread the chance to start
+                time.sleep(0.01)  # gives a second cell the chance to start
                 return real_train(pairs, iterations)
             finally:
-                with lock:
-                    running["now"] -= 1
+                running["now"] -= 1
 
         monkeypatch.setattr(mtlearn.trainer, "train_model1", tracking_train)
         assert pipeline.run_experiment(manifest).all_done()
         assert running["peak"] == 1
 
     def test_workers_run_every_cell_once(self, tmp_path, monkeypatch):
-        # More workers than cores and a short switch interval, so workers
-        # often take from the shared walk at the same moment.
+        # More commands at a time than cores, so several often end in the
+        # same turn of the run's loop.
         manifest = dataclasses.replace(
             pipeline.load_manifest(
                 make_experiment(tmp_path, PREFIX_SWAP_TRAINER, languages=("aa", "bb", "cc"))
@@ -520,12 +555,7 @@ class TestRunExperiment:
         )
         calls = count_preparation(monkeypatch)
         ran = count_cells(monkeypatch)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            ledger = pipeline.run_experiment(manifest)
-        finally:
-            sys.setswitchinterval(interval)
+        ledger = pipeline.run_experiment(manifest)
         assert ledger.all_done()
         assert sorted(ran) == sorted(ledger.cells)
         assert prepared_pairs(calls) == manifest.pairs()
@@ -646,14 +676,12 @@ class TestFailureAndResume:
         flaky_manifest = pipeline.load_manifest(make_experiment(flaky_root))
 
         real_train = trainer.train_model1
-        budget_lock = threading.Lock()
         remaining = {"budget": 5}  # let 5 cells pass, fail the rest
 
         def flaky_train(pairs, iterations):
-            with budget_lock:
-                if remaining["budget"] <= 0:
-                    raise RuntimeError("injected crash")
-                remaining["budget"] -= 1
+            if remaining["budget"] <= 0:
+                raise RuntimeError("injected crash")
+            remaining["budget"] -= 1
             return real_train(pairs, iterations)
 
         monkeypatch.setattr(mtlearn.trainer, "train_model1", flaky_train)
@@ -728,14 +756,11 @@ def interrupt_every_journal_line(ledger, record):
 def interrupt_journal_line(monkeypatch, call):
     """Make only the call-th `RunLedger.journal_line` call of a run raise."""
     real_journal_line = pipeline.RunLedger.journal_line
-    lock = threading.Lock()
     calls = [0]
 
     def journal_line(ledger, record):
-        with lock:
-            calls[0] += 1
-            this_call = calls[0]
-        if this_call == call:
+        calls[0] += 1
+        if calls[0] == call:
             raise Interrupt
         return real_journal_line(ledger, record)
 
@@ -1041,68 +1066,127 @@ class TestLedgerWrites:
                     assert bundle_bytes(out, skip=()) == before
 
 
+def script_trainer(root, script):
+    """An external trainer that runs ``script`` with sh from ``root``.
+
+    The script gets the cell's training subset, test source and hypothesis
+    file as $1, $2 and $3.
+    """
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "trainer.sh").write_text(script)
+    return {
+        "kind": "external",
+        "command_template": "sh trainer.sh {train} {test_src} {hyp_out}",
+        "workdir": ".",
+    }
+
+
+def journaled(manifest):
+    """{cell key: record} of the complete lines in the run's journal."""
+    ledger = pipeline.RunLedger(fingerprint=pipeline.manifest_fingerprint(manifest), cells={})
+    ledger.replay(manifest.output_dir / "ledger.journal")
+    return ledger.cells
+
+
+def recorded_pids(path):
+    """The process ids that script trainers wrote to ``path``, one or more a line."""
+    return [int(pid) for pid in path.read_text().split()]
+
+
+def none_running(pids, wait=10.0):
+    """Whether every process in ``pids`` is gone, allowing ``wait`` seconds
+    for processes killed just now to die."""
+    deadline = time.monotonic() + wait
+    while any(map(process_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return not any(map(process_running, pids))
+
+
+@contextlib.contextmanager
+def ctrl_c_raises():
+    """SIGINT raises KeyboardInterrupt in the block, as in a terminal."""
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, previous)
+
+
 class TestInterrupt:
     def test_interrupt_cancels_queued_cells(self, tmp_path, monkeypatch):
-        # A stopped run starts no cell after those its workers are running:
-        # the builtin trainer runs in 1 thread, the external one in
-        # max_parallel_jobs = 2. Repeated, since a race shows only at times.
+        # A stopped run starts no cell after the exception that stopped it,
+        # here the first journal line. The builtin trainer has then run 1
+        # cell. An external run fills its free slots before it scores the
+        # commands that ended, so up to 2 x max_parallel_jobs cells may have
+        # started by then. Repeated, since a race shows only at times.
         ran = count_cells(monkeypatch)
-        monkeypatch.setattr(pipeline.RunLedger, "journal_line", interrupt_every_journal_line)
-        for trainer_cfg, workers in ((None, 1), (PREFIX_SWAP_TRAINER, 2)):
+        started_at_stop = []
+
+        def interrupt(ledger, record):
+            started_at_stop.append(len(ran))
+            raise Interrupt
+
+        monkeypatch.setattr(pipeline.RunLedger, "journal_line", interrupt)
+        for trainer_cfg, most in ((None, 1), (PREFIX_SWAP_TRAINER, 4)):
             for attempt in range(5):
-                root = tmp_path / f"{workers}-{attempt}"
+                root = tmp_path / f"{most}-{attempt}"
                 manifest = pipeline.load_manifest(make_experiment(root, trainer_cfg))
                 assert manifest.max_parallel_jobs == 2
                 ran.clear()
+                started_at_stop.clear()
                 with pytest.raises(Interrupt):
                     pipeline.run_experiment(manifest)
-                assert 1 <= len(ran) <= workers, (trainer_cfg, attempt)
+                assert len(ran) == started_at_stop[0], (trainer_cfg, attempt)
+                assert 1 <= len(ran) <= most, (trainer_cfg, attempt)
 
     def test_a_failing_worker_stops_the_others_at_once(self, tmp_path, monkeypatch):
-        # The main thread learns of the failure only 0.3 s later; the other
-        # worker must not start a cell in the meantime.
-        manifest = pipeline.load_manifest(make_experiment(tmp_path, PREFIX_SWAP_TRAINER))
-        real_result = concurrent.futures.Future.result
-
-        def late_result(future, timeout=None):
-            time.sleep(0.3)
-            return real_result(future, timeout)
-
+        # The first journal line raises while the command of aa-bb/0.3 still
+        # sleeps; no cell starts in the 0.5 s the run waits for it, and it
+        # is journaled once it ends.
+        trainer_cfg = script_trainer(
+            tmp_path,
+            'case "$1" in *0.3.train.tsv) sleep 0.5;; esac\n'
+            'sed y/ab/ba/ "$2" > "$3"\n',
+        )
+        manifest = pipeline.load_manifest(make_experiment(tmp_path, trainer_cfg))
         ran = count_cells(monkeypatch)
-        monkeypatch.setattr(concurrent.futures.Future, "result", late_result)
-        interrupt_journal_line(monkeypatch, 1)
+        started_at_stop = []
+        real_journal_line = pipeline.RunLedger.journal_line
+
+        def first_line_fails(ledger, record):
+            if not started_at_stop:
+                started_at_stop.append(len(ran))
+                raise Interrupt
+            return real_journal_line(ledger, record)
+
+        monkeypatch.setattr(pipeline.RunLedger, "journal_line", first_line_fails)
         with pytest.raises(Interrupt):
             pipeline.run_experiment(manifest)
-        assert 1 <= len(ran) <= 2
+        assert started_at_stop == [len(ran)]
+        assert ("aa", "bb", 0.3) in ran
+        records = journaled(manifest)
+        assert len(records) == len(ran) - 1
+        assert records[("aa", "bb", 0.3)].status == "done"
 
     def test_interrupt_of_the_waiting_thread_lets_the_running_cell_finish(
         self, tmp_path, monkeypatch
     ):
-        # Ctrl-C raises KeyboardInterrupt in the main thread, which is then
-        # waiting for the workers; here that wait raises once a cell runs.
-        manifest = pipeline.load_manifest(make_experiment(tmp_path))
-        real_run_cell = pipeline._run_cell
-        started = threading.Event()
-        ran = []
-
-        def slow_first_cell(*args):
-            ran.append(args[2])
-            if not started.is_set():
-                started.set()
-                time.sleep(0.2)  # the main thread stops the run meanwhile
-            return real_run_cell(*args)
-
-        def interrupted_result(future, timeout=None):
-            assert started.wait(10)
-            raise Interrupt
-
-        monkeypatch.setattr(pipeline, "_run_cell", slow_first_cell)
-        monkeypatch.setattr(concurrent.futures.Future, "result", interrupted_result)
-        with pytest.raises(Interrupt):
+        # Ctrl-C reaches the run while it waits for its commands: the
+        # command of aa-bb/0.3 sends SIGINT. Both running commands finish
+        # and are journaled, and no cell starts after them.
+        trainer_cfg = script_trainer(
+            tmp_path,
+            f'case "$1" in *0.3.train.tsv) kill -INT {os.getpid()}; sleep 0.2;; esac\n'
+            'sed y/ab/ba/ "$2" > "$3"\n',
+        )
+        manifest = pipeline.load_manifest(make_experiment(tmp_path, trainer_cfg))
+        ran = count_cells(monkeypatch)
+        with ctrl_c_raises(), pytest.raises(KeyboardInterrupt):
             pipeline.run_experiment(manifest)
-        assert len(ran) == 1
-        journal = (manifest.output_dir / "ledger.journal").read_bytes()
-        assert journal.count(b"\n") == 1
+        assert ran[:2] == [("aa", "bb", 0.2), ("aa", "bb", 0.3)]
+        records = journaled(manifest)
+        assert sorted(records) == sorted(ran)
+        assert all(record.status == "done" for record in records.values())
 
     def test_cells_running_when_the_run_stops_are_journaled(self, tmp_path, monkeypatch):
         fresh = pipeline.load_manifest(make_experiment(tmp_path / "fresh", PREFIX_SWAP_TRAINER))
@@ -1114,7 +1198,7 @@ class TestInterrupt:
         with pytest.raises(Interrupt):
             pipeline.run_experiment(manifest)
         # Every cell but the one whose journal line raised is recorded,
-        # including any the other worker was running at the time.
+        # including any other command running at the time.
         journaled = (out / "ledger.journal").read_bytes().count(b"\n")
         assert journaled == len(ran) - 1
 
@@ -1125,84 +1209,179 @@ class TestInterrupt:
         assert bundle_bytes(out) == bundle_bytes(fresh.output_dir)
 
     def test_interrupt_while_a_worker_starts_loses_no_cell(self, tmp_path, monkeypatch):
-        # Ctrl-C reaches the main thread in ThreadPoolExecutor.submit, after
-        # Thread.start has launched the worker but before the pool records
-        # it, while the worker runs its first cell.
-        manifest = pipeline.load_manifest(make_experiment(tmp_path))
-        out = manifest.output_dir
-        real_start = threading.Thread.start
-        real_run_cell = pipeline._run_cell
-        cell_started = threading.Event()
-        ran = []
+        # Ctrl-C arrives while the first cell starts: inside the builtin
+        # trainer's first training, or as the first external command is
+        # launched. That cell still runs and is journaled, and no other
+        # cell starts. The signal goes to the process, as a terminal's
+        # does, and numpy's BLAS threads, which do not block it, exist.
+        import numpy  # noqa: F401
 
-        def slow_cell(*args):
-            ran.append(args[2])
-            cell_started.set()
-            time.sleep(0.2)  # the main thread is interrupted meanwhile
-            return real_run_cell(*args)
+        real_train = trainer.train_model1
+        real_popen = subprocess.Popen
 
-        def start_then_interrupt(thread):
-            real_start(thread)
-            assert cell_started.wait(10)
-            signal.raise_signal(signal.SIGINT)
+        def train_then_interrupt(*args):
+            os.kill(os.getpid(), signal.SIGINT)
+            return real_train(*args)
 
-        threads_before = set(threading.enumerate())
-        monkeypatch.setattr(pipeline, "_run_cell", slow_cell)
-        monkeypatch.setattr(threading.Thread, "start", start_then_interrupt)
-        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
-        try:
-            with pytest.raises(KeyboardInterrupt):
+        def launch_then_interrupt(*args, **kwargs):
+            proc = real_popen(*args, **kwargs)
+            os.kill(os.getpid(), signal.SIGINT)
+            return proc
+
+        for trainer_cfg in (None, PREFIX_SWAP_TRAINER):
+            root = tmp_path / ("builtin" if trainer_cfg is None else "external")
+            manifest = pipeline.load_manifest(make_experiment(root, trainer_cfg))
+            ran = count_cells(monkeypatch)
+            monkeypatch.setattr(mtlearn.trainer, "train_model1", train_then_interrupt)
+            monkeypatch.setattr(subprocess, "Popen", launch_then_interrupt)
+            with ctrl_c_raises(), pytest.raises(KeyboardInterrupt):
                 pipeline.run_experiment(manifest)
-        finally:
-            signal.signal(signal.SIGINT, previous)
-        monkeypatch.undo()
-        assert set(threading.enumerate()) == threads_before
-        assert len(ran) == 1
-        journaled = pipeline.RunLedger(fingerprint=pipeline.manifest_fingerprint(manifest), cells={})
-        assert journaled.replay(out / "ledger.journal") == 1
-        assert [record.fraction for record in journaled.cells.values()] == ran
+            monkeypatch.undo()
+            assert len(ran) == 1, trainer_cfg
+            records = journaled(manifest)
+            assert list(records) == ran
+            assert all(record.status == "done" for record in records.values())
 
-        ran = count_cells(monkeypatch)
-        assert pipeline.run_experiment(manifest).all_done()
-        assert len(ran) == 17
+            ran = count_cells(monkeypatch)
+            assert pipeline.run_experiment(manifest).all_done()
+            assert len(ran) == 17
+            monkeypatch.undo()
 
     def test_second_interrupt_while_a_pair_is_prepared_still_stops_the_run(
         self, tmp_path, monkeypatch
     ):
-        # The run stops while the worker prepares bb-aa, so stopping waits
-        # for that preparation; a second Ctrl-C arrives during the wait.
-        # The worker has taken bb-aa's first cell and runs it; no other
-        # cell starts, and the run returns once the worker has ended.
-        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        # The first Ctrl-C arrives while bb-aa is prepared, which stops it,
+        # and aa-bb/1.0's command still runs: the run waits for it. The
+        # command sends a second Ctrl-C, which kills it and everything it
+        # started. No cell of bb-aa starts, the other aa-bb cells are
+        # journaled, and no thread or child process is left.
+        trainer_cfg = script_trainer(
+            tmp_path,
+            'case "$1" in *1.0.train.tsv)\n'
+            '  sleep 30 & echo $$ $! >> pids\n'
+            '  while [ ! -e preparing ]; do sleep 0.01; done\n'
+            f'  sleep 0.2; kill -INT {os.getpid()}; wait;;\n'
+            'esac\n'
+            'sed y/ab/ba/ "$2" > "$3"\n',
+        )
+        manifest = pipeline.load_manifest(make_experiment(tmp_path, trainer_cfg))
         threads_before = set(threading.enumerate())
         real_prepare = pipeline._prepare_pair
-        preparing = threading.Event()
 
-        def slow_second_pair(*args):
+        def interrupted_second_pair(*args):
             if args[3:] == ("bb", "aa"):
-                preparing.set()
-                time.sleep(0.2)  # the main thread starts to stop the run
+                (tmp_path / "preparing").touch()
                 os.kill(os.getpid(), signal.SIGINT)
-                time.sleep(0.2)
             return real_prepare(*args)
 
-        def interrupted_result(future, timeout=None):
-            assert preparing.wait(10)
-            raise Interrupt
-
         ran = count_cells(monkeypatch)
-        monkeypatch.setattr(pipeline, "_prepare_pair", slow_second_pair)
-        monkeypatch.setattr(concurrent.futures.Future, "result", interrupted_result)
-        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
-        try:
-            with pytest.raises(KeyboardInterrupt):
-                pipeline.run_experiment(manifest)
-        finally:
-            signal.signal(signal.SIGINT, previous)
+        monkeypatch.setattr(pipeline, "_prepare_pair", interrupted_second_pair)
+        began = time.monotonic()
+        with ctrl_c_raises(), pytest.raises(KeyboardInterrupt):
+            pipeline.run_experiment(manifest)
+        assert time.monotonic() - began < 15  # well before the child would end
         assert set(threading.enumerate()) == threads_before
-        assert ran == [("aa", "bb", f) for f in manifest.fractions] + [("bb", "aa", 0.2)]
-        journal = (manifest.output_dir / "ledger.journal").read_bytes()
-        assert journal.count(b"\n") == len(ran)
+        assert ran == [("aa", "bb", f) for f in manifest.fractions]
+        assert sorted(journaled(manifest)) == ran[:-1]
+        assert none_running(recorded_pids(tmp_path / "pids"))
+
+    @pytest.mark.parametrize("interrupts", [1, 2])
+    def test_a_second_interrupt_kills_the_running_commands(
+        self, tmp_path, monkeypatch, interrupts
+    ):
+        # aa-bb/0.3's command sends SIGINT once both running commands have
+        # started a background child. After one Ctrl-C the run waits for
+        # both: their children end, and both cells are journaled. A second
+        # one, 0.5 s later, kills both commands' process groups while their
+        # children sleep for 30 s, and journals nothing. No thread and no
+        # child process is left either way.
+        sleep = 1 if interrupts == 1 else 30
+        second = f"sleep 0.5; kill -INT {os.getpid()}" if interrupts == 2 else "true"
+        trainer_cfg = script_trainer(
+            tmp_path,
+            f'sleep {sleep} & echo $$ $! >> pids\n'
+            'case "$1" in *0.3.train.tsv)\n'
+            f'  kill -INT {os.getpid()}; {second};;\n'
+            'esac\n'
+            'wait\n'
+            'sed y/ab/ba/ "$2" > "$3"\n',
+        )
+        manifest = pipeline.load_manifest(make_experiment(tmp_path, trainer_cfg))
+        threads_before = set(threading.enumerate())
+        ran = count_cells(monkeypatch)
+        began = time.monotonic()
+        with ctrl_c_raises(), pytest.raises(KeyboardInterrupt):
+            pipeline.run_experiment(manifest)
+        assert time.monotonic() - began < 15  # well before the children would end
+        assert set(threading.enumerate()) == threads_before
+        assert ran == [("aa", "bb", 0.2), ("aa", "bb", 0.3)]
+        pids = recorded_pids(tmp_path / "pids")
+        assert len(pids) == 4
+        assert none_running(pids)
+        records = journaled(manifest)
+        if interrupts == 1:
+            assert sorted(records) == ran
+            assert all(record.status == "done" for record in records.values())
+        else:
+            assert records == {}
+
+    @pytest.mark.parametrize("trainer_cfg", [None, PREFIX_SWAP_TRAINER])
+    def test_a_run_starts_no_thread(self, tmp_path, monkeypatch, trainer_cfg):
+        def no_thread(thread):
+            raise AssertionError("a run must not start a thread")
+
+        manifest = pipeline.load_manifest(make_experiment(tmp_path, trainer_cfg))
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert pipeline.run_experiment(manifest).all_done()
+
+
+class TestExternalCommands:
+    """External cells through the run: timeouts, concurrency and cleanup."""
+
+    def test_a_command_past_its_timeout_fails_alone(self, tmp_path):
+        trainer_cfg = script_trainer(
+            tmp_path,
+            'case "$1" in */aa-bb/0.5.train.tsv)\n'
+            '  sleep 30 > /dev/null 2>&1 & echo $! > child.pid; wait;;\n'
+            'esac\n'
+            'sed y/ab/ba/ "$2" > "$3"\n',
+        )
+        trainer_cfg["timeout"] = 0.5
+        manifest = pipeline.load_manifest(make_experiment(tmp_path, trainer_cfg))
+        ledger = pipeline.run_experiment(manifest)
+        failed = ledger.failed()
+        assert [(c.src, c.tgt, c.fraction) for c in failed] == [("aa", "bb", 0.5)]
+        assert "timed out after 0.5s" in failed[0].error
+        assert sum(c.status == "done" for c in ledger.cells.values()) == 17
+        assert none_running(recorded_pids(tmp_path / "child.pid"))
+        gc.collect()  # a pipe left open would warn here, which fails the test
+
+    def test_a_command_that_cannot_start_fails_its_cell(self, tmp_path):
+        trainer_cfg = dict(PREFIX_SWAP_TRAINER, workdir="no such dir")
+        manifest = pipeline.load_manifest(make_experiment(tmp_path, trainer_cfg))
+        ledger = pipeline.run_experiment(manifest)
+        assert len(ledger.failed()) == 18
+        assert all("no such dir" in c.error for c in ledger.failed())
+
+    def test_at_most_max_parallel_jobs_commands_run_at_once(self, tmp_path):
+        # Each command marks its start and its end in a log, and sleeps
+        # between them long enough that the slots are always full.
+        trainer_cfg = script_trainer(
+            tmp_path,
+            'echo + >> log; sleep 0.1; sed y/ab/ba/ "$2" > "$3"; echo - >> log\n',
+        )
+        manifest = dataclasses.replace(
+            pipeline.load_manifest(make_experiment(tmp_path, trainer_cfg)),
+            max_parallel_jobs=3,
+        )
+        assert pipeline.run_experiment(manifest).all_done()
+        alive = peak = 0
+        for mark in (tmp_path / "log").read_text().split():
+            alive += 1 if mark == "+" else -1
+            peak = max(peak, alive)
+        assert alive == 0
+        assert peak == 3
+        gc.collect()
 
 
 class TestBoundedMemory:
@@ -1219,21 +1398,17 @@ class TestBoundedMemory:
         assert manifest.max_parallel_jobs == 2
         real_prepare = pipeline._prepare_pair
         real_load = corpus.load_pivot_bitext
-        real_run_cell = pipeline._run_cell
-        lock = threading.Lock()
         working_sets = weakref.WeakSet()
         prepared = []
         bitexts = {}
         dropped_at_first_cell = {}
 
         def tracking_prepare(*args):
-            with lock:
-                gc.collect()
-                assert len(working_sets) <= alive - 1
+            gc.collect()
+            assert len(working_sets) <= alive - 1
             data = real_prepare(*args)
-            with lock:
-                working_sets.add(data)
-                prepared.append(args[3:])
+            working_sets.add(data)
+            prepared.append(args[3:])
             return data
 
         def tracking_load(pivot, target, lang):
@@ -1241,22 +1416,26 @@ class TestBoundedMemory:
             bitexts[lang] = weakref.ref(loaded)
             return loaded
 
-        def checking_run_cell(manifest, data, fraction):
-            with lock:
-                gc.collect()
-                assert len(working_sets) <= alive
-                assert len(prepared) == len(set(prepared))
-                for lang, ref in bitexts.items():
-                    if all(p in prepared for p in manifest.pairs() if lang in p):
-                        assert ref() is None, lang
-                dropped_at_first_cell.setdefault(
-                    (data.src, data.tgt), {lang for lang, ref in bitexts.items() if ref() is None}
-                )
-            return real_run_cell(manifest, data, fraction)
+        def check(manifest, data):
+            gc.collect()
+            assert len(working_sets) <= alive
+            assert len(prepared) == len(set(prepared))
+            for lang, ref in bitexts.items():
+                if all(p in prepared for p in manifest.pairs() if lang in p):
+                    assert ref() is None, lang
+            dropped_at_first_cell.setdefault(
+                (data.src, data.tgt), {lang for lang, ref in bitexts.items() if ref() is None}
+            )
 
+        # A cell starts with `_run_cell` (builtin) or `_launch_cell` (external).
+        for name in ("_run_cell", "_launch_cell"):
+            def checking(manifest, data, *rest, _real=getattr(pipeline, name)):
+                check(manifest, data)
+                return _real(manifest, data, *rest)
+
+            monkeypatch.setattr(pipeline, name, checking)
         monkeypatch.setattr(pipeline, "_prepare_pair", tracking_prepare)
         monkeypatch.setattr(corpus, "load_pivot_bitext", tracking_load)
-        monkeypatch.setattr(pipeline, "_run_cell", checking_run_cell)
         assert pipeline.run_experiment(manifest).all_done()
         assert sorted(prepared) == sorted(manifest.pairs())
         # Every bitext is loaded once; aa is last used by cc-aa.
@@ -1759,7 +1938,7 @@ class TestExternalTrainerThroughPipeline:
         def no_training(*args):
             raise AssertionError("a finished run must not train")
 
-        monkeypatch.setattr(mtlearn.trainer, "run_external", no_training)
+        monkeypatch.setattr(pipeline, "_launch_cell", no_training)
         assert pipeline.run_experiment(manifest).all_done()
         assert test_src.stat().st_mtime_ns == old_ns
 

@@ -427,6 +427,14 @@ class TestTrainerSpec:
         with pytest.raises(ValueError):
             trainer.TrainerSpec(kind="builtin-em", em_iterations=0)
 
+    @pytest.mark.parametrize("timeout", [0, -5, math.nan, math.inf, "600", True, None])
+    def test_timeout_must_be_a_finite_number_above_zero(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be a finite number"):
+            trainer.TrainerSpec(
+                kind="external", command_template="go {train} {test_src} {hyp_out}", timeout=timeout
+            )
+        assert trainer.TrainerSpec(kind="builtin-em", timeout=0.5).timeout == 0.5
+
     def test_external_requires_placeholders(self):
         with pytest.raises(ValueError, match="hyp_out"):
             trainer.TrainerSpec(kind="external", command_template="train {train} {test_src}")
