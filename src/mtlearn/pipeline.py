@@ -34,11 +34,10 @@ cells to run, and lets go of it before the next pair. A builtin-trainer
 cell runs inline, one at a time, since it holds the interpreter. An
 external-trainer cell is launched as a child process, and up to
 `max_parallel_jobs` of them run at once; one selector drains their pipes
-and wakes at the earliest deadline. Each turn of the loop fills the free
-slots before it scores the cells whose commands ended, so a cell's
-working set lives from its launch to its scoring: at most one working
-set for the builtin trainer, and at most 2 x `max_parallel_jobs` for an
-external one. A language's bitext is loaded at the first pair that
+and wakes at the earliest deadline. Each turn of the loop scores the
+cells whose commands ended before it fills the free slots, so at most
+`max_parallel_jobs` working sets are alive at a time, and one for the
+builtin trainer. A language's bitext is loaded at the first pair that
 rebuilds its corpus and dropped once the last pair that uses it is
 prepared, and the bitexts' pivot lines are shared, so an English
 sentence in several of them is held once. A run that stops starts no new
@@ -612,24 +611,24 @@ def _hyp_path(data: _PairData, fraction: float) -> str:
 
 
 def _score_cell(
-    data: _PairData, fraction: float, started: float, hypotheses: Callable[[], list[str]]
+    data: _PairData, fraction: float, started: float, hyps: list[str]
 ) -> CellRecord:
-    """The record of a cell whose hypotheses ``hypotheses()`` gives.
+    """The record of a cell done with these hypotheses: its BLEU, its
+    hypothesis file and the wall time since ``started``."""
+    return CellRecord(
+        src=data.src,
+        tgt=data.tgt,
+        fraction=fraction,
+        status="done",
+        bleu=bleu.corpus_bleu(hyps, data.test_refs).score,
+        hypothesis_path=_hyp_path(data, fraction),
+        wall_time=time.monotonic() - started,
+    )
 
-    Done, with its BLEU and its hypothesis file, or failed, with the error
-    that getting or scoring the hypotheses raised. Either way it carries
-    the wall time since ``started``.
-    """
-    record = CellRecord(src=data.src, tgt=data.tgt, fraction=fraction)
-    try:
-        record.bleu = bleu.corpus_bleu(hypotheses(), data.test_refs).score
-        record.hypothesis_path = _hyp_path(data, fraction)
-        record.status = "done"
-    except Exception as exc:  # cell failures must not sink the run
-        record.status = "failed"
-        record.error = str(exc)
-    record.wall_time = time.monotonic() - started
-    return record
+
+def _failed_cell(key: tuple[str, str, float], started: float, exc: Exception) -> CellRecord:
+    """The record of a cell that failed with ``exc``, ``started`` on."""
+    return CellRecord(*key, status="failed", error=str(exc), wall_time=time.monotonic() - started)
 
 
 def _run_cell(
@@ -640,17 +639,16 @@ def _run_cell(
     The hypothesis file is written atomically.
     """
     started = time.monotonic()
-
-    def hypotheses() -> list[str]:
+    try:
         table = trainer.train_model1(
             data.em_corpus.subset(data.subsets[fraction].indices),
             manifest.trainer_spec.em_iterations,
         )
         hyps = [trainer.decode(table, s) for s in data.test_src]
         _write_text_atomic(manifest.output_dir / _hyp_path(data, fraction), "\n".join(hyps) + "\n")
-        return hyps
-
-    return _score_cell(data, fraction, started, hypotheses)
+        return _score_cell(data, fraction, started, hyps)
+    except Exception as exc:  # cell failures must not sink the run
+        return _failed_cell((data.src, data.tgt, fraction), started, exc)
 
 
 def _launch_cell(
@@ -664,8 +662,8 @@ def _launch_cell(
     The command reads the cell's training pairs from
     ``subsets/<pair>/<fraction>.train.tsv``, written here, which is joined
     from the pair's `_PairData.train_tsv_lines` and so holds the bytes of
-    `corpus.pairs_tsv` of those pairs. `_score_cell` of the job's
-    `hypotheses` gives the cell's record once the job has ended.
+    `corpus.pairs_tsv` of those pairs. Once the job has ended,
+    `_score_cell` of its `hypotheses` gives the cell's record.
     """
     out = manifest.output_dir
     pair = f"{data.src}-{data.tgt}"
@@ -765,14 +763,14 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
     cell runs inline (`_run_cell`). An external cell is launched
     (`_launch_cell`) into one of `max_parallel_jobs` slots, and once its
     command has ended it is scored (`_score_cell`) and journaled. Each turn
-    of the loop launches into the free slots before it scores the ended
-    cells, then waits on the running commands through one selector until
-    one ends or the earliest deadline passes. A cell holds its working set
-    from its start until it is recorded, so at most one working set is
-    alive for the builtin trainer and 2 x `max_parallel_jobs` for an
-    external one. A language's bitext is loaded only when a pair must
-    rebuild its corpus, and dropped once the last pair that uses it is
-    prepared; pivot lines equal across bitexts are held once.
+    of the loop scores the ended cells, launches into the free slots, and
+    then waits on the running commands through one selector until one ends
+    or the earliest deadline passes. A cell holds its working set from its
+    start until it is recorded, so at most `max_parallel_jobs` working sets
+    are alive (one for the builtin trainer). A language's bitext is loaded
+    only when a pair must rebuild its corpus, and dropped once the last
+    pair that uses it is prepared; pivot lines equal across bitexts are
+    held once.
 
     The first exception that stops the run, such as KeyboardInterrupt or a
     failed preparation, stops new cells: the commands already running are
@@ -882,15 +880,16 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
                 try:
                     running[_launch_cell(manifest, data, key[2], jobs)] = key, data, started
                 except Exception as exc:  # a cell that cannot start fails alone
-                    journal_record(key, CellRecord(
-                        *key, status="failed", error=str(exc),
-                        wall_time=time.monotonic() - started,
-                    ))
+                    journal_record(key, _failed_cell(key, started, exc))
 
         def finish(job: trainer.ExternalJob) -> None:
             with trainer.sigint_deferred():
                 key, data, started = running.pop(job)
-                journal_record(key, _score_cell(data, key[2], started, job.hypotheses))
+                try:
+                    record = _score_cell(data, key[2], started, job.hypotheses())
+                except Exception as exc:  # cell failures must not sink the run
+                    record = _failed_cell(key, started, exc)
+                journal_record(key, record)
 
         stop: BaseException | None = None  # the first exception, which stops the run
         if pairs:
@@ -900,21 +899,19 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
                 contextlib.closing(walk()) as cells,
             ):
                 while True:
-                    # Free slots are filled before ended commands are scored,
-                    # so no slot waits on Python. Builtin cells run here.
+                    # Ended commands are scored before free slots are filled,
+                    # so no more than max_parallel_jobs cells hold a working
+                    # set. Builtin cells run here.
                     try:
+                        for job in [job for job in running if job.ended]:
+                            finish(job)
                         while (
                             stop is None
-                            and len(jobs.running) < manifest.max_parallel_jobs
+                            and len(running) < manifest.max_parallel_jobs
                             and (cell := next(cells, None))
                         ):
                             start(*cell)
                             del cell  # not held while the next pair is prepared
-                    except BaseException as exc:
-                        stop = exc
-                    try:
-                        for job in [job for job in running if job.ended]:
-                            finish(job)
                         if not running:
                             break
                         jobs.wait()

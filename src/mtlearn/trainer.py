@@ -542,16 +542,16 @@ class ExternalJobs:
 
     def __init__(self) -> None:
         self._selector = selectors.DefaultSelector()
-        self.running: list[ExternalJob] = []
+        self._running: list[ExternalJob] = []
 
     def __enter__(self) -> ExternalJobs:
         return self
 
     def __exit__(self, *exc_info) -> None:
         with sigint_deferred():
-            for job in self.running:
+            for job in self._running:
                 job.kill()
-            while self.running:
+            while self._running:
                 self.wait()
             self._selector.close()
 
@@ -561,7 +561,7 @@ class ExternalJobs:
         """Start one command; a Ctrl-C meanwhile is raised once it is running."""
         with sigint_deferred():
             job = ExternalJob(spec, train_path, test_src_path, hyp_out_path)
-            self.running.append(job)
+            self._running.append(job)
             for pipe in job.output:
                 self._selector.register(pipe, selectors.EVENT_READ, job)
         return job
@@ -570,28 +570,27 @@ class ExternalJobs:
         """Wait until a running command ends, then reap each that has ended.
 
         A command has ended when both its pipes are closed and it has
-        exited; one that closes its pipes is waited for until its deadline.
-        Reaped commands leave `running`, with `ExternalJob.ended` set.
+        exited. One whose pipes are closed is polled for its exit at
+        intervals growing from 0.5 ms to 50 ms, so a command that sends its
+        output elsewhere and runs on holds up no other command. Reaped
+        commands have `ExternalJob.ended` set.
         """
-        while self.running:
+        delay = 0.0005
+        while self._running:
             now = time.monotonic()
-            for job in self.running:
+            for job in self._running:
                 if job.deadline <= now and not job.timed_out:
                     job.timed_out = True
                     job.kill()
-            ended = [job for job in self.running if all(pipe.closed for pipe in job.output)]
-            if ended:
-                for job in ended:
-                    try:
-                        job.proc.wait(max(job.deadline - now, 0.0))
-                    except subprocess.TimeoutExpired:
-                        job.timed_out = True
-                        job.kill()
-                        job.proc.wait()
-                self.running = [job for job in self.running if not job.ended]
+            silent = [job for job in self._running if all(pipe.closed for pipe in job.output)]
+            if [job for job in silent if job.proc.poll() is not None]:
+                self._running = [job for job in self._running if not job.ended]
                 return
-            deadlines = [job.deadline for job in self.running if not job.timed_out]
-            timeout = max(min(deadlines) - now, 0.0) if deadlines else None
+            timeouts = [job.deadline - now for job in self._running if not job.timed_out]
+            if silent:
+                timeouts.append(delay)
+                delay = min(2 * delay, 0.05)
+            timeout = max(min(timeouts), 0.0) if timeouts else None
             for key, _ in self._selector.select(timeout):
                 chunk = os.read(key.fd, 1 << 16)
                 if chunk:

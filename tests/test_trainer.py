@@ -10,6 +10,7 @@ import itertools
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -521,6 +522,40 @@ class TestRunExternal:
                 trainer.TrainerSpec(kind="builtin-em"), str(train), str(test_src), str(hyp)
             )
 
+
+
+class TestExternalJobs:
+    make_files = TestRunExternal.make_files
+    spec = TestRunExternal.spec
+
+    def test_a_command_that_closes_its_pipes_holds_up_no_other(self, tmp_path):
+        # The first command sends its output to a file and runs on, with the
+        # default timeout. Meanwhile the second writes 1 MB to stdout, more
+        # than a pipe holds, and ends; the third hits its 0.5 s timeout.
+        train, test_src, hyp = self.make_files(tmp_path)
+        quiet = self.spec(
+            "echo $$ > quiet.pid; exec sleep 20 > quiet.log 2>&1 # {train} {test_src} {hyp_out}",
+            workdir=str(tmp_path),
+        )
+        loud = self.spec("head -c 1000000 /dev/zero; cp {test_src} {hyp_out} # {train}")
+        slow = self.spec("sleep 20 # {train} {test_src} {hyp_out}", timeout=0.5)
+        started = time.monotonic()
+        with trainer.ExternalJobs() as jobs:
+            quiet_job = jobs.launch(quiet, str(train), str(test_src), str(tmp_path / "q.txt"))
+            loud_job = jobs.launch(loud, str(train), str(test_src), str(hyp))
+            slow_job = jobs.launch(slow, str(train), str(test_src), str(tmp_path / "s.txt"))
+            while not (loud_job.ended and slow_job.ended):
+                jobs.wait()
+            assert time.monotonic() - started < 5.0
+            assert not quiet_job.ended
+            assert loud_job.hypotheses() == ["a", "b", "c"]
+            assert len(loud_job.output[loud_job.proc.stdout]) == 1_000_000
+            with pytest.raises(trainer.ExternalTrainerError, match="timed out after 0.5s"):
+                slow_job.hypotheses()
+        # Leaving the block killed and reaped the first command.
+        assert quiet_job.proc.returncode == -signal.SIGKILL
+        assert not process_running(int((tmp_path / "quiet.pid").read_text()))
+        assert time.monotonic() - started < 5.0
 
 def process_running(pid):
     """Whether ``pid`` names a live process; a zombie has finished running."""
