@@ -613,8 +613,8 @@ def _hyp_path(data: _PairData, fraction: float) -> str:
 def _score_cell(
     data: _PairData, fraction: float, started: float, hyps: list[str]
 ) -> CellRecord:
-    """The record of a cell done with these hypotheses: its BLEU, its
-    hypothesis file and the wall time since ``started``."""
+    """The done record of a cell whose hypotheses are ``hyps``: its BLEU,
+    its hypothesis file and the wall time since ``started``."""
     return CellRecord(
         src=data.src,
         tgt=data.tgt,
@@ -627,7 +627,8 @@ def _score_cell(
 
 
 def _failed_cell(key: tuple[str, str, float], started: float, exc: Exception) -> CellRecord:
-    """The record of a cell that failed with ``exc``, ``started`` on."""
+    """The failed record of cell ``key``: the error ``exc`` and the wall
+    time since ``started``."""
     return CellRecord(*key, status="failed", error=str(exc), wall_time=time.monotonic() - started)
 
 
