@@ -47,11 +47,12 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def next_below(self, n: int) -> int:
-        """Uniform integer in [0, n) via rejection sampling."""
-        if n <= 0:
-            raise ValueError("bound must be positive")
+        """Uniform integer in [0, n) via rejection sampling, for 1 <= n <= 2**64."""
+        if not 0 < n <= _MASK64 + 1:
+            raise ValueError(f"bound must be in [1, 2**64], got {n}")
         # Largest multiple of n that fits in 64 bits; draws at or above it
         # would be biased and are rejected (at most one expected retry).
+        # Above 2**64 no multiple fits, so no draw would be accepted.
         limit = (_MASK64 + 1) - ((_MASK64 + 1) % n)
         while True:
             v = self.next_u64()

@@ -664,7 +664,9 @@ def _launch_cell(
     ``subsets/<pair>/<fraction>.train.tsv``, written here, which is joined
     from the pair's `_PairData.train_tsv_lines` and so holds the bytes of
     `corpus.pairs_tsv` of those pairs. Once the job has ended,
-    `_score_cell` of its `hypotheses` gives the cell's record.
+    `_score_cell` of its `hypotheses(len(data.test_src))` gives the cell's
+    record: the pair's test sources are in memory, so the count needs no
+    read of ``test.src.txt``.
     """
     out = manifest.output_dir
     pair = f"{data.src}-{data.tgt}"
@@ -887,7 +889,9 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
             with trainer.sigint_deferred():
                 key, data, started = running.pop(job)
                 try:
-                    record = _score_cell(data, key[2], started, job.hypotheses())
+                    record = _score_cell(
+                        data, key[2], started, job.hypotheses(len(data.test_src))
+                    )
                 except Exception as exc:  # cell failures must not sink the run
                     record = _failed_cell(key, started, exc)
                 journal_record(key, record)

@@ -15,6 +15,11 @@ Word shapes keep ciphered tokens intact under the scorer's tokenizer:
 base word "w0012" becomes "ccw0012" when language cc diverges on it and
 "zzw0012" when it keeps the shared form ("zz" is reserved and never a
 language name).
+
+Each language's divergent set is one seeded shuffle of the vocabulary.
+`write_family` and `overlap_matrix` draw the five sets once per call and
+derive every cipher and all 20 overlaps from them, so a family costs 10
+shuffles: 5 for the divergent sets and 5 for the languages' coverage.
 """
 
 from __future__ import annotations
@@ -85,14 +90,20 @@ def divergent_indices(lang: str, vocab_size: int, seed: int) -> set[int]:
     return set(order[:k])
 
 
-def cipher_for(lang: str, vocab_size: int, seed: int) -> dict[str, str]:
-    """Word-substitution cipher mapping base words to this language."""
-    divergent = divergent_indices(lang, vocab_size, seed)
-    vocab = base_vocabulary(vocab_size)
+def _cipher(lang: str, divergent: set[int], vocab_size: int) -> dict[str, str]:
     return {
         w: (lang + w) if i in divergent else ("zz" + w)
-        for i, w in enumerate(vocab)
+        for i, w in enumerate(base_vocabulary(vocab_size))
     }
+
+
+def cipher_for(lang: str, vocab_size: int, seed: int) -> dict[str, str]:
+    """Word-substitution cipher mapping base words to this language."""
+    return _cipher(lang, divergent_indices(lang, vocab_size, seed), vocab_size)
+
+
+def _overlap(div_a: set[int], div_b: set[int], vocab_size: int) -> float:
+    return 1.0 - len(div_a | div_b) / vocab_size
 
 
 def vocabulary_overlap(
@@ -104,21 +115,32 @@ def vocabulary_overlap(
     A word survives into both languages unchanged only when neither
     diverges on it, so the overlap is 1 - |D_a union D_b| / V.
     """
-    div_a = divergent_indices(lang_a, vocab_size, seed)
-    div_b = divergent_indices(lang_b, vocab_size, seed)
-    return 1.0 - len(div_a | div_b) / vocab_size
+    return _overlap(
+        divergent_indices(lang_a, vocab_size, seed),
+        divergent_indices(lang_b, vocab_size, seed),
+        vocab_size,
+    )
+
+
+def _divergent_sets(vocab_size: int, seed: int) -> dict[str, set[int]]:
+    """Every language's divergent set, one shuffle each."""
+    return {lang: divergent_indices(lang, vocab_size, seed) for lang in LANGUAGES}
+
+
+def _overlaps(divergent: dict[str, set[int]], vocab_size: int) -> dict[tuple[str, str], float]:
+    return {
+        (a, b): _overlap(divergent[a], divergent[b], vocab_size)
+        for a in LANGUAGES
+        for b in LANGUAGES
+        if a != b
+    }
 
 
 def overlap_matrix(
     vocab_size: int = DEFAULT_VOCAB_SIZE, seed: int = DEFAULT_SEED
 ) -> dict[tuple[str, str], float]:
     """Overlap for all 20 ordered pairs (symmetric by construction)."""
-    return {
-        (a, b): vocabulary_overlap(a, b, vocab_size, seed)
-        for a in LANGUAGES
-        for b in LANGUAGES
-        if a != b
-    }
+    return _overlaps(_divergent_sets(vocab_size, seed), vocab_size)
 
 
 def write_family(
@@ -139,7 +161,15 @@ def write_family(
     percent, as both intelligibility matrices.
 
     Returns a dict with manifest_path, languages, and the overlap matrix.
+    Raises ValueError unless 0 < coverage <= 1, n_sentences >= 1 and
+    vocab_size >= 1.
     """
+    if not 0.0 < coverage <= 1.0:
+        raise ValueError(f"coverage must be in (0, 1], got {coverage!r}")
+    if n_sentences < 1:
+        raise ValueError(f"n_sentences must be at least 1, got {n_sentences!r}")
+    if vocab_size < 1:
+        raise ValueError(f"vocab_size must be at least 1, got {vocab_size!r}")
     out_dir = Path(out_dir)
     data_dir = out_dir / "data"
     data_dir.mkdir(parents=True, exist_ok=True)
@@ -147,10 +177,11 @@ def write_family(
     pivot = generate_pivot_sentences(n_sentences, vocab_size, seed)
     n_keep = math.ceil(coverage * n_sentences)
 
+    divergent = _divergent_sets(vocab_size, seed)
     data_sources = {}
     for lang in LANGUAGES:
         keep = sorted(permutation(n_sentences, derive_seed(seed, "coverage", lang))[:n_keep])
-        cipher = cipher_for(lang, vocab_size, seed)
+        cipher = _cipher(lang, divergent[lang], vocab_size)
         pivot_lines = [pivot[i] for i in keep]
         target_lines = [
             " ".join(cipher[w] for w in pivot[i].split()) for i in keep
@@ -164,7 +195,7 @@ def write_family(
             "target": str(target_path.relative_to(out_dir)),
         }
 
-    overlap = overlap_matrix(vocab_size, seed)
+    overlap = _overlaps(divergent, vocab_size)
     percent = {f"{a}-{b}": round(v * 100.0, 4) for (a, b), v in overlap.items()}
     manifest = {
         "languages": list(LANGUAGES),

@@ -453,7 +453,8 @@ class ExternalJob:
     shell in spec.workdir with the inherited environment and its stdout
     and stderr piped. It runs in a session of its own, so `kill` reaches
     everything it started. Once it has `ended`, `hypotheses` checks how
-    it ended and reads what it wrote.
+    it ended and reads what it wrote, which must be one line for each of
+    the test source's lines.
     """
 
     def __init__(
@@ -468,7 +469,6 @@ class ExternalJob:
             workdir=shlex.quote(spec.workdir),
         )
         self.timeout = spec.timeout
-        self.test_src_path = test_src_path
         self.hyp_out_path = hyp_out_path
         self.timed_out = False
         self.proc = subprocess.Popen(
@@ -496,12 +496,12 @@ class ExternalJob:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(self.proc.pid, signal.SIGKILL)
 
-    def hypotheses(self) -> list[str]:
+    def hypotheses(self, n_expected: int) -> list[str]:
         """The hypotheses of the ended command; ExternalTrainerError if it failed.
 
         It fails when it timed out or exited non-zero, or when its
-        hypothesis file does not have exactly one line per test source
-        line (lines as `corpus.read_lines` splits them).
+        hypothesis file does not have exactly ``n_expected`` lines (lines
+        as `corpus.read_lines` splits them), the test source's line count.
         """
         if self.timed_out:
             raise ExternalTrainerError(
@@ -513,7 +513,6 @@ class ExternalJob:
                 f"external trainer exited {self.proc.returncode}: {self.command}\n"
                 f"stdout:\n{stdout}\nstderr:\n{stderr}"
             )
-        n_expected = len(read_lines(self.test_src_path))
         try:
             hypotheses = read_lines(self.hyp_out_path)
         except OSError as exc:
@@ -615,4 +614,4 @@ def run_external(
     with ExternalJobs() as jobs:
         job = jobs.launch(spec, train_path, test_src_path, hyp_out_path)
         jobs.wait()
-    return job.hypotheses()
+    return job.hypotheses(len(read_lines(test_src_path)))

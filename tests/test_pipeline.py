@@ -1827,6 +1827,35 @@ class TestExternalTrainerThroughPipeline:
         for record in ledger.cells.values():
             assert record.bleu is not None
 
+    def test_short_hypothesis_file_fails_alike_in_a_run_and_alone(self, tmp_path):
+        # A run counts a pair's test sources in memory; run_external counts
+        # the lines of test.src.txt. A file one line short fails both the same.
+        manifest_path = make_experiment(
+            tmp_path,
+            trainer_cfg={
+                "kind": "external",
+                "command_template": "sed '$d' {test_src} > {hyp_out} # {train}",
+            },
+        )
+        manifest = pipeline.load_manifest(manifest_path)
+        ledger = pipeline.run_experiment(manifest)
+        assert len(ledger.failed()) == 18
+        out = manifest.output_dir
+        for cell in ledger.failed():
+            pair, slug = f"{cell.src}-{cell.tgt}", pipeline.fraction_slug(cell.fraction)
+            test_src = out / "corpus" / pair / "test.src.txt"
+            hyp = out / "hyps" / pair / f"{slug}.txt"
+            n = len(corpus.read_lines(test_src))
+            assert cell.error == f"hypothesis file {hyp} has {n - 1} lines, expected {n}"
+            with pytest.raises(trainer.ExternalTrainerError) as alone:
+                trainer.run_external(
+                    manifest.trainer_spec,
+                    str(out / "subsets" / pair / f"{slug}.train.tsv"),
+                    str(test_src),
+                    str(hyp),
+                )
+            assert str(alone.value) == cell.error
+
     def fresh_and_reused_bundles(self, tmp_path, monkeypatch, aa_line):
         """Bundles of a fresh run and of a rerun that reuses its corpus.
 

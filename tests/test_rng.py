@@ -57,6 +57,22 @@ def np_splitmix64(seed: int, count: int) -> list[int]:
     return out
 
 
+class BoundedDraws(SplitMix64):
+    """SplitMix64 that fails a test after 10,000 draws, where a
+    `next_below` that never accepts a draw would hang it."""
+
+    __slots__ = ("draws",)
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.draws = 0
+
+    def next_u64(self) -> int:
+        self.draws += 1
+        assert self.draws <= 10_000, "next_below kept rejecting draws"
+        return super().next_u64()
+
+
 class TestSplitMix64:
     def test_reference_sequences(self):
         for seed, expected in REFERENCE_SEQUENCES.items():
@@ -95,6 +111,32 @@ class TestSplitMix64:
         rng = SplitMix64(7)
         with pytest.raises(ValueError):
             rng.next_below(0)
+
+    def test_next_below_accepts_2_64_and_rejects_above(self):
+        # Every 64-bit draw is below 2**64, so that bound takes each draw
+        # as it is. Above it no multiple of the bound fits in 64 bits, and
+        # rejection sampling would never accept a draw.
+        rng, ref = BoundedDraws(3), SplitMix64(3)
+        assert [rng.next_below(2**64) for _ in range(5)] == [ref.next_u64() for _ in range(5)]
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            rng.next_below(2**64 + 1)
+        with pytest.raises(ValueError):
+            rng.next_below(2**70)
+
+    def test_next_below_rejection_matches_draws_rebuilt_from_next_u64(self):
+        # At 2**63 + 1 the largest multiple of the bound that fits in 64
+        # bits is the bound itself, so about half of the draws are rejected.
+        n = 2**63 + 1
+        rng, ref = BoundedDraws(11), SplitMix64(11)
+        rejected = 0
+        for _ in range(200):
+            v = ref.next_u64()
+            while v >= n:
+                rejected += 1
+                v = ref.next_u64()
+            assert rng.next_below(n) == v % n
+        assert 150 < rejected < 250
+        assert rng.next_u64() == ref.next_u64()
 
     def test_next_float_unit_interval(self):
         rng = SplitMix64(99)

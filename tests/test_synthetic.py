@@ -1,5 +1,6 @@
 """Tests for the synthetic cipher-language family generator."""
 
+import hashlib
 import json
 import math
 
@@ -79,6 +80,15 @@ class TestOverlap:
         db = synthetic.divergent_indices("dd", 500, seed=5)
         expected = 1.0 - len(da | db) / 500
         assert synthetic.vocabulary_overlap("bb", "dd", 500, seed=5) == expected
+
+    @pytest.mark.parametrize("vocab_size, seed", [(900, 42), (500, 5)])
+    def test_matrix_equals_pairwise_overlap(self, vocab_size, seed):
+        matrix = synthetic.overlap_matrix(vocab_size, seed)
+        assert list(matrix) == [
+            (a, b) for a in synthetic.LANGUAGES for b in synthetic.LANGUAGES if a != b
+        ]
+        for (a, b), value in matrix.items():
+            assert value == synthetic.vocabulary_overlap(a, b, vocab_size, seed)
 
 
 class TestPivotSentences:
@@ -171,3 +181,74 @@ class TestWriteFamily:
         floor = 2 * n_keep - n
         assert floor == 2068
         assert abs(n_keep * cov - 2070) < 5
+
+
+# sha256 of each file of write_family(out, seed=42) at the default sizes.
+# Every bundle digest and the pinned Pearson r rest on these bytes.
+FAMILY_SHA256 = {
+    "data/aa.pivot.txt": "ccb09dc1a895f85494a2f2aab8b00da269803dd3691958c82fd5f2ab4ad49434",
+    "data/aa.txt": "f04a1b89bca2b97cc1c7603666e4df472deed15e993ffbe289f5f9e7813257b3",
+    "data/bb.pivot.txt": "d16d025912ce1f61706d6d970617c34ae38a70aaea363bc29305eb7429296613",
+    "data/bb.txt": "ccaa49cf7bc9f6e3a0d8e930541a340bb2cedfaaad75d86d3b06ad97eace3513",
+    "data/cc.pivot.txt": "7d1b7804e0710690d1a84b9401fe2c86effdc2141d6aa79d52ab254f11126b5d",
+    "data/cc.txt": "6eaa963201e8eecfc9820fd670138a3292c91bddb31db7b500be1d3ac9987f4a",
+    "data/dd.pivot.txt": "9500e4cb73e8fb6ca42917717e06af98cba77e20981e07e2c00e8c5af35ad7f9",
+    "data/dd.txt": "f9ed173092ae30f0a86d9000ab0ed56c5ae48fa2d0ec1da8bd48c457a9a723d0",
+    "data/ee.pivot.txt": "3364b135164d284e1b1f6d45a0f73e88db4be00175c151d5e26a95fb298362d7",
+    "data/ee.txt": "6e8319de24ea4f2b0edc7bd9447a1812aa60f566eff0f34915b346409a216ade",
+    "manifest.json": "0c20d1e811d63618637233e519edc0a23f586ac2423cd77cae55e18b2841a36a",
+}
+
+
+class TestGeneratedBytes:
+    def test_default_family_bytes_are_pinned(self, tmp_path):
+        synthetic.write_family(tmp_path, seed=42)
+        written = {
+            p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.rglob("*")
+            if p.is_file()
+        }
+        assert written == FAMILY_SHA256
+
+    def test_each_vocabulary_is_shuffled_once_per_call(self, tmp_path, monkeypatch):
+        # One shuffle per language for its divergent set and one for its
+        # coverage. Two calls in one process count the same, so no cache
+        # kept across calls can stand in for sharing within a call.
+        calls = []
+        real_permutation = synthetic.permutation
+
+        def counting(n, seed):
+            calls.append(n)
+            return real_permutation(n, seed)
+
+        monkeypatch.setattr(synthetic, "permutation", counting)
+        for attempt in range(2):
+            calls.clear()
+            synthetic.write_family(tmp_path / str(attempt), n_sentences=50, vocab_size=40)
+            assert sorted(calls) == [40] * 5 + [50] * 5
+            calls.clear()
+            synthetic.overlap_matrix(40)
+            assert calls == [40] * 5
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"coverage": 0.0}, "coverage"),
+            ({"coverage": -0.5}, "coverage"),
+            ({"coverage": 1.5}, "coverage"),
+            ({"coverage": float("nan")}, "coverage"),
+            ({"n_sentences": 0}, "n_sentences"),
+            ({"vocab_size": 0}, "vocab_size"),
+        ],
+    )
+    def test_bad_sizes_rejected_before_writing(self, tmp_path, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            synthetic.write_family(tmp_path / "family", **kwargs)
+        assert not (tmp_path / "family").exists()
+
+    def test_full_coverage_keeps_every_sentence(self, tmp_path):
+        synthetic.write_family(tmp_path, n_sentences=30, vocab_size=20, coverage=1.0)
+        pivot = synthetic.generate_pivot_sentences(30, 20)
+        for lang in synthetic.LANGUAGES:
+            lines = (tmp_path / "data" / f"{lang}.pivot.txt").read_text().splitlines()
+            assert lines == pivot

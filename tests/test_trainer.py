@@ -548,10 +548,10 @@ class TestExternalJobs:
                 jobs.wait()
             assert time.monotonic() - started < 5.0
             assert not quiet_job.ended
-            assert loud_job.hypotheses() == ["a", "b", "c"]
+            assert loud_job.hypotheses(3) == ["a", "b", "c"]
             assert len(loud_job.output[loud_job.proc.stdout]) == 1_000_000
             with pytest.raises(trainer.ExternalTrainerError, match="timed out after 0.5s"):
-                slow_job.hypotheses()
+                slow_job.hypotheses(3)
         # Leaving the block killed and reaped the first command.
         assert quiet_job.proc.returncode == -signal.SIGKILL
         assert not process_running(int((tmp_path / "quiet.pid").read_text()))
