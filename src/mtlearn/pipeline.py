@@ -107,10 +107,13 @@ def _write_text_atomic(path: Path, text: str) -> None:
             return
     except FileNotFoundError:
         pass
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(data)
+        try:
+            tmp.write_bytes(data)
+        except FileNotFoundError:  # the directory is created at its first file
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -572,6 +575,15 @@ def _prepare_pair(
     else:
         pair = corpus.build_parallel(bitext(src), bitext(tgt))
         train, dev, test = corpus.split_pair(pair, spec)
+        # Every cell would train and then fail to score; refuse before any does.
+        for name, part, ratio in (
+            ("train", train, spec.train_ratio), ("test", test, spec.test_ratio)
+        ):
+            if not part.pairs:
+                raise ValueError(
+                    f"pair {src}-{tgt}: splitting its {len(pair)} sentence pairs at "
+                    f"{name}_ratio {ratio!r} leaves the {name} split empty"
+                )
         corpus.write_split_bundle(
             pair_dir, src, tgt, train, dev, test, spec,
             extra_meta={"fingerprint": fingerprint},

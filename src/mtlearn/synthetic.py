@@ -175,17 +175,16 @@ def write_family(
     data_dir.mkdir(parents=True, exist_ok=True)
 
     pivot = generate_pivot_sentences(n_sentences, vocab_size, seed)
+    pivot_words = [sentence.split() for sentence in pivot]  # shared by all ciphers
     n_keep = math.ceil(coverage * n_sentences)
 
     divergent = _divergent_sets(vocab_size, seed)
     data_sources = {}
     for lang in LANGUAGES:
         keep = sorted(permutation(n_sentences, derive_seed(seed, "coverage", lang))[:n_keep])
-        cipher = _cipher(lang, divergent[lang], vocab_size)
+        encode = _cipher(lang, divergent[lang], vocab_size).__getitem__
         pivot_lines = [pivot[i] for i in keep]
-        target_lines = [
-            " ".join(cipher[w] for w in pivot[i].split()) for i in keep
-        ]
+        target_lines = [" ".join(map(encode, pivot_words[i])) for i in keep]
         pivot_path = data_dir / f"{lang}.pivot.txt"
         target_path = data_dir / f"{lang}.txt"
         pivot_path.write_text("\n".join(pivot_lines) + "\n", encoding="utf-8")

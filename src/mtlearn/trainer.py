@@ -23,6 +23,7 @@ import os
 import selectors
 import shlex
 import signal
+import string
 import subprocess
 import threading
 import time
@@ -39,6 +40,8 @@ if TYPE_CHECKING:
 NULL_TOKEN = "<NULL>"
 
 DEFAULT_EXTERNAL_TIMEOUT = 86400.0  # seconds; external systems may train for hours
+# An external command template's placeholders; the first three are required.
+_PLACEHOLDERS = ("train", "test_src", "hyp_out", "workdir")
 
 
 class ExternalTrainerError(RuntimeError):
@@ -176,7 +179,9 @@ class TrainerSpec:
     kind is "builtin-em" (uses em_iterations) or "external" (uses
     command_template, which must contain the placeholders {train},
     {test_src} and {hyp_out}; {workdir} is substituted when present).
-    Placeholders become shell-quoted paths, so templates leave them bare.
+    Placeholders become shell-quoted paths, so templates leave them bare,
+    and a literal brace is written twice ("{{" or "}}"). Any other
+    placeholder, or an unbalanced brace, is a ValueError.
     timeout is the seconds an external command may run before it is
     killed, a finite number above 0.
     """
@@ -198,10 +203,31 @@ class TrainerSpec:
         ):
             raise ValueError(f"timeout must be a finite number of seconds > 0, not {timeout!r}")
         if self.kind == "external":
-            for placeholder in ("{train}", "{test_src}", "{hyp_out}"):
-                if placeholder not in self.command_template:
+            try:
+                # Each placeholder as written between its braces.
+                placeholders = [
+                    name + (f"!{conversion}" if conversion else "") + (f":{spec}" if spec else "")
+                    for _, name, spec, conversion in string.Formatter().parse(
+                        self.command_template
+                    )
+                    if name is not None
+                ]
+            except ValueError as exc:
+                raise ValueError(
+                    f"external command_template {self.command_template!r}: {exc} "
+                    "(write a literal brace twice)"
+                ) from None
+            for placeholder in placeholders:
+                if placeholder not in _PLACEHOLDERS:
                     raise ValueError(
-                        f"external command_template must contain {placeholder}"
+                        f"external command_template has the placeholder {{{placeholder}}}; "
+                        "the placeholders are {train}, {test_src}, {hyp_out} and "
+                        "{workdir}, and a literal brace is written twice"
+                    )
+            for placeholder in _PLACEHOLDERS[:3]:
+                if placeholder not in placeholders:
+                    raise ValueError(
+                        f"external command_template must contain {{{placeholder}}}"
                     )
 
 

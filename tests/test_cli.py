@@ -2,10 +2,11 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from mtlearn import cli, corpus, sampling
+from mtlearn import cli, corpus, pipeline, sampling, synthetic
 
 
 @pytest.fixture
@@ -444,6 +445,60 @@ class TestRunAndReport:
         pivot.write_text("".join(f"other {line}\n" for line in pivot.read_text().splitlines()))
         assert cli.main(["run", "--manifest", str(manifest_path)]) == 2
         assert "no pivot sentences shared between aa and bb" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "trainer_cfg",
+        [
+            {"kind": "builtin-em", "em_iterations": 1},
+            {"kind": "external", "command_template": "cp {test_src} {hyp_out} # {train}"},
+        ],
+        ids=["builtin", "external"],
+    )
+    def test_run_refuses_an_empty_test_split(self, tmp_path, capsys, monkeypatch, trainer_cfg):
+        # 25 shared sentences at test_ratio 0.03 give floor(0.75) = 0 test
+        # rows, which no cell could be scored on.
+        info = synthetic.write_family(tmp_path, n_sentences=25, vocab_size=40)
+        manifest_path = Path(info["manifest_path"])
+        raw = json.loads(manifest_path.read_text())
+        raw["split"] = {"dev_ratio": 0.03, "test_ratio": 0.03}
+        raw["trainer"] = trainer_cfg
+        manifest_path.write_text(json.dumps(raw))
+        started = []
+        for name in ("_run_cell", "_launch_cell"):
+            real = getattr(pipeline, name)
+            monkeypatch.setattr(
+                pipeline, name, lambda *a, real=real: started.append(a) or real(*a)
+            )
+
+        assert cli.main(["run", "--manifest", str(manifest_path)]) == 2
+        assert (
+            "pair aa-bb: splitting its 25 sentence pairs at test_ratio 0.03 "
+            "leaves the test split empty"
+        ) in capsys.readouterr().err
+        assert started == []
+        assert not (tmp_path / "out" / "ledger.json").exists()
+        assert (tmp_path / "out" / "ledger.journal").read_bytes() == b""
+        assert not (tmp_path / "out" / "corpus" / "aa-bb").exists()
+
+    def test_literal_braces_in_a_command_template_are_doubled(self, tiny_bitexts, capsys):
+        # A single-brace awk program would be taken for a placeholder and
+        # fail every cell with a KeyError; it is refused when the manifest loads.
+        root, manifest_path = tiny_bitexts
+        raw = json.loads(manifest_path.read_text())
+        template = "awk '{braces}' {{test_src}} > {{hyp_out}} # {{train}}"
+        raw["trainer"] = {"kind": "external", "command_template": template.format(braces="{print $0}")}
+        manifest_path.write_text(json.dumps(raw))
+        assert cli.main(["run", "--manifest", str(manifest_path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad trainer spec" in err and "placeholder {print $0}" in err
+        assert not (root / "out").exists()
+
+        raw["trainer"]["command_template"] = template.format(braces="{{print $0}}")
+        manifest_path.write_text(json.dumps(raw))
+        ledger = pipeline.run_experiment(pipeline.load_manifest(manifest_path))
+        assert [c.status for c in ledger.cells.values()] == ["done"] * 18
+        hyp = (root / "out" / "hyps" / "aa-bb" / "1.0.txt").read_text()
+        assert hyp == (root / "out" / "corpus" / "aa-bb" / "test.src.txt").read_text()
 
     def test_missing_manifest_is_config_error(self, tmp_path, capsys):
         rc = cli.main(["run", "--manifest", str(tmp_path / "ghost.json")])

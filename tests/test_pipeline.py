@@ -1541,6 +1541,21 @@ class TestWriteTextAtomic:
         assert target.read_bytes() == b"old\n"
         assert os.listdir(tmp_path) == ["scores.csv"]
 
+    def test_directory_is_made_only_when_missing(self, tmp_path, monkeypatch):
+        made = []
+        real_mkdir = Path.mkdir
+        monkeypatch.setattr(
+            Path, "mkdir", lambda path, *a, **kw: made.append(path) or real_mkdir(path, *a, **kw)
+        )
+        sub = tmp_path / "hyps" / "aa-bb"
+        pipeline._write_text_atomic(sub / "0.2.txt", "x\n")
+        assert made[0] == sub
+        made.clear()
+        pipeline._write_text_atomic(sub / "0.3.txt", "y\n")
+        assert made == []
+        assert sorted(os.listdir(sub)) == ["0.2.txt", "0.3.txt"]
+        assert (sub / "0.2.txt").read_text() == "x\n"
+
 
 def failed_twin(record):
     """A failed record for the same cell, which resume must run again."""

@@ -11,6 +11,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mtlearn._rng import SplitMix64, derive_seed, permutation
 
@@ -57,6 +59,23 @@ def np_splitmix64(seed: int, count: int) -> list[int]:
     return out
 
 
+def fisher_yates(n: int, draws) -> list[int]:
+    """Descending Fisher-Yates of range(n), each swap index drawn from the
+    64-bit `draws` by rejection sampling."""
+    idx = list(range(n))
+    for i in range(n - 1, 0, -1):
+        limit = 2**64 - 2**64 % (i + 1)
+        v = next(draws)
+        while v >= limit:
+            v = next(draws)
+        j = v % (i + 1)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx
+
+
+seeds = st.integers(0, 2**64 - 1)
+
+
 class BoundedDraws(SplitMix64):
     """SplitMix64 that fails a test after 10,000 draws, where a
     `next_below` that never accepts a draw would hang it."""
@@ -85,6 +104,15 @@ class TestSplitMix64:
             seed = rnd.getrandbits(64)
             rng = SplitMix64(seed)
             assert [rng.next_u64() for _ in range(20)] == np_splitmix64(seed, 20)
+
+    # Outputs are mixed 256 at a time, so counts up to 1,000 cross up to
+    # three block boundaries; at 2**64 - 1 the first step wraps the state.
+    @given(seeds, st.integers(0, 1000))
+    @example(2**64 - 1, 1000)
+    @example(0, 257)
+    def test_stream_matches_oracle_across_blocks(self, seed, count):
+        rng = SplitMix64(seed)
+        assert [rng.next_u64() for _ in range(count)] == np_splitmix64(seed, count)
 
     def test_outputs_are_64_bit(self):
         rng = SplitMix64(987654321)
@@ -157,6 +185,12 @@ class TestPermutation:
             n = rnd.randrange(0, 200)
             seed = rnd.getrandbits(64)
             assert sorted(permutation(n, seed)) == list(range(n))
+
+    @given(st.integers(0, 600), seeds)
+    @example(600, 2**64 - 1)
+    def test_matches_fisher_yates_over_oracle_draws(self, n, seed):
+        # n - 1 draws make the shuffle; the spare ones would serve rejections.
+        assert permutation(n, seed) == fisher_yates(n, iter(np_splitmix64(seed, 2 * n)))
 
     def test_deterministic(self):
         assert permutation(1000, 123) == permutation(1000, 123)

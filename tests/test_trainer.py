@@ -10,6 +10,7 @@ import itertools
 import math
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -443,6 +444,29 @@ class TestTrainerSpec:
             kind="external", command_template="go {train} {test_src} {hyp_out}"
         )
         assert spec.kind == "external"
+
+    @pytest.mark.parametrize(
+        "template, problem",
+        [
+            ("awk '{print $0}' {test_src} > {hyp_out} # {train}", "placeholder {print $0}"),
+            ("go {{train}} {test_src} {hyp_out}", "must contain {train}"),
+            ("go {train} {test_src} {hyp_out} {out}", "placeholder {out}"),
+            ("go {} {train} {test_src} {hyp_out}", "placeholder {}"),
+            ("go {train!r} {test_src} {hyp_out}", "placeholder {train!r}"),
+            ("go {train:>9} {test_src} {hyp_out}", "placeholder {train:>9}"),
+            ("go {train[0]} {test_src} {hyp_out}", "placeholder {train[0]}"),
+            ("go {train {test_src} {hyp_out}", "unexpected '{'"),
+            ("go } {train} {test_src} {hyp_out}", "Single '}'"),
+            ("go {train} {test_src} {hyp_out} {", "Single '{'"),
+        ],
+    )
+    def test_template_placeholders_are_checked(self, template, problem):
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            trainer.TrainerSpec(kind="external", command_template=template)
+
+    def test_doubled_braces_and_workdir_are_accepted(self):
+        template = "awk '{{print $0}}' {test_src} > {hyp_out} # {train} {workdir}"
+        assert trainer.TrainerSpec(kind="external", command_template=template)
 
 
 class TestRunExternal:
