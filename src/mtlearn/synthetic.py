@@ -66,6 +66,12 @@ def generate_pivot_sentences(
     seed: int = DEFAULT_SEED,
 ) -> list[str]:
     """Generate the shared pivot corpus: Zipf-weighted random sentences."""
+    return [" ".join(words) for words in _pivot_words(n_sentences, vocab_size, seed)]
+
+
+def _pivot_words(n_sentences: int, vocab_size: int, seed: int) -> list[list[str]]:
+    """The pivot sentences as word lists, whose words are the vocabulary's
+    own str objects, so the lists cost no string of their own."""
     vocab = base_vocabulary(vocab_size)
     cum = _zipf_cumulative(vocab_size)
     total = cum[-1]
@@ -73,11 +79,10 @@ def generate_pivot_sentences(
     sentences = []
     for _ in range(n_sentences):
         length = MIN_LEN + rng.next_below(MAX_LEN - MIN_LEN + 1)
-        words = [
+        sentences.append([
             vocab[bisect.bisect_left(cum, rng.next_float() * total)]
             for _ in range(length)
-        ]
-        sentences.append(" ".join(words))
+        ])
     return sentences
 
 
@@ -174,8 +179,9 @@ def write_family(
     data_dir = out_dir / "data"
     data_dir.mkdir(parents=True, exist_ok=True)
 
-    pivot = generate_pivot_sentences(n_sentences, vocab_size, seed)
-    pivot_words = [sentence.split() for sentence in pivot]  # shared by all ciphers
+    # Each sentence's words are drawn once and ciphered into every language.
+    pivot_words = _pivot_words(n_sentences, vocab_size, seed)
+    pivot = [" ".join(words) for words in pivot_words]
     n_keep = math.ceil(coverage * n_sentences)
 
     divergent = _divergent_sets(vocab_size, seed)
