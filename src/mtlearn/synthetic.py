@@ -20,6 +20,8 @@ Each language's divergent set is one seeded shuffle of the vocabulary.
 `write_family` and `overlap_matrix` draw the five sets once per call and
 derive every cipher and all 20 overlaps from them, so a family costs 10
 shuffles: 5 for the divergent sets and 5 for the languages' coverage.
+The pivot sentences are drawn once, as word lists, and every language
+ciphers the same lists.
 """
 
 from __future__ import annotations

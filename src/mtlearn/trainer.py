@@ -23,7 +23,6 @@ import os
 import selectors
 import shlex
 import signal
-import string
 import subprocess
 import threading
 import time
@@ -31,6 +30,10 @@ from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+# string.Formatter().parse is this function; importing `string` itself
+# compiles string.Template's pattern, about 0.36 MB of a run's peak RSS.
+from _string import formatter_parser
 
 from .corpus import read_lines
 
@@ -207,9 +210,7 @@ class TrainerSpec:
                 # Each placeholder as written between its braces.
                 placeholders = [
                     name + (f"!{conversion}" if conversion else "") + (f":{spec}" if spec else "")
-                    for _, name, spec, conversion in string.Formatter().parse(
-                        self.command_template
-                    )
+                    for _, name, spec, conversion in formatter_parser(self.command_template)
                     if name is not None
                 ]
             except ValueError as exc:
