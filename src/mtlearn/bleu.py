@@ -100,11 +100,10 @@ class References(Sequence[str]):
     references, and most test sentences get the same hypothesis at several
     data fractions. So the stats row of a (sentence index, hypothesis) is
     computed the first time it is asked for and then kept for as long as
-    the object lives. Two threads may fill the memo at once; they store
-    equal values, so neither loses anything. A reference's own n-gram
-    counts are not kept: they would double the memo's memory and save
-    little, since in the default synthetic family a reference meets 1.45
-    distinct hypotheses on average (12,010 rows over 8,272 references).
+    the object lives. A reference's own n-gram counts are not kept: they
+    would double the memo's memory and save little, since in the default
+    synthetic family a reference meets 1.45 distinct hypotheses on average
+    (12,010 rows over 8,272 references).
     Most of those rows need no count at all: in 7,574 of the 12,010 with
     the builtin trainer, and in 7,636 of 10,828 with the benchmark's awk
     trainer, the hypothesis tokenizes to its reference's tokens, and such

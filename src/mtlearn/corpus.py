@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -244,10 +245,35 @@ def pairs_tsv(pairs: list[tuple[str, str]]) -> str:
     return "".join(tsv_lines(pairs))
 
 
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write UTF-8 text so readers never observe a half-written file.
+
+    A file that already holds exactly these bytes is left untouched, so a
+    rerun keeps its inode and mtime. A write cut short, even by a
+    KeyboardInterrupt, leaves the file as it was and no ``.tmp`` file.
+    """
+    data = text.encode("utf-8")
+    try:
+        if path.read_bytes() == data:
+            return
+    except FileNotFoundError:
+        pass
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        try:
+            tmp.write_bytes(data)
+        except FileNotFoundError:  # the directory is created at its first file
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_pairs_tsv(pair: ParallelPair, path: str | Path) -> None:
-    """Write sentence pairs as 2-column TSV; see `_tsv_field`."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(pairs_tsv(pair.pairs))
+    """Write sentence pairs as 2-column TSV via `write_text_atomic`; see `_tsv_field`."""
+    write_text_atomic(Path(path), pairs_tsv(pair.pairs))
 
 
 def read_pairs_tsv(path: str | Path) -> list[tuple[str, str]]:
@@ -273,13 +299,12 @@ def write_split_bundle(
 ) -> None:
     """Write train/dev/test TSVs plus the JSON sidecar for one pair.
 
-    The sidecar is removed before the first TSV is written and written
-    last, so a write cut short leaves no meta.json vouching for TSVs it
-    does not describe.
+    Every file goes through `write_text_atomic`, so a directory that
+    already holds this split keeps all four files, inode and mtime
+    included. meta.json is written last. It records where the split came
+    from (counts, seed, ratios and ``extra_meta``); nothing reads it back.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "meta.json").unlink(missing_ok=True)
     write_pairs_tsv(train, directory / "train.tsv")
     write_pairs_tsv(dev, directory / "dev.tsv")
     write_pairs_tsv(test, directory / "test.tsv")
@@ -292,6 +317,4 @@ def write_split_bundle(
     }
     if extra_meta:
         meta.update(extra_meta)
-    with open(directory / "meta.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text_atomic(directory / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")

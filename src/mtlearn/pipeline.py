@@ -7,9 +7,11 @@ generation, and per-cell training/decoding/scoring, and records every
 (pair, fraction) cell in a ledger that survives interruption: re-running
 skips finished cells, so a killed run resumes where it stopped. A rerun
 prepares only the pairs that have a cell to run or miss a corpus or
-subset file, which it learns from one listing of each bundle directory;
-it trusts the files of the others, so a run of another manifest deletes
-the old ``ledger.json`` before it writes anything into the directory.
+subset file, which it learns from one listing of each bundle directory.
+Preparing a pair joins and splits its bitexts and writes all its corpus
+and subset files, reading none back; a run trusts the files of the other
+pairs, so a run of another manifest deletes the old ``ledger.json``
+before it writes anything into the directory.
 Each finished cell is appended as one line to ``ledger.journal``;
 ``ledger.json`` is checkpointed when the number of cells recorded reaches
 a power of two and written in full at the end, when the journal is
@@ -19,29 +21,28 @@ so a second run on the same directory fails at once.
 `build_report` turns a complete ledger into the report bundle (CSV
 tables, SVG charts, JSON summary).
 
-Everything emitted is deterministic: artifact reuse is guarded by content
-fingerprints, aggregation rows are sorted, and floats are serialized via
-repr, so two runs of the same manifest produce byte-identical bundles no
-matter how the work was scheduled; a file that already holds the bytes
+Everything emitted is deterministic: a pair's prepared files follow from
+its inputs alone, aggregation rows are sorted, and floats are serialized
+via repr, so two runs of the same manifest produce byte-identical bundles
+no matter how the work was scheduled; a file that already holds the bytes
 to be written is left untouched, mtime included. A run is one walk over
 the pairs it prepares, in ledger order, and one loop in the calling
 thread takes cells from it; it starts no thread. For each pair the walk
-prepares its working set (its BLEU references and, built at its first
-cell, the EM index of its training set for the builtin trainer, or the
-TSV line of each training pair for an external one, from which every
-fraction's subset file is joined), yields it with each of the pair's
-cells to run, and lets go of it before the next pair. A builtin-trainer
-cell runs inline, one at a time, since it holds the interpreter. An
-external-trainer cell is launched as a child process, and up to
-`max_parallel_jobs` of them run at once; one selector drains their pipes
-and wakes at the earliest deadline. Each turn of the loop scores the
-cells whose commands ended before it fills the free slots, so at most
-`max_parallel_jobs` working sets are alive at a time, and one for the
-builtin trainer. A language's bitext is loaded at the first pair that
-rebuilds its corpus and dropped once the last pair that uses it is
-prepared, and the bitexts' pivot lines are shared, so an English
-sentence in several of them is held once. A run that stops starts no new
-cell, while the commands already running are waited for and journaled.
+prepares its working set (its BLEU references and, for the builtin
+trainer, the EM index of its training set, built at its first cell),
+yields it with each of the pair's cells to run, and lets go of it before
+the next pair. A builtin-trainer cell runs inline, one at a time, since
+it holds the interpreter. An external-trainer cell is launched as a child
+process, and up to `max_parallel_jobs` of them run at once; one selector
+drains their pipes and wakes at the earliest deadline. Each turn of the
+loop scores the cells whose commands ended before it fills the free
+slots, so at most `max_parallel_jobs` working sets are alive at a time,
+and one for the builtin trainer. A language's bitext is loaded at the
+first pair prepared that uses it and dropped once the last pair that
+uses it is prepared, and the bitexts' pivot lines are shared, so an
+English sentence in several of them is held once. A run that stops
+starts no new cell, while the commands already running are waited for
+and journaled.
 
 Manifest schema (paths are resolved relative to the manifest file)::
 
@@ -92,32 +93,6 @@ def fraction_slug(fraction: float) -> str:
     """Filesystem-safe name for a fraction: 0.2 -> '0.2', 1.0 -> '1.0'."""
     s = f"{fraction:.4f}".rstrip("0")
     return s + "0" if s.endswith(".") else s
-
-
-def _write_text_atomic(path: Path, text: str) -> None:
-    """Write UTF-8 text so readers never observe a half-written file.
-
-    A file that already holds exactly these bytes is left untouched, so a
-    rerun keeps its inode and mtime. A write cut short, even by a
-    KeyboardInterrupt, leaves the file as it was and no ``.tmp`` file.
-    """
-    data = text.encode("utf-8")
-    try:
-        if path.read_bytes() == data:
-            return
-    except FileNotFoundError:
-        pass
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        try:
-            tmp.write_bytes(data)
-        except FileNotFoundError:  # the directory is created at its first file
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _sha256_file(path: Path) -> str:
@@ -425,7 +400,7 @@ class RunLedger:
         ) + "\n"
 
     def save(self, path: Path) -> None:
-        _write_text_atomic(path, self.to_json())
+        corpus.write_text_atomic(path, self.to_json())
 
     def journal_line(self, record: CellRecord) -> bytes:
         """One journal line: the record under this ledger's fingerprint."""
@@ -500,29 +475,19 @@ class _PairData:
         """The builtin trainer's index of train_pairs, built at first use."""
         return trainer.Model1Corpus(self.train_pairs)
 
-    @functools.cached_property
-    def train_tsv_lines(self) -> list[str]:
-        """`corpus.tsv_lines` of train_pairs, formatted at first use."""
-        return corpus.tsv_lines(self.train_pairs)
-
-    def subset_tsv(self, indices: list[int]) -> str:
-        """`corpus.pairs_tsv` of the training pairs at indices.
-
-        Built from `train_tsv_lines`, so the fractions of a pair format
-        each training pair once between them.
-        """
-        lines = self.train_tsv_lines
-        return "".join([lines[i] for i in indices])
-
 
 def _pair_files(manifest: ExperimentManifest, src: str, tgt: str) -> dict[str, list[str]]:
     """Every file `_prepare_pair` writes for one pair, by directory under output_dir."""
     names = ["meta.json", "train.tsv", "dev.tsv", "test.tsv"]
+    suffixes = [".json"]
     if manifest.trainer_spec.kind == "external":
         names.append("test.src.txt")
+        suffixes.append(".train.tsv")
     return {
         f"corpus/{src}-{tgt}": names,
-        f"subsets/{src}-{tgt}": [f"{fraction_slug(f)}.json" for f in manifest.fractions],
+        f"subsets/{src}-{tgt}": [
+            fraction_slug(f) + suffix for f in manifest.fractions for suffix in suffixes
+        ],
     }
 
 
@@ -533,10 +498,15 @@ def _prepare_pair(
     src: str,
     tgt: str,
 ) -> _PairData:
-    """Build (or reuse) the corpus and subset artifacts for one pair.
+    """Write every file `_pair_files` lists for one pair; return its working set.
 
-    ``bitext(lang)`` gives a language's pivot bitext; it is called only
-    when the pair's corpus must be rebuilt.
+    The corpus is joined from ``bitext(src)`` and ``bitext(tgt)`` and split
+    on every call, and no file is read back. Each file goes through
+    `corpus.write_text_atomic`, so one that already holds its bytes is left
+    untouched; ``meta.json`` records a fingerprint of the inputs as
+    provenance. ``hyps/<pair>/`` is made here, so an external cell's command
+    only needs launching; its subset TSVs are joined from one
+    `corpus.tsv_lines` of the training set, dropped on return.
     """
     out = manifest.output_dir
     pair_dir = out / "corpus" / f"{src}-{tgt}"
@@ -562,57 +532,47 @@ def _prepare_pair(
         ).encode("utf-8")
     ).hexdigest()
 
-    # A meta.json that is missing, unreadable or not an object is a mismatch.
-    try:
-        meta = json.loads((pair_dir / "meta.json").read_text(encoding="utf-8"))
-        reuse = isinstance(meta, dict) and meta.get("fingerprint") == fingerprint
-    except (OSError, ValueError):
-        reuse = False
-
-    if reuse:
-        train_rows = corpus.read_pairs_tsv(pair_dir / "train.tsv")
-        test_rows = corpus.read_pairs_tsv(pair_dir / "test.tsv")
-    else:
-        pair = corpus.build_parallel(bitext(src), bitext(tgt))
-        train, dev, test = corpus.split_pair(pair, spec)
-        # Every cell would train and then fail to score; refuse before any does.
-        for name, part, ratio in (
-            ("train", train, spec.train_ratio), ("test", test, spec.test_ratio)
-        ):
-            if not part.pairs:
-                raise ValueError(
-                    f"pair {src}-{tgt}: splitting its {len(pair)} sentence pairs at "
-                    f"{name}_ratio {ratio!r} leaves the {name} split empty"
-                )
-        corpus.write_split_bundle(
-            pair_dir, src, tgt, train, dev, test, spec,
-            extra_meta={"fingerprint": fingerprint},
-        )
-        train_rows = train.pairs
-        test_rows = test.pairs
-
-    if manifest.trainer_spec.kind == "external":
-        # External commands read the test source from a file.
-        _write_text_atomic(
-            pair_dir / "test.src.txt", "\n".join(s for s, _ in test_rows) + "\n"
-        )
+    pair = corpus.build_parallel(bitext(src), bitext(tgt))
+    train, dev, test = corpus.split_pair(pair, spec)
+    # Every cell would train and then fail to score; refuse before any does.
+    for name, part, ratio in (
+        ("train", train, spec.train_ratio), ("test", test, spec.test_ratio)
+    ):
+        if not part.pairs:
+            raise ValueError(
+                f"pair {src}-{tgt}: splitting its {len(pair)} sentence pairs at "
+                f"{name}_ratio {ratio!r} leaves the {name} split empty"
+            )
+    corpus.write_split_bundle(
+        pair_dir, src, tgt, train, dev, test, spec,
+        extra_meta={"fingerprint": fingerprint},
+    )
+    (out / "hyps" / f"{src}-{tgt}").mkdir(parents=True, exist_ok=True)
+    test_src = [s for s, _ in test.pairs]
+    external = manifest.trainer_spec.kind == "external"
+    if external:
+        corpus.write_text_atomic(pair_dir / "test.src.txt", "\n".join(test_src) + "\n")
+        train_lines = corpus.tsv_lines(train.pairs)
 
     subset_dir = out / "subsets" / f"{src}-{tgt}"
     subset_seed = manifest.pair_subset_seed(src, tgt)
     subsets: dict[float, sampling.SubsetManifest] = {}
     for fraction in manifest.fractions:
-        sm = sampling.subsample(len(train_rows), fraction, subset_seed, src=src, tgt=tgt)
+        sm = sampling.subsample(len(train), fraction, subset_seed, src=src, tgt=tgt)
         subsets[fraction] = sm
-        _write_text_atomic(
-            subset_dir / f"{fraction_slug(fraction)}.json", sm.to_json() + "\n"
-        )
+        slug = fraction_slug(fraction)
+        corpus.write_text_atomic(subset_dir / f"{slug}.json", sm.to_json() + "\n")
+        if external:
+            corpus.write_text_atomic(
+                subset_dir / f"{slug}.train.tsv", "".join([train_lines[i] for i in sm.indices])
+            )
 
     return _PairData(
         src=src,
         tgt=tgt,
-        train_pairs=train_rows,
-        test_src=[s for s, _ in test_rows],
-        test_refs=bleu.References(t for _, t in test_rows),
+        train_pairs=train.pairs,
+        test_src=test_src,
+        test_refs=bleu.References(t for _, t in test.pairs),
         subsets=subsets,
     )
 
@@ -658,7 +618,9 @@ def _run_cell(
             manifest.trainer_spec.em_iterations,
         )
         hyps = [trainer.decode(table, s) for s in data.test_src]
-        _write_text_atomic(manifest.output_dir / _hyp_path(data, fraction), "\n".join(hyps) + "\n")
+        corpus.write_text_atomic(
+            manifest.output_dir / _hyp_path(data, fraction), "\n".join(hyps) + "\n"
+        )
         return _score_cell(data, fraction, started, hyps)
     except Exception as exc:  # cell failures must not sink the run
         return _failed_cell((data.src, data.tgt, fraction), started, exc)
@@ -672,25 +634,19 @@ def _launch_cell(
 ) -> trainer.ExternalJob:
     """Start one external-trainer cell's command in ``jobs``.
 
-    The command reads the cell's training pairs from
-    ``subsets/<pair>/<fraction>.train.tsv``, written here, which is joined
-    from the pair's `_PairData.train_tsv_lines` and so holds the bytes of
-    `corpus.pairs_tsv` of those pairs. Once the job has ended,
-    `_score_cell` of its `hypotheses(len(data.test_src))` gives the cell's
-    record: the pair's test sources are in memory, so the count needs no
-    read of ``test.src.txt``.
+    The command's files and the directory of its hypothesis file were
+    made when the pair was prepared (`_prepare_pair`). Once the job has
+    ended, `_score_cell` of its `hypotheses(len(data.test_src))` gives the
+    cell's record: the pair's test sources are in memory, so the count
+    needs no read of ``test.src.txt``.
     """
     out = manifest.output_dir
     pair = f"{data.src}-{data.tgt}"
-    subset_tsv = out / "subsets" / pair / f"{fraction_slug(fraction)}.train.tsv"
-    _write_text_atomic(subset_tsv, data.subset_tsv(data.subsets[fraction].indices))
-    hyp_path = out / _hyp_path(data, fraction)
-    hyp_path.parent.mkdir(parents=True, exist_ok=True)
     return jobs.launch(
         manifest.trainer_spec,
-        str(subset_tsv),
+        str(out / "subsets" / pair / f"{fraction_slug(fraction)}.train.tsv"),
         str(out / "corpus" / pair / "test.src.txt"),
-        str(hyp_path),
+        str(out / _hyp_path(data, fraction)),
     )
 
 
@@ -783,7 +739,7 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
     or the earliest deadline passes. A cell holds its working set from its
     start until it is recorded, so at most `max_parallel_jobs` working sets
     are alive (one for the builtin trainer). A language's bitext is loaded
-    only when a pair must rebuild its corpus, and dropped once the last
+    at the first pair prepared that uses it, and dropped once the last
     pair that uses it is prepared; pivot lines equal across bitexts are
     held once.
 
@@ -843,7 +799,7 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
             )
         ]
 
-        # A bitext is loaded at the first pair that rebuilds its corpus and
+        # A bitext is loaded at the first pair prepared that uses it and
         # dropped once the last pair that uses it is prepared. Pivot lines go
         # through one dict, so a sentence in several bitexts is held once;
         # the dict is emptied whenever no bitext is loaded.
@@ -951,7 +907,7 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
                     f"{record.src}-{record.tgt},{repr(float(record.fraction))},"
                     f"{repr(float(record.bleu))}"
                 )
-        _write_text_atomic(out / "scores.csv", "\n".join(rows) + "\n")
+        corpus.write_text_atomic(out / "scores.csv", "\n".join(rows) + "\n")
         return ledger
 
 
@@ -981,7 +937,7 @@ def report_from_auc(
         analysis.AucScore(auc=auc_by_pair[pair], pair_id=pair)
         for pair in sorted(auc_by_pair)
     ]
-    _write_text_atomic(out / "auc.csv", analysis.auc_to_csv(auc_rows))
+    corpus.write_text_atomic(out / "auc.csv", analysis.auc_to_csv(auc_rows))
 
     summary: dict = {
         "auc": {analysis.pair_str(pair): auc_by_pair[pair] for pair in sorted(auc_by_pair)},
@@ -1000,7 +956,7 @@ def report_from_auc(
         except ValueError:
             r = None
         summary[f"pearson_{view}"] = r
-        _write_text_atomic(
+        corpus.write_text_atomic(
             out / f"scatter_{view}.csv",
             analysis.scatter_to_csv(points, excluded_source=excluded),
         )
@@ -1011,7 +967,7 @@ def report_from_auc(
             (p.auc, p.intelligibility, analysis.pair_str(p.pair_id), p.pair_id[0] == excluded)
             for p in points
         ]
-        _write_text_atomic(
+        corpus.write_text_atomic(
             out / "plots" / f"scatter_{view}.svg",
             charts.scatter_chart(
                 f"AUC vs {matrix.medium} intelligibility ({r_text})",
@@ -1021,7 +977,7 @@ def report_from_auc(
             ),
         )
 
-    _write_text_atomic(
+    corpus.write_text_atomic(
         out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )
     return summary
@@ -1057,7 +1013,7 @@ def build_report(
         analysis.relative_curve(raw_by_pair[pair], pair_id=pair)
         for pair in sorted(raw_by_pair)
     ]
-    _write_text_atomic(out / "curves.csv", analysis.curves_to_csv(curves))
+    corpus.write_text_atomic(out / "curves.csv", analysis.curves_to_csv(curves))
 
     sources = sorted({pair[0] for pair in raw_by_pair})
     for src in sources:
@@ -1068,7 +1024,7 @@ def build_report(
             for c in curves
             if c.pair_id[0] == src
         }
-        _write_text_atomic(
+        corpus.write_text_atomic(
             out / "plots" / f"curves_{src}.svg",
             charts.line_chart(
                 f"Learning curves from {src}",

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 import unicodedata
 
 import pytest
@@ -397,3 +398,18 @@ class TestTsvIO:
         assert meta["src"] == "es"
         assert meta["counts"] == {"train": len(train), "dev": len(dev), "test": len(test)}
         assert meta["seed"] == 4
+
+    def test_rewriting_the_same_split_replaces_no_file(self, tmp_path):
+        # What a rerun of `mtlearn build-corpus` does to an unchanged pair.
+        spec = corpus.SplitSpec(train_ratio=0.7, dev_ratio=0.1, test_ratio=0.2, seed=4)
+        train, dev, test = corpus.split_pair(make_pair(30), spec)
+        directory = tmp_path / "es-pt"
+        corpus.write_split_bundle(directory, "es", "pt", train, dev, test, spec)
+        old_ns = 1_000_000_000  # 1970; a rewrite gets the current time
+        for path in directory.iterdir():
+            os.utime(path, ns=(old_ns, old_ns))
+        before = {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in directory.iterdir()}
+        corpus.write_split_bundle(directory, "es", "pt", train, dev, test, spec)
+        after = {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in directory.iterdir()}
+        assert sorted(before) == ["dev.tsv", "meta.json", "test.tsv", "train.tsv"]
+        assert after == before

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtlearn.trainer
-from mtlearn import analysis, bleu, cli, corpus, pipeline, sampling, trainer
+from mtlearn import analysis, cli, corpus, pipeline, sampling, trainer
 from test_trainer import process_running
 
 
@@ -716,19 +716,19 @@ class TestFailureAndResume:
         first = {path: path.read_bytes() for path in kept}
 
         # Another split of the same data is cut right after train.tsv.
-        real_write = corpus.write_pairs_tsv
+        real_write = corpus.write_text_atomic
 
-        def write_then_cut(pair, path):
-            real_write(pair, path)
-            if Path(path).name == "train.tsv":
+        def write_then_cut(path, text):
+            real_write(path, text)
+            if path.name == "train.tsv":
                 raise RuntimeError("cut")
 
-        monkeypatch.setattr(corpus, "write_pairs_tsv", write_then_cut)
+        monkeypatch.setattr(corpus, "write_text_atomic", write_then_cut)
         with pytest.raises(RuntimeError, match="cut"):
             pipeline.run_experiment(dataclasses.replace(manifest, test_ratio=0.3))
         assert (pair_dir / "train.tsv").read_bytes() != first[pair_dir / "train.tsv"]
 
-        monkeypatch.setattr(corpus, "write_pairs_tsv", real_write)
+        monkeypatch.setattr(corpus, "write_text_atomic", real_write)
         assert pipeline.run_experiment(manifest).all_done()
         assert {path: path.read_bytes() for path in kept} == first
         meta = json.loads((pair_dir / "meta.json").read_text())
@@ -829,9 +829,9 @@ class TestLazyResume:
         calls = count_preparation(monkeypatch)
         assert pipeline.run_experiment(manifest).all_done()
         assert prepared_pairs(calls) == [("bb", "aa")]
-        # The pair's corpus is reused, so no bitext is loaded.
-        assert "load_pivot_bitext" not in calls
-        assert len(calls["read_pairs_tsv"]) == 2
+        # The pair is built again from its two bitexts; no TSV is read back.
+        assert len(calls["load_pivot_bitext"]) == 2
+        assert "read_pairs_tsv" not in calls
         assert bundle_bytes(out) == before
 
     @pytest.mark.parametrize(
@@ -857,11 +857,15 @@ class TestLazyResume:
     @pytest.mark.parametrize(
         "rel, trainer_cfg, bitexts_loaded",
         [
-            ("subsets/aa-bb/0.5.json", None, 0),
+            ("subsets/aa-bb/0.5.json", None, 2),
             ("corpus/aa-bb/meta.json", None, 2),
-            ("corpus/aa-bb/test.src.txt", PREFIX_SWAP_TRAINER, 0),
-            ("subsets/aa-bb", None, 0),
+            ("corpus/aa-bb/test.src.txt", PREFIX_SWAP_TRAINER, 2),
+            ("subsets/aa-bb", None, 2),
             ("corpus/aa-bb", None, 2),
+            ("corpus/aa-bb/train.tsv", None, 2),
+            ("corpus/aa-bb/test.tsv", None, 2),
+            ("corpus/aa-bb/dev.tsv", None, 2),
+            ("subsets/aa-bb/0.5.train.tsv", PREFIX_SWAP_TRAINER, 2),
         ],
     )
     def test_missing_prepared_file_is_restored(
@@ -873,11 +877,27 @@ class TestLazyResume:
         before = bundle_bytes(out, skip=())
         remove(out / rel)
         calls = count_preparation(monkeypatch)
+        ran = count_cells(monkeypatch)
         assert pipeline.run_experiment(manifest).all_done()
         assert prepared_pairs(calls) == [("aa", "bb")]
         assert len(calls.get("load_pivot_bitext", [])) == bitexts_loaded
+        assert ran == []
         # No cell ran, so even ledger.json is unchanged.
         assert bundle_bytes(out, skip=()) == before
+
+    @pytest.mark.parametrize("trainer_cfg", [None, PREFIX_SWAP_TRAINER])
+    def test_a_fresh_run_writes_exactly_the_pair_files(self, tmp_path, trainer_cfg):
+        # A rerun restores a pair only when a file `_pair_files` lists is
+        # missing, so a file written but not listed would never be restored.
+        manifest = pipeline.load_manifest(make_experiment(tmp_path, trainer_cfg))
+        assert pipeline.run_experiment(manifest).all_done()
+        for pair in manifest.pairs():
+            listed = pipeline._pair_files(manifest, *pair)
+            assert {d: sorted(os.listdir(manifest.output_dir / d)) for d in listed} == {
+                d: sorted(names) for d, names in listed.items()
+            }
+            name = "-".join(pair)
+            assert sorted(listed) == [f"corpus/{name}", f"subsets/{name}"]
 
     def test_interrupted_run_of_another_manifest_is_not_trusted(
         self, tmp_path, monkeypatch
@@ -1536,7 +1556,7 @@ class TestWriteTextAtomic:
         target.write_bytes(b"old\n")
         monkeypatch.setattr(owner, name, fault)
         with pytest.raises(error):
-            pipeline._write_text_atomic(target, "new bytes\n")
+            corpus.write_text_atomic(target, "new bytes\n")
         monkeypatch.undo()
         assert target.read_bytes() == b"old\n"
         assert os.listdir(tmp_path) == ["scores.csv"]
@@ -1548,10 +1568,10 @@ class TestWriteTextAtomic:
             Path, "mkdir", lambda path, *a, **kw: made.append(path) or real_mkdir(path, *a, **kw)
         )
         sub = tmp_path / "hyps" / "aa-bb"
-        pipeline._write_text_atomic(sub / "0.2.txt", "x\n")
+        corpus.write_text_atomic(sub / "0.2.txt", "x\n")
         assert made[0] == sub
         made.clear()
-        pipeline._write_text_atomic(sub / "0.3.txt", "y\n")
+        corpus.write_text_atomic(sub / "0.3.txt", "y\n")
         assert made == []
         assert sorted(os.listdir(sub)) == ["0.2.txt", "0.3.txt"]
         assert (sub / "0.2.txt").read_text() == "x\n"
@@ -1791,34 +1811,6 @@ class TestReports:
             assert (a_dir / rel).read_bytes() == (b_dir / rel).read_bytes()
 
 
-# Training rows a corpus TSV could not hold as they are: tabs, a final "\r",
-# and U+2028 and U+0085, which split lines for str.splitlines but not here.
-_row_text = st.text(
-    alphabet=st.one_of(
-        st.characters(codec="utf-8", exclude_characters="\n"),
-        st.sampled_from("\t\r\u2028\x85 "),
-    ),
-    max_size=12,
-)
-
-
-class TestSubsetTsv:
-    @given(st.lists(st.tuples(_row_text, _row_text), max_size=30), st.data())
-    def test_joined_lines_are_pairs_tsv_of_nested_subsets(self, rows, data):
-        pair = pipeline._PairData(
-            src="aa", tgt="bb", train_pairs=rows, test_src=[],
-            test_refs=bleu.References([]), subsets={},
-        )
-        # The fractions of a pair keep prefixes of one order, in any order
-        # of cells, and all read the lines formatted at the first.
-        order = data.draw(st.permutations(range(len(rows))))
-        sizes = data.draw(st.lists(st.integers(0, len(rows)), min_size=1, max_size=5))
-        for size in sizes:
-            indices = sorted(order[:size])
-            assert pair.subset_tsv(indices) == corpus.pairs_tsv([rows[i] for i in indices])
-        assert pair.train_tsv_lines == corpus.tsv_lines(rows)
-
-
 class TestExternalTrainerThroughPipeline:
     def test_copy_adapter_runs_whole_grid(self, tmp_path):
         manifest_path = make_experiment(
@@ -1871,12 +1863,12 @@ class TestExternalTrainerThroughPipeline:
                 )
             assert str(alone.value) == cell.error
 
-    def fresh_and_reused_bundles(self, tmp_path, monkeypatch, aa_line):
-        """Bundles of a fresh run and of a rerun that reuses its corpus.
+    def fresh_and_reused_bundles(self, tmp_path, aa_line):
+        """Bundles of a fresh run and of a rerun over its corpus files.
 
         ``aa_line`` rewrites each line of the aa target file, line end
-        included. A fresh run builds its rows in memory, a corpus-reused run
-        reads them back from the TSVs; both must feed the trainer the same
+        included. The rerun finds only the corpus TSVs and meta.json, so it
+        runs every cell again; both runs must feed the trainer the same
         text. Returns {path relative to output_dir: bytes} for each run,
         without ledger.json.
         """
@@ -1902,23 +1894,16 @@ class TestExternalTrainerThroughPipeline:
 
         assert pipeline.run_experiment(manifest).all_done()
         fresh = snapshot()
-        # Keep the corpus, so the next run reuses it and re-runs every cell.
+        # Keep the corpus; the next run re-runs every cell.
         for name in fresh.keys() | {"ledger.json"}:
             if not (name.startswith("corpus/") and name.endswith((".tsv", "/meta.json"))):
                 (out / name).unlink()
-
-        def no_rebuild(a, b):
-            raise AssertionError("the corpus must be reused")
-
-        monkeypatch.setattr(pipeline.corpus, "build_parallel", no_rebuild)
         assert pipeline.run_experiment(manifest).all_done()
         return fresh, snapshot()
 
-    def test_tabs_in_sentences_give_the_same_bytes_fresh_and_reused(
-        self, tmp_path, monkeypatch
-    ):
+    def test_tabs_in_sentences_give_the_same_bytes_fresh_and_reused(self, tmp_path):
         fresh, reused = self.fresh_and_reused_bundles(
-            tmp_path, monkeypatch, lambda line: line.replace(" ", "\t", 1) + "\n"
+            tmp_path, lambda line: line.replace(" ", "\t", 1) + "\n"
         )
         assert reused == fresh
         subset_tsvs = [name for name in fresh if name.endswith(".train.tsv")]
@@ -1928,22 +1913,19 @@ class TestExternalTrainerThroughPipeline:
         for name in ("corpus/aa-bb/test.src.txt", "corpus/bb-aa/test.src.txt"):
             assert b"\t" not in fresh[name]
 
-    def test_trailing_cr_gives_the_same_bytes_fresh_and_reused(
-        self, tmp_path, monkeypatch
-    ):
+    def test_trailing_cr_gives_the_same_bytes_fresh_and_reused(self, tmp_path):
         # "x\r\r\n" reads as "x\r"; written as a last TSV column, that
         # final "\r" would read back as part of the line end.
         fresh, reused = self.fresh_and_reused_bundles(
-            tmp_path, monkeypatch, lambda line: line + "\r\r\n"
+            tmp_path, lambda line: line + "\r\r\n"
         )
         assert reused == fresh
         assert all(b"\r" not in data for data in fresh.values())
         assert fresh["subsets/bb-aa/1.0.train.tsv"].endswith(b" \n")
 
-    def test_subset_files_are_pairs_tsv_of_their_rows(self, tmp_path, monkeypatch):
+    def test_subset_files_are_pairs_tsv_of_their_rows(self, tmp_path):
         fresh, reused = self.fresh_and_reused_bundles(
             tmp_path,
-            monkeypatch,
             lambda line: line.replace(" ", "\t", 1).replace(" ", "\u2028", 1) + "\r\r\n",
         )
         assert reused == fresh
