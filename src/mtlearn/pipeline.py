@@ -479,16 +479,12 @@ class _PairData:
 def _pair_files(manifest: ExperimentManifest, src: str, tgt: str) -> dict[str, list[str]]:
     """Every file `_prepare_pair` writes for one pair, by directory under output_dir."""
     names = ["meta.json", "train.tsv", "dev.tsv", "test.tsv"]
-    suffixes = [".json"]
+    slugs = [fraction_slug(f) for f in manifest.fractions]
+    subsets = [slug + ".json" for slug in slugs]
     if manifest.trainer_spec.kind == "external":
         names.append("test.src.txt")
-        suffixes.append(".train.tsv")
-    return {
-        f"corpus/{src}-{tgt}": names,
-        f"subsets/{src}-{tgt}": [
-            fraction_slug(f) + suffix for f in manifest.fractions for suffix in suffixes
-        ],
-    }
+        subsets += [slug + ".train.tsv" for slug in slugs]
+    return {f"corpus/{src}-{tgt}": names, f"subsets/{src}-{tgt}": subsets}
 
 
 def _prepare_pair(

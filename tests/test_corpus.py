@@ -408,8 +408,11 @@ class TestTsvIO:
         old_ns = 1_000_000_000  # 1970; a rewrite gets the current time
         for path in directory.iterdir():
             os.utime(path, ns=(old_ns, old_ns))
-        before = {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in directory.iterdir()}
-        corpus.write_split_bundle(directory, "es", "pt", train, dev, test, spec)
-        after = {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in directory.iterdir()}
+
+        def inodes_and_mtimes():
+            return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in directory.iterdir()}
+
+        before = inodes_and_mtimes()
         assert sorted(before) == ["dev.tsv", "meta.json", "test.tsv", "train.tsv"]
-        assert after == before
+        corpus.write_split_bundle(directory, "es", "pt", train, dev, test, spec)
+        assert inodes_and_mtimes() == before
