@@ -163,7 +163,7 @@ def build_parallel(a: PivotBitext, b: PivotBitext) -> ParallelPair:
     i-th). Output follows ``a``'s line order. Lines whose normalized pivot
     is empty are ignored; matching blank subtitle lines against each other
     would pair unrelated sentences. Sentences pass through `_tsv_field`, as
-    in `write_pairs_tsv`, so the pairs equal their TSV round trip.
+    in `tsv_lines`, so the pairs equal their TSV round trip.
     """
     if a.lang == b.lang:
         raise ValueError(f"cannot build a parallel pair from {a.lang!r} twice")
@@ -240,11 +240,6 @@ def tsv_lines(pairs: list[tuple[str, str]]) -> list[str]:
     return [f"{_tsv_field(s)}\t{_tsv_field(t)}\n" for s, t in pairs]
 
 
-def pairs_tsv(pairs: list[tuple[str, str]]) -> str:
-    """Sentence pairs as 2-column TSV text: their `tsv_lines`, joined."""
-    return "".join(tsv_lines(pairs))
-
-
 def write_text_atomic(path: Path, text: str) -> None:
     """Write UTF-8 text so readers never observe a half-written file.
 
@@ -271,11 +266,6 @@ def write_text_atomic(path: Path, text: str) -> None:
         raise
 
 
-def write_pairs_tsv(pair: ParallelPair, path: str | Path) -> None:
-    """Write sentence pairs as 2-column TSV via `write_text_atomic`; see `_tsv_field`."""
-    write_text_atomic(Path(path), pairs_tsv(pair.pairs))
-
-
 def read_pairs_tsv(path: str | Path) -> list[tuple[str, str]]:
     """Read sentence pairs from a 2-column TSV file."""
     out: list[tuple[str, str]] = []
@@ -296,18 +286,22 @@ def write_split_bundle(
     test: ParallelPair,
     spec: SplitSpec,
     extra_meta: dict | None = None,
-) -> None:
+) -> list[str]:
     """Write train/dev/test TSVs plus the JSON sidecar for one pair.
 
-    Every file goes through `write_text_atomic`, so a directory that
-    already holds this split keeps all four files, inode and mtime
-    included. meta.json is written last. It records where the split came
-    from (counts, seed, ratios and ``extra_meta``); nothing reads it back.
+    Each split is formatted once, by `tsv_lines`, and every file goes
+    through `write_text_atomic`, so a directory that already holds this
+    split keeps all four files, inode and mtime included. meta.json is
+    written last. It records where the split came from (counts, seed,
+    ratios and ``extra_meta``); nothing reads it back. Returns the
+    training split's `tsv_lines`, so a caller that writes subsets of it
+    need not format its rows again.
     """
     directory = Path(directory)
-    write_pairs_tsv(train, directory / "train.tsv")
-    write_pairs_tsv(dev, directory / "dev.tsv")
-    write_pairs_tsv(test, directory / "test.tsv")
+    train_lines = tsv_lines(train.pairs)
+    write_text_atomic(directory / "train.tsv", "".join(train_lines))
+    write_text_atomic(directory / "dev.tsv", "".join(tsv_lines(dev.pairs)))
+    write_text_atomic(directory / "test.tsv", "".join(tsv_lines(test.pairs)))
     meta = {
         "src": src,
         "tgt": tgt,
@@ -318,3 +312,4 @@ def write_split_bundle(
     if extra_meta:
         meta.update(extra_meta)
     write_text_atomic(directory / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    return train_lines

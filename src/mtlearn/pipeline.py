@@ -146,6 +146,12 @@ class ExperimentManifest:
             # Cells of one pair name their files by slug, so they would
             # overwrite each other's subset and hypothesis files.
             raise ManifestError(f"fractions must differ at 4 decimals: {fracs}")
+        try:
+            # Every pair shares the ratios; reject bad ones before a run
+            # touches the output directory.
+            self.pair_split_spec(*self.pairs()[0])
+        except ValueError as exc:
+            raise ManifestError(f"bad split: {exc}") from exc
 
     def pairs(self) -> list[tuple[str, str]]:
         """All ordered language pairs, in manifest language order."""
@@ -156,6 +162,15 @@ class ExperimentManifest:
     def pair_split_seed(self, src: str, tgt: str) -> int:
         base = self.split_seed if self.split_seed is not None else derive_seed(self.seed, "split")
         return derive_seed(base, src, tgt)
+
+    def pair_split_spec(self, src: str, tgt: str) -> corpus.SplitSpec:
+        """The split of one pair's corpus; ValueError for bad ratios."""
+        return corpus.SplitSpec(
+            train_ratio=1.0 - self.dev_ratio - self.test_ratio,
+            dev_ratio=self.dev_ratio,
+            test_ratio=self.test_ratio,
+            seed=self.pair_split_seed(src, tgt),
+        )
 
     def pair_subset_seed(self, src: str, tgt: str) -> int:
         return derive_seed(self.seed, "subsample", src, tgt)
@@ -306,11 +321,15 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
 
 
 def _input_digests(manifest: ExperimentManifest) -> dict[Path, str]:
-    """sha256 of every input file, each file read once."""
+    """sha256 of each listed language's input files, each file read once.
+
+    A ``data_sources`` entry for a language not in ``languages`` is never
+    read by a run, so it is not hashed.
+    """
     return {
         path: _sha256_file(path)
-        for paths in manifest.data_sources.values()
-        for path in paths
+        for lang in manifest.languages
+        for path in manifest.data_sources[lang]
     }
 
 
@@ -319,18 +338,19 @@ def manifest_fingerprint(
 ) -> str:
     """Content hash of everything that can change experiment results.
 
-    Includes input file contents, split/subset parameters, and the trainer
-    configuration; deliberately excludes output_dir and max_parallel_jobs,
-    which must not affect results. ``digests`` are the input file hashes
-    from `_input_digests`, taken now when not given.
+    Includes the input file contents of the listed languages, split/subset
+    parameters, and the trainer configuration; deliberately excludes
+    output_dir, max_parallel_jobs and the ``data_sources`` of unlisted
+    languages, which must not affect results. ``digests`` are the input
+    file hashes from `_input_digests`, taken now when not given.
     """
     if digests is None:
         digests = _input_digests(manifest)
     payload = {
         "languages": list(manifest.languages),
         "sources": {
-            lang: [digests[pivot], digests[target]]
-            for lang, (pivot, target) in sorted(manifest.data_sources.items())
+            lang: [digests[path] for path in manifest.data_sources[lang]]
+            for lang in manifest.languages
         },
         "split": {
             "dev_ratio": repr(manifest.dev_ratio),
@@ -501,18 +521,13 @@ def _prepare_pair(
     `corpus.write_text_atomic`, so one that already holds its bytes is left
     untouched; ``meta.json`` records a fingerprint of the inputs as
     provenance. ``hyps/<pair>/`` is made here, so an external cell's command
-    only needs launching; its subset TSVs are joined from one
-    `corpus.tsv_lines` of the training set, dropped on return.
+    only needs launching; its subset TSVs are joined from the training
+    lines `corpus.write_split_bundle` returns, so each row is formatted
+    once, and those lines are dropped on return.
     """
     out = manifest.output_dir
     pair_dir = out / "corpus" / f"{src}-{tgt}"
-    split_seed = manifest.pair_split_seed(src, tgt)
-    spec = corpus.SplitSpec(
-        train_ratio=1.0 - manifest.dev_ratio - manifest.test_ratio,
-        dev_ratio=manifest.dev_ratio,
-        test_ratio=manifest.test_ratio,
-        seed=split_seed,
-    )
+    spec = manifest.pair_split_spec(src, tgt)
     fingerprint = hashlib.sha256(
         json.dumps(
             {
@@ -522,7 +537,7 @@ def _prepare_pair(
                     for path in manifest.data_sources[lang]
                 ],
                 "ratios": [repr(manifest.dev_ratio), repr(manifest.test_ratio)],
-                "seed": split_seed,
+                "seed": spec.seed,
             },
             sort_keys=True,
         ).encode("utf-8")
@@ -539,7 +554,7 @@ def _prepare_pair(
                 f"pair {src}-{tgt}: splitting its {len(pair)} sentence pairs at "
                 f"{name}_ratio {ratio!r} leaves the {name} split empty"
             )
-    corpus.write_split_bundle(
+    train_lines = corpus.write_split_bundle(
         pair_dir, src, tgt, train, dev, test, spec,
         extra_meta={"fingerprint": fingerprint},
     )
@@ -548,7 +563,6 @@ def _prepare_pair(
     external = manifest.trainer_spec.kind == "external"
     if external:
         corpus.write_text_atomic(pair_dir / "test.src.txt", "\n".join(test_src) + "\n")
-        train_lines = corpus.tsv_lines(train.pairs)
 
     subset_dir = out / "subsets" / f"{src}-{tgt}"
     subset_seed = manifest.pair_subset_seed(src, tgt)

@@ -168,7 +168,7 @@ class TestBuildParallel:
         # Tab-free sentences are shared with the bitext, not copied.
         assert pair.pairs[1][0] is a.target_lines[1]
         path = tmp_path / "pairs.tsv"
-        corpus.write_pairs_tsv(pair, path)
+        corpus.write_text_atomic(path, "".join(corpus.tsv_lines(pair.pairs)))
         assert corpus.read_pairs_tsv(path) == pair.pairs
 
     def test_single_intersection(self):
@@ -345,7 +345,7 @@ class TestTsvIO:
     def test_roundtrip(self, tmp_path):
         pair = make_pair(12)
         path = tmp_path / "pairs.tsv"
-        corpus.write_pairs_tsv(pair, path)
+        corpus.write_text_atomic(path, "".join(corpus.tsv_lines(pair.pairs)))
         assert corpus.read_pairs_tsv(path) == pair.pairs
 
     def test_embedded_tabs_become_spaces(self, tmp_path):
@@ -353,7 +353,7 @@ class TestTsvIO:
             src="es", tgt="pt", pairs=[("has\ttab", "ok")], provenance=[(0, 0)]
         )
         path = tmp_path / "pairs.tsv"
-        corpus.write_pairs_tsv(pair, path)
+        corpus.write_text_atomic(path, "".join(corpus.tsv_lines(pair.pairs)))
         assert corpus.read_pairs_tsv(path) == [("has tab", "ok")]
 
     def test_trailing_cr_becomes_a_space(self, tmp_path):
@@ -363,10 +363,10 @@ class TestTsvIO:
         pair = corpus.build_parallel(a, b)
         assert pair.pairs == [("cr ", "in\rside"), ("two\r ", "tab  ")]
         path = tmp_path / "pairs.tsv"
-        corpus.write_pairs_tsv(pair, path)
+        corpus.write_text_atomic(path, "".join(corpus.tsv_lines(pair.pairs)))
         assert corpus.read_pairs_tsv(path) == pair.pairs
         raw = corpus.ParallelPair(src="es", tgt="pt", pairs=[("x\r", "y\r")])
-        corpus.write_pairs_tsv(raw, path)
+        corpus.write_text_atomic(path, "".join(corpus.tsv_lines(raw.pairs)))
         assert corpus.read_pairs_tsv(path) == [("x ", "y ")]
 
     @given(st.lists(st.tuples(_sentences, _sentences)))
@@ -378,7 +378,7 @@ class TestTsvIO:
             return sentence[:-1] + " " if sentence.endswith("\r") else sentence
 
         path = examples_dir / "pairs.tsv"
-        corpus.write_pairs_tsv(corpus.ParallelPair(src="es", tgt="pt", pairs=pairs), path)
+        corpus.write_text_atomic(path, "".join(corpus.tsv_lines(pairs)))
         assert corpus.read_pairs_tsv(path) == [(as_field(s), as_field(t)) for s, t in pairs]
 
     def test_malformed_row_rejected(self, tmp_path):
@@ -391,9 +391,11 @@ class TestTsvIO:
         spec = corpus.SplitSpec(train_ratio=0.7, dev_ratio=0.1, test_ratio=0.2, seed=4)
         pair = make_pair(30)
         train, dev, test = corpus.split_pair(pair, spec)
-        corpus.write_split_bundle(tmp_path / "es-pt", "es", "pt", train, dev, test, spec)
+        lines = corpus.write_split_bundle(tmp_path / "es-pt", "es", "pt", train, dev, test, spec)
         for name in ("train.tsv", "dev.tsv", "test.tsv", "meta.json"):
             assert (tmp_path / "es-pt" / name).is_file()
+        assert lines == corpus.tsv_lines(train.pairs)
+        assert (tmp_path / "es-pt" / "train.tsv").read_text(encoding="utf-8") == "".join(lines)
         meta = json.loads((tmp_path / "es-pt" / "meta.json").read_text(encoding="utf-8"))
         assert meta["src"] == "es"
         assert meta["counts"] == {"train": len(train), "dev": len(dev), "test": len(test)}

@@ -250,6 +250,15 @@ class TestLoadManifest:
             pipeline.load_manifest(path)
 
 
+BAD_SPLITS = [
+    {"dev_ratio": 0.5, "test_ratio": 0.6},
+    {"dev_ratio": 0.0, "test_ratio": 0.2},
+    {"dev_ratio": 0.1, "test_ratio": 0},
+    {"dev_ratio": -0.1, "test_ratio": 0.2},
+    {"dev_ratio": float("nan"), "test_ratio": 0.2},
+]
+
+
 class TestManifestValidation:
     def base_kwargs(self, tmp_path):
         path = make_experiment(tmp_path)
@@ -299,6 +308,43 @@ class TestManifestValidation:
         assert "4 decimals" in capsys.readouterr().err
         assert not kwargs["output_dir"].exists()
 
+    @pytest.mark.parametrize("split", BAD_SPLITS)
+    def test_bad_split_is_rejected_at_load(self, tmp_path, split):
+        path = make_experiment(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["split"] = split
+        path.write_text(json.dumps(raw))
+        with pytest.raises(pipeline.ManifestError, match="bad split: .*_ratio"):
+            pipeline.load_manifest(path)
+        kwargs = self.base_kwargs(tmp_path)
+        with pytest.raises(pipeline.ManifestError, match="bad split"):
+            pipeline.ExperimentManifest(**kwargs, **split)
+
+    def test_bad_split_leaves_a_finished_bundle_untouched(self, tmp_path, capsys):
+        # A run compares fingerprints, and drops a ledger that differs,
+        # before it splits any pair; a bad split must stop it earlier.
+        path = make_experiment(tmp_path)
+        assert cli.main(["run", "--manifest", str(path)]) == 0
+        out = tmp_path / "out"
+
+        def bytes_and_mtimes():
+            return {
+                p.relative_to(out).as_posix(): (p.read_bytes(), p.stat().st_mtime_ns)
+                for p in out.rglob("*")
+                if p.is_file()
+            }
+
+        before = bytes_and_mtimes()
+        assert "ledger.json" in before
+        raw = json.loads(path.read_text())
+        for split in BAD_SPLITS:
+            capsys.readouterr()
+            raw["split"] = split
+            path.write_text(json.dumps(raw))
+            assert cli.main(["run", "--manifest", str(path)]) == 2
+            assert bytes_and_mtimes() == before
+            assert capsys.readouterr().err.startswith("error: bad split: ")
+
     def test_pair_seeds_are_direction_sensitive(self, tmp_path):
         manifest = pipeline.load_manifest(make_experiment(tmp_path))
         assert manifest.pair_split_seed("aa", "bb") != manifest.pair_split_seed("bb", "aa")
@@ -332,6 +378,26 @@ class TestFingerprint:
         data_file = tmp_path / "data" / "aa.txt"
         data_file.write_text(data_file.read_text() + "aaextra\n")
         assert pipeline.manifest_fingerprint(pipeline.load_manifest(path)) != base
+
+    def test_insensitive_to_inputs_of_unlisted_languages(self, tmp_path, monkeypatch):
+        path = make_experiment(tmp_path, languages=("aa", "bb", "cc"))
+        raw = json.loads(path.read_text())
+        raw["languages"] = ["aa", "bb"]
+        path.write_text(json.dumps(raw))
+        manifest = pipeline.load_manifest(path)
+        assert pipeline.run_experiment(manifest).all_done()
+        base = pipeline.manifest_fingerprint(manifest)
+        for name in ("cc.pivot.txt", "cc.txt"):
+            data_file = tmp_path / "data" / name
+            data_file.write_text(data_file.read_text() + "ccextra\n")
+        manifest = pipeline.load_manifest(path)
+        assert pipeline.manifest_fingerprint(manifest) == base
+        ran = count_cells(monkeypatch)
+        assert pipeline.run_experiment(manifest).all_done()
+        assert ran == []
+        assert sorted(p.name for p in pipeline._input_digests(manifest)) == [
+            "aa.pivot.txt", "aa.txt", "bb.pivot.txt", "bb.txt",
+        ]
 
     def test_insensitive_to_output_dir_and_jobs(self, tmp_path):
         path = make_experiment(tmp_path)
@@ -1812,6 +1878,26 @@ class TestReports:
 
 
 class TestExternalTrainerThroughPipeline:
+    @pytest.mark.parametrize("trainer_cfg", [None, PREFIX_SWAP_TRAINER])
+    def test_each_split_is_formatted_once(self, tmp_path, monkeypatch, trainer_cfg):
+        # The external trainer's subset TSVs reuse the lines that
+        # write_split_bundle formatted for train.tsv.
+        manifest = pipeline.load_manifest(make_experiment(tmp_path, trainer_cfg))
+        formatted = []
+
+        def recording(pairs, _real=corpus.tsv_lines):
+            formatted.append(list(pairs))
+            return _real(pairs)
+
+        monkeypatch.setattr(corpus, "tsv_lines", recording)
+        assert pipeline.run_experiment(manifest).all_done()
+        splits = [
+            corpus.read_pairs_tsv(manifest.output_dir / "corpus" / f"{src}-{tgt}" / name)
+            for src, tgt in manifest.pairs()
+            for name in ("train.tsv", "dev.tsv", "test.tsv")
+        ]
+        assert sorted(formatted) == sorted(splits)
+
     def test_copy_adapter_runs_whole_grid(self, tmp_path):
         manifest_path = make_experiment(
             tmp_path,
@@ -1935,7 +2021,7 @@ class TestExternalTrainerThroughPipeline:
             for fraction in sampling.FRACTION_GRID:
                 slug = pipeline.fraction_slug(fraction)
                 indices = json.loads(fresh[f"subsets/{pair}/{slug}.json"])["indices"]
-                expected = corpus.pairs_tsv([rows[i] for i in indices])
+                expected = "".join(corpus.tsv_lines([rows[i] for i in indices]))
                 assert fresh[f"subsets/{pair}/{slug}.train.tsv"] == expected.encode("utf-8")
 
     def test_resume_keeps_a_test_source_with_a_cr_inside(self, tmp_path, monkeypatch):
