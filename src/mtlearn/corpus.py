@@ -289,13 +289,11 @@ def write_split_bundle(
 ) -> list[str]:
     """Write train/dev/test TSVs plus the JSON sidecar for one pair.
 
-    Each split is formatted once, by `tsv_lines`, and every file goes
-    through `write_text_atomic`, so a directory that already holds this
-    split keeps all four files, inode and mtime included. meta.json is
-    written last. It records where the split came from (counts, seed,
-    ratios and ``extra_meta``); nothing reads it back. Returns the
-    training split's `tsv_lines`, so a caller that writes subsets of it
-    need not format its rows again.
+    Every file goes through `write_text_atomic`, so a directory that
+    already holds this split keeps all four files, inode and mtime
+    included. meta.json is written last. It records where the split came
+    from (counts, seed, ratios and ``extra_meta``); nothing reads it back.
+    Returns the training split's `tsv_lines`, for subsets of its rows.
     """
     directory = Path(directory)
     train_lines = tsv_lines(train.pairs)

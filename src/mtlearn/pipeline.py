@@ -522,8 +522,7 @@ def _prepare_pair(
     untouched; ``meta.json`` records a fingerprint of the inputs as
     provenance. ``hyps/<pair>/`` is made here, so an external cell's command
     only needs launching; its subset TSVs are joined from the training
-    lines `corpus.write_split_bundle` returns, so each row is formatted
-    once, and those lines are dropped on return.
+    lines that `corpus.write_split_bundle` formatted, dropped on return.
     """
     out = manifest.output_dir
     pair_dir = out / "corpus" / f"{src}-{tgt}"
