@@ -321,11 +321,7 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
 
 
 def _input_digests(manifest: ExperimentManifest) -> dict[Path, str]:
-    """sha256 of each listed language's input files, each file read once.
-
-    A ``data_sources`` entry for a language not in ``languages`` is never
-    read by a run, so it is not hashed.
-    """
+    """sha256 of the listed languages' input files, each file read once."""
     return {
         path: _sha256_file(path)
         for lang in manifest.languages
@@ -341,7 +337,7 @@ def manifest_fingerprint(
     Includes the input file contents of the listed languages, split/subset
     parameters, and the trainer configuration; deliberately excludes
     output_dir, max_parallel_jobs and the ``data_sources`` of unlisted
-    languages, which must not affect results. ``digests`` are the input
+    languages, which no run reads, so they must not affect results. ``digests`` are the input
     file hashes from `_input_digests`, taken now when not given.
     """
     if digests is None:
