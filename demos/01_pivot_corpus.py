@@ -86,7 +86,7 @@ big_pt = corpus.PivotBitext(
 )
 
 big_pair = corpus.build_parallel(big_es, big_pt)
-spec = corpus.SplitSpec(train_ratio=0.7, dev_ratio=0.1, test_ratio=0.2, seed=13)
+spec = corpus.SplitSpec(dev_ratio=0.1, test_ratio=0.2, seed=13)
 train, dev, test = corpus.split_pair(big_pair, spec)
 print(f"\nsplit {len(big_pair)} pairs -> {len(train)} train, {len(dev)} dev, {len(test)} test")
 print("first training pair:", train.pairs[0])

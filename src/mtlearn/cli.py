@@ -1,9 +1,10 @@
-"""Command-line entry point.
+"""Command-line entry point: each subcommand parses its arguments, calls
+the library and prints; the checks of splits and ledgers live there.
 
-Exit status contract: 0 on success, 1 when any experiment cell failed (or
-a report was refused: its ledger is missing, malformed, unfinished or of
-other inputs than the manifest's), 2 on configuration errors including bad flags and
-unreadable inputs, and when another run is using the output directory.
+Exit status contract: 0 on success, 1 when any experiment cell failed or
+a report was refused (see `pipeline.finished_ledger`), 2 on configuration
+errors including bad flags, unreadable inputs and a split that leaves
+train or test empty, and when another run is using the output directory.
 """
 
 from __future__ import annotations
@@ -53,12 +54,7 @@ def _cmd_build_corpus(args: argparse.Namespace) -> int:
     bitext_a = corpus.load_pivot_bitext(args.pivot_a, args.target_a, args.lang_a)
     bitext_b = corpus.load_pivot_bitext(args.pivot_b, args.target_b, args.lang_b)
     pair = corpus.build_parallel(bitext_a, bitext_b)
-    spec = corpus.SplitSpec(
-        train_ratio=1.0 - args.dev_ratio - args.test_ratio,
-        dev_ratio=args.dev_ratio,
-        test_ratio=args.test_ratio,
-        seed=args.seed,
-    )
+    spec = corpus.SplitSpec(dev_ratio=args.dev_ratio, test_ratio=args.test_ratio, seed=args.seed)
     train, dev, test = corpus.split_pair(pair, spec)
     corpus.write_split_bundle(args.out, pair.src, pair.tgt, train, dev, test, spec)
     print(
@@ -167,14 +163,6 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_matrices(
-    manifest: pipeline.ExperimentManifest | None,
-) -> tuple[analysis.IntelligibilityMatrix, analysis.IntelligibilityMatrix]:
-    if manifest is not None and manifest.matrices is not None:
-        return manifest.matrices
-    return analysis.embedded_matrices()
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     manifest = pipeline.load_manifest(args.manifest)
     if args.seed is not None:
@@ -193,9 +181,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if failed:
         return 1
-    summary = pipeline.build_report(
-        ledger, _report_matrices(manifest), manifest.output_dir
-    )
+    summary = pipeline.build_report(ledger, manifest.matrices, manifest.output_dir)
     print(f"report written to {manifest.output_dir} ({len(summary['auc'])} pairs)")
     return 0
 
@@ -205,25 +191,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     out = Path(args.out) if args.out else (manifest.output_dir if manifest else None)
     if out is None:
         raise pipeline.ManifestError("report needs --manifest or --out")
-    matrices = _report_matrices(manifest)
+    matrices = manifest.matrices if manifest else analysis.embedded_matrices()
 
     if args.auc == "table3":
         summary = pipeline.report_from_auc(
             analysis.embedded_reference_auc(), matrices, out
         )
+    elif manifest is None:
+        raise pipeline.ManifestError("report --auc ledger needs --manifest")
     else:
-        if manifest is None:
-            raise pipeline.ManifestError("report --auc ledger needs --manifest")
-        ledger_path = manifest.output_dir / "ledger.json"
-        if not ledger_path.is_file():
-            raise pipeline.LedgerError(f"no ledger at {ledger_path}; run the pipeline first")
-        ledger = pipeline.RunLedger.load(ledger_path)
-        if ledger.fingerprint != pipeline.manifest_fingerprint(manifest):
-            raise pipeline.LedgerError(
-                f"the ledger at {ledger_path} does not match the inputs and "
-                f"settings of {args.manifest}; run the pipeline first"
-            )
-        summary = pipeline.build_report(ledger, matrices, out)
+        summary = pipeline.build_report(pipeline.finished_ledger(manifest), matrices, out)
 
     print(f"report written to {out}")
     for key in ("pearson_written", "pearson_spoken", "pearson_spoken_excl_ro"):

@@ -95,20 +95,20 @@ class ParallelPair:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Train/dev/test ratios plus the shuffle seed."""
+    """Dev and test ratios plus the shuffle seed; train gets the rest."""
 
-    train_ratio: float
     dev_ratio: float
     test_ratio: float
     seed: int
+
+    @property
+    def train_ratio(self) -> float:
+        return 1.0 - self.dev_ratio - self.test_ratio
 
     def __post_init__(self):
         for name, r in (("train", self.train_ratio), ("dev", self.dev_ratio), ("test", self.test_ratio)):
             if not 0.0 < r < 1.0:
                 raise ValueError(f"{name}_ratio must be in (0, 1), got {r}")
-        total = self.train_ratio + self.dev_ratio + self.test_ratio
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"ratios must sum to 1, got {total!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
@@ -200,7 +200,8 @@ def split_pair(pair: ParallelPair, spec: SplitSpec) -> tuple[ParallelPair, Paral
     Dev and test receive floor(ratio * N) pairs each and train receives the
     remainder. Membership comes from a seeded permutation (see ``_rng``),
     so a given seed and input always produce the same partition; within each
-    part the original pair order is kept.
+    part the original pair order is kept. ValueError for fewer than 10
+    pairs, or when train or test would be empty (dev may be).
     """
     n = len(pair)
     if n < 10:
@@ -208,6 +209,12 @@ def split_pair(pair: ParallelPair, spec: SplitSpec) -> tuple[ParallelPair, Paral
     n_dev = int(spec.dev_ratio * n)
     n_test = int(spec.test_ratio * n)
     n_train = n - n_dev - n_test
+    for name, count, ratio in (("train", n_train, spec.train_ratio), ("test", n_test, spec.test_ratio)):
+        if not count:
+            raise ValueError(
+                f"pair {pair.src}-{pair.tgt}: splitting its {n} sentence pairs at "
+                f"{name}_ratio {ratio!r} leaves the {name} split empty"
+            )
 
     order = permutation(n, spec.seed)
     train_idx = sorted(order[:n_train])

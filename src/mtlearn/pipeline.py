@@ -122,7 +122,9 @@ class ExperimentManifest:
         default_factory=lambda: trainer.TrainerSpec(kind="builtin-em")
     )
     max_parallel_jobs: int = 1
-    matrices: tuple[analysis.IntelligibilityMatrix, analysis.IntelligibilityMatrix] | None = None
+    matrices: tuple[analysis.IntelligibilityMatrix, analysis.IntelligibilityMatrix] = field(
+        default_factory=analysis.embedded_matrices
+    )
 
     def __post_init__(self) -> None:
         if len(self.languages) < 2:
@@ -135,8 +137,8 @@ class ExperimentManifest:
         if self.max_parallel_jobs < 1:
             raise ManifestError("max_parallel_jobs must be >= 1")
         fracs = self.fractions
-        if not fracs or sorted(set(fracs)) != list(fracs):
-            raise ManifestError(f"fractions must be unique and ascending: {fracs}")
+        if len(fracs) < 2 or sorted(set(fracs)) != list(fracs):  # an AUC needs 2 points
+            raise ManifestError(f"fractions must be at least 2, unique and ascending: {fracs}")
         if any(not 0.0 < f <= 1.0 for f in fracs):
             raise ManifestError(f"fractions must lie in (0, 1]: {fracs}")
         if fracs[-1] != 1.0:
@@ -166,7 +168,6 @@ class ExperimentManifest:
     def pair_split_spec(self, src: str, tgt: str) -> corpus.SplitSpec:
         """The split of one pair's corpus; ValueError for bad ratios."""
         return corpus.SplitSpec(
-            train_ratio=1.0 - self.dev_ratio - self.test_ratio,
             dev_ratio=self.dev_ratio,
             test_ratio=self.test_ratio,
             seed=self.pair_split_seed(src, tgt),
@@ -251,14 +252,14 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
             raise ManifestError(
                 f"data_sources[{lang!r}] must have 'pivot' and 'target' paths"
             )
-        pivot, target = (
+        data_sources[lang] = tuple(
             (base / _typed(entry[key], "string", f"data_sources.{lang}.{key}")).resolve()
             for key in ("pivot", "target")
         )
-        for p in (pivot, target):
-            if not p.is_file():
-                raise ManifestError(f"data source file not found: {p}")
-        data_sources[lang] = (pivot, target)
+        if lang in languages:  # no run reads an unlisted language's files
+            for p in data_sources[lang]:
+                if not p.is_file():
+                    raise ManifestError(f"data source file not found: {p}")
 
     split = raw.get("split", {})
     if not isinstance(split, dict) or set(split) - {"dev_ratio", "test_ratio", "seed"}:
@@ -288,12 +289,12 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
     except (ValueError, TypeError) as exc:
         raise ManifestError(f"bad trainer spec: {exc}") from exc
 
-    matrices = None
+    matrices = {}  # absent: the manifest's default, the embedded tables
     if "matrices" in raw:
         mat_raw = raw["matrices"]
         if not isinstance(mat_raw, dict) or set(mat_raw) != {"written", "spoken"}:
             raise ManifestError("matrices must have exactly 'written' and 'spoken'")
-        matrices = (
+        matrices["matrices"] = (
             _parse_matrix("written", mat_raw["written"]),
             _parse_matrix("spoken", mat_raw["spoken"]),
         )
@@ -312,7 +313,7 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
             max_parallel_jobs=_typed(
                 raw.get("max_parallel_jobs", 1), "integer", "max_parallel_jobs"
             ),
-            matrices=matrices,
+            **matrices,
         )
     except ManifestError:
         raise
@@ -470,6 +471,20 @@ class RunLedger:
         return cls(fingerprint=raw["fingerprint"], cells=cells)
 
 
+def _load_ledger(path: Path, fingerprint: str) -> RunLedger:
+    """The ledger at ``path``; LedgerError if it is missing, malformed or of
+    another fingerprint. Other I/O errors (OSError) propagate."""
+    if not path.is_file():
+        raise LedgerError(f"no ledger at {path}; run the pipeline first")
+    ledger = RunLedger.load(path)
+    if ledger.fingerprint != fingerprint:
+        raise LedgerError(
+            f"the ledger at {path} does not match the inputs and settings "
+            "of the manifest; run the pipeline first"
+        )
+    return ledger
+
+
 # ---------------------------------------------------------------------------
 # Run
 # ---------------------------------------------------------------------------
@@ -513,9 +528,10 @@ def _prepare_pair(
     """Write every file `_pair_files` lists for one pair; return its working set.
 
     The corpus is joined from ``bitext(src)`` and ``bitext(tgt)`` and split
-    on every call, and no file is read back. Each file goes through
-    `corpus.write_text_atomic`, so one that already holds its bytes is left
-    untouched; ``meta.json`` records a fingerprint of the inputs as
+    on every call, and no file is read back. A split that `corpus.split_pair`
+    refuses raises ValueError before any file is written. Each file goes
+    through `corpus.write_text_atomic`, so one that already holds its bytes
+    is left untouched; ``meta.json`` records a fingerprint of the inputs as
     provenance. ``hyps/<pair>/`` is made here, so an external cell's command
     only needs launching; its subset TSVs are joined from the training
     lines that `corpus.write_split_bundle` formatted, dropped on return.
@@ -538,17 +554,7 @@ def _prepare_pair(
         ).encode("utf-8")
     ).hexdigest()
 
-    pair = corpus.build_parallel(bitext(src), bitext(tgt))
-    train, dev, test = corpus.split_pair(pair, spec)
-    # Every cell would train and then fail to score; refuse before any does.
-    for name, part, ratio in (
-        ("train", train, spec.train_ratio), ("test", test, spec.test_ratio)
-    ):
-        if not part.pairs:
-            raise ValueError(
-                f"pair {src}-{tgt}: splitting its {len(pair)} sentence pairs at "
-                f"{name}_ratio {ratio!r} leaves the {name} split empty"
-            )
+    train, dev, test = corpus.split_pair(corpus.build_parallel(bitext(src), bitext(tgt)), spec)
     train_lines = corpus.write_split_bundle(
         pair_dir, src, tgt, train, dev, test, spec,
         extra_meta={"fingerprint": fingerprint},
@@ -681,7 +687,7 @@ def _open_ledger(
 ) -> tuple[RunLedger, bool]:
     """This run's ledger: ledger.json, with any journal replayed onto it.
 
-    A ledger.json that is unreadable or carries another fingerprint is
+    A ledger.json that `_load_ledger` refuses, or that cannot be read, is
     deleted before this run writes anything: its done cells vouch for
     files this run is about to overwrite, and a rerun of its manifest
     trusts the files of every pair whose cells are all done. The cells
@@ -693,10 +699,8 @@ def _open_ledger(
     cells, so `RunLedger.load` of it gives the ledger returned.
     """
     try:
-        ledger = RunLedger.load(ledger_path)
+        ledger = _load_ledger(ledger_path, fingerprint)
     except (LedgerError, OSError):
-        ledger = None
-    if ledger is None or ledger.fingerprint != fingerprint:
         ledger_path.unlink(missing_ok=True)
         ledger = RunLedger(fingerprint=fingerprint, cells={})
     saved = ledger.cells.keys() == set(expected_keys)
@@ -988,6 +992,28 @@ def report_from_auc(
     return summary
 
 
+def _refuse_unfinished(ledger: RunLedger) -> None:
+    """LedgerError naming unfinished cells: a partial grid biases its curves."""
+    unfinished = [ledger.key_str(k) for k, c in sorted(ledger.cells.items()) if c.status != "done"]
+    if unfinished:
+        raise LedgerError(
+            f"ledger has {len(unfinished)} unfinished cells: "
+            + ", ".join(unfinished[:8])
+            + ("..." if len(unfinished) > 8 else "")
+        )
+
+
+def finished_ledger(manifest: ExperimentManifest) -> RunLedger:
+    """The ledger of ``manifest``'s finished run, to report from.
+
+    LedgerError when it is missing, malformed, of other inputs or
+    settings, or has a cell not done.
+    """
+    ledger = _load_ledger(manifest.output_dir / "ledger.json", manifest_fingerprint(manifest))
+    _refuse_unfinished(ledger)
+    return ledger
+
+
 def build_report(
     ledger: RunLedger,
     matrices: tuple[analysis.IntelligibilityMatrix, analysis.IntelligibilityMatrix],
@@ -995,19 +1021,10 @@ def build_report(
 ) -> dict:
     """Turn a complete ledger into the full report bundle.
 
-    Refuses to run unless every cell is done: a partial grid would silently
-    bias every curve it touches.
+    Raises LedgerError, and writes nothing, unless every cell is done, as
+    in a ledger from `finished_ledger`.
     """
-    if not ledger.all_done():
-        unfinished = [
-            ledger.key_str(k) for k, c in sorted(ledger.cells.items())
-            if c.status != "done"
-        ]
-        raise LedgerError(
-            f"ledger has {len(unfinished)} unfinished cells: "
-            + ", ".join(unfinished[:8])
-            + ("..." if len(unfinished) > 8 else "")
-        )
+    _refuse_unfinished(ledger)
     out = Path(output_dir)
 
     raw_by_pair: dict[tuple[str, str], list[tuple[float, float]]] = {}

@@ -103,6 +103,27 @@ class TestBuildCorpus:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_empty_test_split_is_config_error(self, tmp_path, capsys):
+        # 12 shared sentences at test_ratio 0.05 give floor(0.6) = 0 test rows.
+        for name, lang in (("p", "en"), ("a", "aa"), ("b", "bb")):
+            (tmp_path / name).write_text("".join(f"{lang} {i}\n" for i in range(12)))
+        out_dir = tmp_path / "pairout"
+        rc = cli.main(
+            [
+                "build-corpus",
+                "--lang-a", "aa", "--pivot-a", str(tmp_path / "p"), "--target-a", str(tmp_path / "a"),
+                "--lang-b", "bb", "--pivot-b", str(tmp_path / "p"), "--target-b", str(tmp_path / "b"),
+                "--out", str(out_dir), "--test-ratio", "0.05",
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: pair aa-bb: splitting its 12 sentence pairs at test_ratio 0.05 "
+            "leaves the test split empty\n"
+        )
+        assert not out_dir.exists()
+
+
 class TestSubsample:
     def test_prints_manifest_json(self, capsys):
         rc = cli.main(
@@ -361,6 +382,9 @@ class TestRunAndReport:
         assert rc == 1
         assert "0/18 cells done" in captured.out
         assert "FAILED aa-bb @ 0.2" in captured.err
+        assert cli.main(["report", "--manifest", str(manifest_path)]) == 1
+        assert "ledger has 18 unfinished cells: aa-bb/0.2, " in capsys.readouterr().err
+        assert not (root / "out" / "summary.json").exists()
 
     def test_report_from_reference_tables_without_manifest(self, tmp_path, capsys):
         out = tmp_path / "ref_report"

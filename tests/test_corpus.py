@@ -6,7 +6,7 @@ import os
 import unicodedata
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from mtlearn import corpus
@@ -287,24 +287,24 @@ def make_pair(n):
 
 class TestSplitPair:
     def test_size_arithmetic_10(self):
-        spec = corpus.SplitSpec(train_ratio=0.8, dev_ratio=0.1, test_ratio=0.1, seed=7)
+        spec = corpus.SplitSpec(dev_ratio=0.1, test_ratio=0.1, seed=7)
         train, dev, test = corpus.split_pair(make_pair(10), spec)
         assert (len(train), len(dev), len(test)) == (8, 1, 1)
 
     def test_floor_and_remainder_100(self):
-        spec = corpus.SplitSpec(train_ratio=0.98, dev_ratio=0.01, test_ratio=0.01, seed=1)
+        spec = corpus.SplitSpec(dev_ratio=0.01, test_ratio=0.01, seed=1)
         train, dev, test = corpus.split_pair(make_pair(100), spec)
         assert (len(train), len(dev), len(test)) == (98, 1, 1)
 
     def test_deterministic(self):
-        spec = corpus.SplitSpec(train_ratio=0.7, dev_ratio=0.1, test_ratio=0.2, seed=99)
+        spec = corpus.SplitSpec(dev_ratio=0.1, test_ratio=0.2, seed=99)
         first = corpus.split_pair(make_pair(50), spec)
         second = corpus.split_pair(make_pair(50), spec)
         for x, y in zip(first, second):
             assert x.pairs == y.pairs
 
     def test_partition_is_exhaustive_and_disjoint(self):
-        spec = corpus.SplitSpec(train_ratio=0.7, dev_ratio=0.1, test_ratio=0.2, seed=5)
+        spec = corpus.SplitSpec(dev_ratio=0.1, test_ratio=0.2, seed=5)
         pair = make_pair(73)
         train, dev, test = corpus.split_pair(pair, spec)
         combined = sorted(
@@ -314,7 +314,7 @@ class TestSplitPair:
         assert len(set(combined)) == len(pair.pairs)
 
     def test_order_preserved_within_parts(self):
-        spec = corpus.SplitSpec(train_ratio=0.6, dev_ratio=0.2, test_ratio=0.2, seed=3)
+        spec = corpus.SplitSpec(dev_ratio=0.2, test_ratio=0.2, seed=3)
         pair = make_pair(40)
         position = {p: i for i, p in enumerate(pair.pairs)}
         for part in corpus.split_pair(pair, spec):
@@ -323,22 +323,47 @@ class TestSplitPair:
 
     def test_seed_changes_partition(self):
         pair = make_pair(60)
-        spec1 = corpus.SplitSpec(train_ratio=0.7, dev_ratio=0.1, test_ratio=0.2, seed=1)
-        spec2 = corpus.SplitSpec(train_ratio=0.7, dev_ratio=0.1, test_ratio=0.2, seed=2)
+        spec1 = corpus.SplitSpec(dev_ratio=0.1, test_ratio=0.2, seed=1)
+        spec2 = corpus.SplitSpec(dev_ratio=0.1, test_ratio=0.2, seed=2)
         assert corpus.split_pair(pair, spec1)[0].pairs != corpus.split_pair(pair, spec2)[0].pairs
 
     def test_too_few_pairs(self):
-        spec = corpus.SplitSpec(train_ratio=0.8, dev_ratio=0.1, test_ratio=0.1, seed=0)
+        spec = corpus.SplitSpec(dev_ratio=0.1, test_ratio=0.1, seed=0)
         with pytest.raises(ValueError):
             corpus.split_pair(make_pair(9), spec)
 
     def test_split_spec_validation(self):
+        assert corpus.SplitSpec(dev_ratio=0.1, test_ratio=0.2, seed=0).train_ratio == 1.0 - 0.1 - 0.2
+        with pytest.raises(ValueError, match="train_ratio"):
+            corpus.SplitSpec(dev_ratio=0.5, test_ratio=0.5, seed=0)
         with pytest.raises(ValueError):
-            corpus.SplitSpec(train_ratio=0.5, dev_ratio=0.1, test_ratio=0.1, seed=0)
+            corpus.SplitSpec(dev_ratio=0.0, test_ratio=0.0, seed=0)
         with pytest.raises(ValueError):
-            corpus.SplitSpec(train_ratio=1.0, dev_ratio=0.0, test_ratio=0.0, seed=0)
-        with pytest.raises(ValueError):
-            corpus.SplitSpec(train_ratio=0.8, dev_ratio=0.1, test_ratio=0.1, seed=-1)
+            corpus.SplitSpec(dev_ratio=0.1, test_ratio=0.1, seed=-1)
+
+
+    @given(
+        n=st.integers(10, 400),
+        dev=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        test=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_split_sizes_and_refusals(self, n, dev, test, seed):
+        try:
+            spec = corpus.SplitSpec(dev_ratio=dev, test_ratio=test, seed=seed)
+        except ValueError:
+            assume(False)  # dev + test leave train no share
+        pair = make_pair(n)
+        n_dev, n_test = int(dev * n), int(test * n)
+        n_train = n - n_dev - n_test
+        if n_test == 0 or n_train == 0:
+            with pytest.raises(ValueError, match="split empty"):
+                corpus.split_pair(pair, spec)
+            return
+        train, dev_part, test_part = corpus.split_pair(pair, spec)
+        assert (len(train), len(dev_part), len(test_part)) == (n_train, n_dev, n_test)
+        parts = train.pairs + dev_part.pairs + test_part.pairs
+        assert sorted(parts) == sorted(pair.pairs)  # disjoint, and every pair kept
 
 
 class TestTsvIO:
@@ -388,7 +413,7 @@ class TestTsvIO:
             corpus.read_pairs_tsv(path)
 
     def test_split_bundle_files(self, tmp_path):
-        spec = corpus.SplitSpec(train_ratio=0.7, dev_ratio=0.1, test_ratio=0.2, seed=4)
+        spec = corpus.SplitSpec(dev_ratio=0.1, test_ratio=0.2, seed=4)
         pair = make_pair(30)
         train, dev, test = corpus.split_pair(pair, spec)
         lines = corpus.write_split_bundle(tmp_path / "es-pt", "es", "pt", train, dev, test, spec)
@@ -403,7 +428,7 @@ class TestTsvIO:
 
     def test_rewriting_the_same_split_replaces_no_file(self, tmp_path):
         # What a rerun of `mtlearn build-corpus` does to an unchanged pair.
-        spec = corpus.SplitSpec(train_ratio=0.7, dev_ratio=0.1, test_ratio=0.2, seed=4)
+        spec = corpus.SplitSpec(dev_ratio=0.1, test_ratio=0.2, seed=4)
         train, dev, test = corpus.split_pair(make_pair(30), spec)
         directory = tmp_path / "es-pt"
         corpus.write_split_bundle(directory, "es", "pt", train, dev, test, spec)

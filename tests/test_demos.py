@@ -1,6 +1,7 @@
 """Smoke test of the walkthroughs in demos/: each runs and leaves the checkout
 and the temp directory as it found them."""
 
+import fnmatch
 import os
 import subprocess
 import sys
@@ -12,22 +13,51 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def checkout_state():
-    """Every file of the checkout that git does not ignore, with its mtime.
+def ignored_dir(rel: str) -> bool:
+    """Whether .gitignore names the directory ``rel`` (relative to ROOT).
 
-    Tracked files and new files outside .gitignore count; ignored paths
-    such as .hypothesis/ do not, since another test process sharing the
-    checkout may write there while a demo runs. A tracked file that is
-    gone maps to None.
+    Only its lines that end in "/" count. One that starts with "/" is
+    anchored at the root; any other matches a directory at any depth.
     """
-    names = subprocess.run(
-        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
-        cwd=ROOT,
-        capture_output=True,
-        check=True,
-    ).stdout.decode("utf-8").split("\0")
+    lines = (ROOT / ".gitignore").read_text(encoding="utf-8").splitlines()
+    return any(
+        fnmatch.fnmatchcase(rel if line.startswith("/") else os.path.basename(rel), line.strip("/"))
+        for line in lines
+        if line.endswith("/")
+    )
+
+
+def checkout_names():
+    """Every file of the checkout that git does not ignore.
+
+    Tracked files and new files outside .gitignore count. Outside a git
+    checkout (a source export), every file counts that is not under a
+    directory .gitignore names.
+    """
+    if (ROOT / ".git").exists():
+        return subprocess.run(
+            ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+            cwd=ROOT,
+            capture_output=True,
+            check=True,
+        ).stdout.decode("utf-8").split("\0")
+    names = []
+    for dirpath, dirnames, filenames in os.walk(ROOT):
+        rel = os.path.relpath(dirpath, ROOT)
+        dirnames[:] = [d for d in dirnames if not ignored_dir(os.path.normpath(os.path.join(rel, d)))]
+        names += [os.path.normpath(os.path.join(rel, f)) for f in filenames]
+    return names
+
+
+def checkout_state():
+    """Each file of `checkout_names` with its mtime.
+
+    Ignored paths such as .hypothesis/ do not count, since another test
+    process sharing the checkout may write there while a demo runs. A
+    tracked file that is gone maps to None.
+    """
     state = {}
-    for name in filter(None, names):
+    for name in filter(None, checkout_names()):
         try:
             state[name] = (ROOT / name).stat().st_mtime_ns
         except FileNotFoundError:

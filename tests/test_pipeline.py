@@ -136,6 +136,19 @@ class TestLoadManifest:
         with pytest.raises(pipeline.ManifestError, match="not found"):
             pipeline.load_manifest(path)
 
+    def test_files_of_an_unlisted_language_need_not_exist(self, tmp_path, capsys):
+        path = make_experiment(tmp_path)
+        base = pipeline.manifest_fingerprint(pipeline.load_manifest(path))
+        raw = json.loads(path.read_text())
+        raw["data_sources"]["cc"] = {"pivot": "data/ghost.txt", "target": "data/ghost2.txt"}
+        path.write_text(json.dumps(raw))
+        manifest = pipeline.load_manifest(path)
+        assert manifest.data_sources["cc"][0] == (tmp_path / "data" / "ghost.txt").resolve()
+        assert pipeline.manifest_fingerprint(manifest) == base
+        assert cli.main(["run", "--manifest", str(path)]) == 0
+        assert "18/18 cells done" in capsys.readouterr().out
+        assert pipeline.finished_ledger(manifest).fingerprint == base
+
     def test_bad_split_key(self, tmp_path):
         path = make_experiment(tmp_path)
         raw = json.loads(path.read_text())
@@ -290,6 +303,25 @@ class TestManifestValidation:
             pipeline.ExperimentManifest(**kwargs, fractions=(0.5, 0.5, 1.0))
         with pytest.raises(pipeline.ManifestError, match=r"in \(0, 1\]"):
             pipeline.ExperimentManifest(**kwargs, fractions=(-0.1, 1.0))
+        for fractions in ((1.0,), ()):
+            with pytest.raises(pipeline.ManifestError, match="at least 2"):
+                pipeline.ExperimentManifest(**kwargs, fractions=fractions)
+
+    def test_a_single_fraction_is_refused_before_the_run(self, tmp_path, capsys):
+        # One curve point gives no AUC; the run would fail only after
+        # training every cell.
+        path = make_experiment(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["fractions"] = [1.0]
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", "--manifest", str(path)]) == 2
+        assert "fractions must be at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_matrices_default_to_the_embedded_tables(self, tmp_path):
+        manifest = pipeline.ExperimentManifest(**self.base_kwargs(tmp_path))
+        assert manifest.matrices == analysis.embedded_matrices()
+        assert pipeline.load_manifest(tmp_path / "manifest.json").matrices == manifest.matrices
 
     def test_fractions_sharing_a_file_name_rejected(self, tmp_path, capsys):
         # fraction_slug keeps 4 decimals; two cells of a pair would write
@@ -1785,6 +1817,42 @@ class TestOneRunPerOutputDirectory:
         assert issubclass(pipeline.RunInProgressError, pipeline.LedgerError)
         # The lock goes with its holder.
         assert pipeline.run_experiment(manifest).all_done()
+
+
+def _refingerprint(path):
+    ledger = pipeline.RunLedger.load(path)
+    ledger.fingerprint = "0" * 64
+    ledger.save(path)
+
+
+def _unfinish(path):
+    ledger = pipeline.RunLedger.load(path)
+    ledger.cells[("bb", "aa", 0.5)].status = "failed"
+    ledger.save(path)
+
+
+class TestFinishedLedger:
+    def test_a_finished_run_gives_its_ledger(self, tiny_run):
+        _, manifest, ledger = tiny_run
+        assert pipeline.finished_ledger(manifest) == ledger
+
+    @pytest.mark.parametrize(
+        "damage, problem",
+        [
+            (Path.unlink, "^no ledger at .*; run the pipeline first$"),
+            (lambda path: path.write_text('{"cells": {}}'), "^malformed ledger "),
+            (_refingerprint, "does not match the inputs and settings of the manifest"),
+            (_unfinish, "^ledger has 1 unfinished cells: bb-aa/0.5$"),
+        ],
+        ids=["missing", "malformed", "other-inputs", "unfinished"],
+    )
+    def test_refusals(self, tiny_run, tmp_path, damage, problem):
+        _, manifest, _ = tiny_run
+        path = tmp_path / "ledger.json"
+        shutil.copyfile(manifest.output_dir / "ledger.json", path)
+        damage(path)
+        with pytest.raises(pipeline.LedgerError, match=problem):
+            pipeline.finished_ledger(dataclasses.replace(manifest, output_dir=tmp_path))
 
 
 class TestReports:
