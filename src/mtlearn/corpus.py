@@ -106,7 +106,7 @@ class SplitSpec:
         return 1.0 - self.dev_ratio - self.test_ratio
 
     def __post_init__(self):
-        for name, r in (("train", self.train_ratio), ("dev", self.dev_ratio), ("test", self.test_ratio)):
+        for name, r in (("dev", self.dev_ratio), ("test", self.test_ratio), ("train", self.train_ratio)):
             if not 0.0 < r < 1.0:
                 raise ValueError(f"{name}_ratio must be in (0, 1), got {r}")
         if not 0 <= self.seed < 2**64:

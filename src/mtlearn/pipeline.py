@@ -993,7 +993,7 @@ def report_from_auc(
 
 
 def _refuse_unfinished(ledger: RunLedger) -> None:
-    """LedgerError naming unfinished cells: a partial grid biases its curves."""
+    """LedgerError naming the cells not done: a partial grid biases its curves."""
     unfinished = [ledger.key_str(k) for k, c in sorted(ledger.cells.items()) if c.status != "done"]
     if unfinished:
         raise LedgerError(
