@@ -24,8 +24,6 @@ PALETTE = ("#0072B2", "#D55E00", "#009E73", "#CC79A7", "#E69F00", "#56B4E9")
 
 def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     """Round tick positions covering [lo, hi] at a power-of-ten-ish step."""
-    if hi <= lo:
-        hi = lo + 1.0
     raw_step = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw_step))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -49,10 +47,6 @@ class _Frame:
     """Maps data coordinates onto the SVG plot rectangle."""
 
     def __init__(self, x_lo: float, x_hi: float, y_lo: float, y_hi: float):
-        if x_hi <= x_lo:
-            x_hi = x_lo + 1.0
-        if y_hi <= y_lo:
-            y_hi = y_lo + 1.0
         self.x_lo, self.x_hi = x_lo, x_hi
         self.y_lo, self.y_hi = y_lo, y_hi
         self.px_left = MARGIN_LEFT

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -165,8 +164,6 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     manifest = pipeline.load_manifest(args.manifest)
-    if args.seed is not None:
-        manifest = dataclasses.replace(manifest, seed=args.seed)
     if args.jobs is not None:
         manifest = dataclasses.replace(manifest, max_parallel_jobs=args.jobs)
     ledger = pipeline.run_experiment(manifest)
@@ -188,19 +185,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     manifest = pipeline.load_manifest(args.manifest) if args.manifest else None
-    out = Path(args.out) if args.out else (manifest.output_dir if manifest else None)
-    if out is None:
-        raise pipeline.ManifestError("report needs --manifest or --out")
-    matrices = manifest.matrices if manifest else analysis.embedded_matrices()
-
     if args.auc == "table3":
-        summary = pipeline.report_from_auc(
-            analysis.embedded_reference_auc(), matrices, out
-        )
+        if not args.out:  # a run's bundle would get AUCs its curves do not give
+            raise pipeline.ManifestError("report --auc table3 needs --out")
+        out = Path(args.out)
+        matrices = manifest.matrices if manifest else analysis.embedded_matrices()
+        summary = pipeline.report_from_auc(analysis.embedded_reference_auc(), matrices, out)
     elif manifest is None:
         raise pipeline.ManifestError("report --auc ledger needs --manifest")
     else:
-        summary = pipeline.build_report(pipeline.finished_ledger(manifest), matrices, out)
+        out = Path(args.out) if args.out else manifest.output_dir
+        summary = pipeline.build_report(pipeline.finished_ledger(manifest), manifest.matrices, out)
 
     print(f"report written to {out}")
     for key in ("pearson_written", "pearson_spoken", "pearson_spoken_excl_ro"):
@@ -271,14 +266,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the full experiment grid from a manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--seed", type=int, help="override the manifest seed")
     p.add_argument("--jobs", type=int, help="override max_parallel_jobs")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("report", help="build the report bundle from a ledger")
     p.add_argument("--manifest")
     p.add_argument("--auc", choices=("ledger", "table3"), default="ledger")
-    p.add_argument("--out", help="report directory (defaults to the manifest output_dir)")
+    p.add_argument("--out", help="report directory (for ledger, defaults to the manifest output_dir)")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("tables", help="print the embedded reference tables")
@@ -303,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     except (pipeline.LedgerError, trainer.ExternalTrainerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (pipeline.ManifestError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

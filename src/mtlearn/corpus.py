@@ -20,8 +20,6 @@ from pathlib import Path
 
 from ._rng import permutation
 
-PIVOT_LANG = "en"
-
 _LANG_RE = re.compile(r"^[a-z]{2}$")
 
 

@@ -131,6 +131,11 @@ class ExperimentManifest:
             raise ManifestError("need at least 2 languages")
         if len(set(self.languages)) != len(self.languages):
             raise ManifestError(f"duplicate languages: {self.languages}")
+        try:
+            for lang in self.languages:
+                corpus.validate_lang(lang)
+        except ValueError as exc:
+            raise ManifestError(str(exc)) from exc
         for lang in self.languages:
             if lang not in self.data_sources:
                 raise ManifestError(f"no data_sources entry for language {lang!r}")
@@ -190,7 +195,7 @@ def _parse_matrix(medium: str, scores: dict) -> analysis.IntelligibilityMatrix:
             for pair, value in scores.items()
         }
         return analysis.IntelligibilityMatrix(medium=medium, scores=parsed)
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ManifestError(f"bad {medium} matrix: {exc}") from exc
 
 
@@ -237,11 +242,6 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
     languages = raw["languages"]
     if not isinstance(languages, list) or not all(isinstance(l, str) for l in languages):
         raise ManifestError("languages must be a list of language codes")
-    try:
-        for lang in languages:
-            corpus.validate_lang(lang)
-    except ValueError as exc:
-        raise ManifestError(str(exc)) from exc
 
     sources = raw["data_sources"]
     if not isinstance(sources, dict):
@@ -303,7 +303,7 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
         return ExperimentManifest(
             languages=tuple(languages),
             data_sources=data_sources,
-            output_dir=(base / raw["output_dir"]).resolve(),
+            output_dir=(base / _typed(raw["output_dir"], "string", "output_dir")).resolve(),
             dev_ratio=float(_typed(split.get("dev_ratio", 0.1), "number", "split.dev_ratio")),
             test_ratio=float(_typed(split.get("test_ratio", 0.2), "number", "split.test_ratio")),
             split_seed=_typed(split.get("seed"), "integer", "split.seed", optional=True),
@@ -317,7 +317,7 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
         )
     except ManifestError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ManifestError(str(exc)) from exc
 
 
@@ -378,7 +378,6 @@ class CellRecord:
     fraction: float
     status: str = "pending"  # pending | done | failed
     bleu: float | None = None
-    hypothesis_path: str | None = None
     wall_time: float | None = None
     error: str | None = None
 
@@ -388,7 +387,22 @@ class CellRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CellRecord":
-        return cls(**d)
+        """The record that `to_dict` gave ``d``; keys that are not fields,
+        such as one that an older version wrote, are ignored.
+
+        ValueError for a record that no run writes: a status other than
+        pending, done or failed, or a done record whose bleu is not a
+        number.
+        """
+        record = cls(**{name: d[name] for name in _CELL_FIELDS if name in d})
+        if record.status not in ("pending", "done", "failed"):
+            raise ValueError(f"unknown cell status {record.status!r}")
+        if record.status == "done" and type(record.bleu) not in (int, float):  # no bool
+            raise ValueError(f"done cell with bleu {record.bleu!r}")
+        return record
+
+
+_CELL_FIELDS = tuple(f.name for f in fields(CellRecord))
 
 
 @dataclass
@@ -588,6 +602,16 @@ def _prepare_pair(
     )
 
 
+def _files_in(directory: Path) -> frozenset[str]:
+    """The files in ``directory``, as `Path.is_file` sees them, from one
+    listing; a directory that cannot be listed holds none."""
+    try:
+        with os.scandir(directory) as entries:
+            return frozenset(entry.name for entry in entries if entry.is_file())
+    except (OSError, ValueError):
+        return frozenset()
+
+
 def _hyp_path(data: _PairData, fraction: float) -> str:
     """A cell's hypothesis file, relative to output_dir."""
     return f"hyps/{data.src}-{data.tgt}/{fraction_slug(fraction)}.txt"
@@ -596,15 +620,14 @@ def _hyp_path(data: _PairData, fraction: float) -> str:
 def _score_cell(
     data: _PairData, fraction: float, started: float, hyps: list[str]
 ) -> CellRecord:
-    """The done record of a cell whose hypotheses are ``hyps``: its BLEU,
-    its hypothesis file and the wall time since ``started``."""
+    """The done record of a cell whose hypotheses are ``hyps``: its BLEU
+    and the wall time since ``started``."""
     return CellRecord(
         src=data.src,
         tgt=data.tgt,
         fraction=fraction,
         status="done",
         bleu=bleu.corpus_bleu(hyps, data.test_refs).score,
-        hypothesis_path=_hyp_path(data, fraction),
         wall_time=time.monotonic() - started,
     )
 
@@ -775,38 +798,25 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
         journal_path = out / "ledger.journal"
         ledger, saved = _open_ledger(ledger_path, journal_path, fingerprint, expected_keys)
 
-        # Every listing is read before the first pair is prepared, and each
-        # pair's preparation writes only in its own directories after its
-        # own check, so no listing goes stale before it is read.
-        @functools.cache
-        def files_in(rel_dir: str) -> frozenset[str]:
-            """The files in out/rel_dir, as `Path.is_file` sees them.
-
-            One listing; a directory that cannot be listed holds none.
-            """
-            try:
-                with os.scandir(os.path.join(out, rel_dir)) as entries:
-                    return frozenset(entry.name for entry in entries if entry.is_file())
-            except (OSError, ValueError):
-                return frozenset()
-
+        # The pairs to prepare, in ledger order: each with a cell to run (not
+        # done, or its hypothesis file missing) or missing a file that its
+        # preparation writes.
         todo: dict[tuple[str, str], list[tuple[str, str, float]]] = {}
-        for key in expected_keys:
-            record = ledger.cells[key]
-            if record.status == "done" and record.hypothesis_path is not None:
-                rel_dir, name = os.path.split(record.hypothesis_path)
-                if name in files_in(rel_dir):
-                    continue
-            todo.setdefault(key[:2], []).append(key)
-
-        # The pairs to prepare, in ledger order: each with a cell to run or
-        # missing a file that its preparation writes.
-        pairs = [
-            pair for pair in manifest.pairs()
-            if pair in todo or not all(
-                files_in(d).issuperset(names) for d, names in _pair_files(manifest, *pair).items()
-            )
-        ]
+        pairs = []
+        hyp_names = [(fraction, f"{fraction_slug(fraction)}.txt") for fraction in manifest.fractions]
+        for src, tgt in manifest.pairs():
+            hyps = _files_in(out / "hyps" / f"{src}-{tgt}")
+            keys = [
+                (src, tgt, fraction) for fraction, name in hyp_names
+                if ledger.cells[(src, tgt, fraction)].status != "done" or name not in hyps
+            ]
+            if keys:
+                todo[(src, tgt)] = keys
+            if keys or not all(
+                _files_in(out / d).issuperset(names)
+                for d, names in _pair_files(manifest, src, tgt).items()
+            ):
+                pairs.append((src, tgt))
 
         # A bitext is loaded at the first pair prepared that uses it and
         # dropped once the last pair that uses it is prepared. Pivot lines go

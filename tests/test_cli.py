@@ -2,11 +2,12 @@
 
 import json
 import random
+import shutil
 from pathlib import Path
 
 import pytest
 
-from mtlearn import cli, corpus, pipeline, sampling, synthetic
+from mtlearn import analysis, cli, corpus, pipeline, sampling, synthetic
 
 
 @pytest.fixture
@@ -324,6 +325,27 @@ class TestCurveAucCorrelate:
         out = capsys.readouterr().out.strip()
         assert out == "r = 0.775  (AUC vs spoken, excluding source ro, n = 16)"
 
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_correlate_curves_csv(self, tmp_path, capsys, labelled):
+        # Each pair's relative BLEU at half the data is its written score
+        # over 100, so its AUC is linear in that score and r is 1. Rows
+        # without a label form one unlabelled curve.
+        written, _ = analysis.embedded_matrices()
+        rows = ["pair,fraction,bleu,relative"]
+        for (src, tgt), score in sorted(written.scores.items())[: 20 if labelled else 1]:
+            pair = f"{src}-{tgt}" if labelled else ""
+            rows += [f"{pair},0.5,{score * 0.3!r},0", f"{pair},1.0,30.0,1.0"]
+        curves = tmp_path / "curves.csv"
+        curves.write_text("\n".join(rows) + "\n")
+        rc = cli.main(["correlate", "--auc", str(curves), "--against", "written"])
+        captured = capsys.readouterr()
+        if labelled:
+            assert rc == 0
+            assert captured.out == "r = 1.000  (AUC vs written, n = 20)\n"
+        else:
+            assert rc == 2
+            assert captured.err == f"error: curves in {curves} need pair labels for correlation\n"
+
     def test_bad_scores_header_is_config_error(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         scores.write_text("wrong,header\n")
@@ -399,7 +421,69 @@ class TestRunAndReport:
 
     def test_report_without_manifest_or_out_is_config_error(self, capsys):
         assert cli.main(["report", "--auc", "table3"]) == 2
-        assert "needs --manifest or --out" in capsys.readouterr().err
+        assert "report --auc table3 needs --out" in capsys.readouterr().err
+        assert cli.main(["report", "--auc", "ledger", "--out", "anywhere"]) == 2
+        assert "report --auc ledger needs --manifest" in capsys.readouterr().err
+
+    def test_table3_report_never_goes_into_a_run_bundle(self, tiny_bitexts, capsys):
+        root, manifest_path = tiny_bitexts
+        assert cli.main(["run", "--manifest", str(manifest_path)]) == 0
+        out = root / "out"
+
+        def files():
+            return {
+                p: (p.read_bytes(), p.stat().st_mtime_ns)
+                for p in sorted(out.rglob("*")) if p.is_file()
+            }
+
+        before = files()
+        capsys.readouterr()
+        assert cli.main(["report", "--manifest", str(manifest_path), "--auc", "table3"]) == 2
+        assert capsys.readouterr().err == "error: report --auc table3 needs --out\n"
+        assert files() == before
+
+    def test_run_has_no_seed_flag(self, tiny_bitexts, capsys):
+        root, manifest_path = tiny_bitexts
+        assert cli.main(["run", "--manifest", str(manifest_path), "--seed", "8"]) == 2
+        assert "unrecognized arguments: --seed 8" in capsys.readouterr().err
+        assert not (root / "out").exists()
+
+    def test_jobs_changes_neither_bundle_nor_fingerprint(self, tiny_bitexts, capsys):
+        # The manifest sets max_parallel_jobs to 2.
+        root, manifest_path = tiny_bitexts
+        out = root / "out"
+
+        def run(*flags):
+            assert cli.main(["run", "--manifest", str(manifest_path), *flags]) == 0
+            files = {
+                p.relative_to(out).as_posix(): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()
+            }
+            ledger = json.loads(files.pop("ledger.json"))
+            shutil.rmtree(out)
+            return files, ledger["fingerprint"]
+
+        assert run("--jobs", "1") == run()
+
+    @pytest.mark.parametrize(
+        "edit", [{"bleu": None}, {"status": "running"}], ids=["null-bleu", "unknown-status"]
+    )
+    def test_a_ledger_record_no_run_writes(self, tiny_bitexts, capsys, edit):
+        # report refuses the ledger; run replaces it and trains every cell.
+        root, manifest_path = tiny_bitexts
+        assert cli.main(["run", "--manifest", str(manifest_path)]) == 0
+        ledger_path = root / "out" / "ledger.json"
+        raw = json.loads(ledger_path.read_text())
+        raw["cells"]["aa-bb/0.5"].update(edit)
+        ledger_path.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert cli.main(["report", "--manifest", str(manifest_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: malformed ledger {ledger_path}: ")
+        (root / "out" / "hyps" / "aa-bb" / "0.2.txt").unlink()
+        assert cli.main(["run", "--manifest", str(manifest_path)]) == 0
+        assert "18/18 cells done" in capsys.readouterr().out
+        assert (root / "out" / "hyps" / "aa-bb" / "0.2.txt").is_file()
+        assert json.loads(ledger_path.read_text())["cells"]["aa-bb/0.5"]["status"] == "done"
 
     @pytest.mark.parametrize(
         "flag", [["--exclude-source", "ro"], ["--seed", "3"], ["--jobs", "2"]]

@@ -224,6 +224,27 @@ class TestBuildParallel:
         with pytest.raises(ValueError):
             corpus.build_parallel(a, a)
 
+    @pytest.mark.parametrize(
+        "make, problem",
+        [
+            (lambda: bitext("es", ["A"], []), "pivot/target line counts differ for es: 1 vs 0"),
+            (lambda: corpus.ParallelPair("es", "es", []), "source and target language are both 'es'"),
+            (
+                lambda: corpus.ParallelPair("es", "pt", [("a", "b")], provenance=[(0, 0), (1, 1)]),
+                "provenance length does not match pair count",
+            ),
+            (
+                lambda: corpus.build_parallel(bitext("es", [], []), bitext("pt", ["A"], ["a"])),
+                "both bitexts must be nonempty",
+            ),
+        ],
+        ids=["line-counts", "same-language", "provenance", "empty-bitext"],
+    )
+    def test_refusals(self, make, problem):
+        with pytest.raises(ValueError) as raised:
+            make()
+        assert str(raised.value) == problem
+
     def test_pair_count_symmetry(self):
         # Property over a few constructed corpora with duplicates.
         for seed in range(5):

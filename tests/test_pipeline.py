@@ -195,6 +195,7 @@ class TestLoadManifest:
             (("fractions",), 1.0, "fractions must be a list"),
             (("trainer", "em_iterations"), 1.5, "trainer.em_iterations must be a JSON integer"),
             (("trainer", "em_iterations"), True, "trainer.em_iterations must be a JSON integer"),
+            (("output_dir",), 3, "output_dir must be a JSON string"),
         ],
     )
     def test_wrongly_typed_value_is_a_config_error(self, tmp_path, capsys, keys, value, problem):
@@ -254,6 +255,52 @@ class TestLoadManifest:
         path.write_text(json.dumps(raw))
         assert pipeline.load_manifest(path).split_seed is None
 
+    @pytest.mark.parametrize(
+        "keys, value, problem",
+        [
+            ((), ["aa", "bb"], "manifest must be a JSON object"),
+            (("languages",), "aa bb", "languages must be a list of language codes"),
+            (("data_sources",), [], "data_sources must be an object"),
+            (
+                ("data_sources", "aa"),
+                {"pivot": "data/aa.pivot.txt"},
+                "data_sources['aa'] must have 'pivot' and 'target' paths",
+            ),
+            (("trainer",), "builtin-em", "trainer must be an object"),
+            (
+                ("matrices",),
+                {"written": {"aa-bb": "high"}, "spoken": {}},
+                "bad written matrix: could not convert string to float: 'high'",
+            ),
+            (
+                ("matrices",),
+                {"written": {"aa-bb": 10**400}, "spoken": {}},
+                "bad written matrix: int too large to convert to float",
+            ),
+            (("split", "dev_ratio"), 10**400, "int too large to convert to float"),
+            (("output_dir",), "out\x00", "embedded null byte"),
+        ],
+        ids=["not-an-object", "languages", "data_sources", "source-entry", "trainer",
+             "matrix", "matrix-overflow", "ratio-overflow", "output_dir"],
+    )
+    def test_misshapen_manifest_is_a_config_error(self, tmp_path, capsys, keys, value, problem):
+        path = make_experiment(tmp_path)
+        raw = json.loads(path.read_text())
+        parent = raw
+        for key in keys[:-1]:
+            parent = parent[key]
+        if keys:
+            parent[keys[-1]] = value
+        else:
+            raw = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(pipeline.ManifestError) as raised:
+            pipeline.load_manifest(path)
+        assert str(raised.value) == problem
+        assert cli.main(["run", "--manifest", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {problem}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_language_code(self, tmp_path):
         path = make_experiment(tmp_path)
         raw = json.loads(path.read_text())
@@ -295,6 +342,8 @@ class TestManifestValidation:
             pipeline.ExperimentManifest(
                 **{**kwargs, "languages": ("aa", "bb", "cc")}
             )
+        with pytest.raises(pipeline.ManifestError, match="invalid language code: 'BB'"):
+            pipeline.ExperimentManifest(**{**kwargs, "languages": ("aa", "BB")})
         with pytest.raises(pipeline.ManifestError, match="max_parallel_jobs"):
             pipeline.ExperimentManifest(**kwargs, max_parallel_jobs=0)
         with pytest.raises(pipeline.ManifestError, match="include 1.0"):
@@ -447,8 +496,7 @@ class TestLedger:
         for fraction in (0.5, 1.0):
             cells[("aa", "bb", fraction)] = pipeline.CellRecord(
                 src="aa", tgt="bb", fraction=fraction, status="done",
-                bleu=30.0, hypothesis_path=f"hyps/aa-bb/{fraction}.txt",
-                wall_time=0.1,
+                bleu=30.0, wall_time=0.1,
             )
         return pipeline.RunLedger(fingerprint="f" * 64, cells=cells)
 
@@ -459,6 +507,34 @@ class TestLedger:
         back = pipeline.RunLedger.load(path)
         assert back.fingerprint == ledger.fingerprint
         assert back.cells == ledger.cells
+
+    @pytest.mark.parametrize(
+        "edit",
+        [{"bleu": None}, {"bleu": True}, {"bleu": "30.0"}, {"status": "running"}],
+        ids=["null-bleu", "bool-bleu", "text-bleu", "unknown-status"],
+    )
+    def test_a_record_no_run_writes_is_refused(self, tmp_path, edit):
+        ledger = self.make_ledger()
+        bad = {**ledger.cells[("aa", "bb", 0.5)].to_dict(), **edit}
+        with pytest.raises(ValueError):
+            pipeline.CellRecord.from_dict(bad)
+
+        path = tmp_path / "ledger.json"
+        raw = json.loads(ledger.to_json())
+        raw["cells"]["aa-bb/0.5"] = bad
+        path.write_text(json.dumps(raw))
+        with pytest.raises(pipeline.LedgerError, match="^malformed ledger "):
+            pipeline.RunLedger.load(path)
+
+        journal = tmp_path / "ledger.journal"
+        good = ledger.cells[("aa", "bb", 1.0)]
+        journal.write_bytes(
+            json.dumps({"fingerprint": ledger.fingerprint, "cell": bad}).encode() + b"\n"
+            + ledger.journal_line(good)
+        )
+        replayed = pipeline.RunLedger(fingerprint=ledger.fingerprint, cells={})
+        assert replayed.replay(journal) == 1
+        assert replayed.cells == {("aa", "bb", 1.0): good}
 
     def test_key_str(self):
         ledger = self.make_ledger()
@@ -741,8 +817,7 @@ class TestRunExperiment:
             fingerprint=fingerprint,
             cells={
                 ("aa", "bb", 0.15): pipeline.CellRecord(
-                    src="aa", tgt="bb", fraction=0.15, status="done",
-                    bleu=1.0, hypothesis_path="hyps/aa-bb/0.15.txt",
+                    src="aa", tgt="bb", fraction=0.15, status="done", bleu=1.0,
                 )
             },
         )
@@ -931,6 +1006,60 @@ class TestLazyResume:
         assert len(calls["load_pivot_bitext"]) == 2
         assert "read_pairs_tsv" not in calls
         assert bundle_bytes(out) == before
+
+    def test_a_done_cell_is_trusted_only_with_the_file_its_key_names(
+        self, tmp_path, monkeypatch
+    ):
+        # Records of older versions name a hypothesis file; a rerun ignores
+        # the name and checks the cell's own file.
+        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        assert pipeline.run_experiment(manifest).all_done()
+        out = manifest.output_dir
+        fresh = bundle_bytes(out)
+        raw = json.loads((out / "ledger.json").read_text())
+        raw["cells"]["aa-bb/0.2"]["hypothesis_path"] = "hyps/aa-bb/0.3.txt"
+        (out / "ledger.json").write_text(json.dumps(raw))
+        (out / "hyps" / "aa-bb" / "0.2.txt").unlink()
+        ran = count_cells(monkeypatch)
+        assert pipeline.run_experiment(manifest).all_done()
+        assert ran == [("aa", "bb", 0.2)]
+        assert bundle_bytes(out) == fresh
+
+    def test_a_ledger_and_journal_of_older_records_resume_without_training(
+        self, tmp_path, monkeypatch
+    ):
+        # Older versions wrote each done record with its hypothesis_path.
+        manifest = pipeline.load_manifest(make_experiment(tmp_path))
+        finished = pipeline.run_experiment(manifest)
+        out = manifest.output_dir
+        fresh = bundle_bytes(out)
+
+        def older(key):
+            src, tgt, fraction = key
+            return {
+                **finished.cells[key].to_dict(),
+                "hypothesis_path": f"hyps/{src}-{tgt}/{pipeline.fraction_slug(fraction)}.txt",
+            }
+
+        keys = list(finished.cells)
+        journaled = keys[::4]
+        cells = {
+            finished.key_str(k): pipeline.CellRecord(*k).to_dict() if k in journaled else older(k)
+            for k in keys
+        }
+        (out / "ledger.json").write_text(
+            json.dumps({"fingerprint": finished.fingerprint, "cells": cells})
+        )
+        (out / "ledger.journal").write_bytes(b"".join(
+            json.dumps({"fingerprint": finished.fingerprint, "cell": older(k)}).encode() + b"\n"
+            for k in journaled
+        ))
+        ran = count_cells(monkeypatch)
+        assert pipeline.run_experiment(manifest).cells == finished.cells
+        assert ran == []
+        assert not (out / "ledger.journal").exists()
+        assert bundle_bytes(out) == fresh
+        assert pipeline.RunLedger.load(out / "ledger.json") == finished
 
     @pytest.mark.parametrize(
         "rel, fractions_run",
@@ -1158,13 +1287,14 @@ class TestLedgerWrites:
                 if step == "fresh":
                     shutil.rmtree(out)
                 elif step == "stale_cell":
-                    stale = pipeline.CellRecord("aa", "bb", 0.15, "done", 1.0, "scores.csv")
+                    stale = pipeline.CellRecord("aa", "bb", 0.15, "done", 1.0)
                     edit_ledger(out, lambda cells: cells.update({"aa-bb/0.15": stale.to_dict()}))
                 elif step == "foreign":
                     foreign = pipeline.RunLedger(fingerprint="0" * 64, cells=finished.cells)
                     foreign.save(out / "ledger.json")
                 elif step == "delete_hyp":
-                    (out / finished.cells[keys[args[0]]].hypothesis_path).unlink()
+                    src, tgt, fraction = keys[args[0]]
+                    (out / "hyps" / f"{src}-{tgt}" / f"{pipeline.fraction_slug(fraction)}.txt").unlink()
                 elif step == "drop_cell":
                     edit_ledger(out, lambda cells: cells.pop(finished.key_str(keys[args[0]])))
                 elif step == "killed":
@@ -1862,7 +1992,7 @@ class TestReports:
             for fraction in sampling.FRACTION_GRID:
                 cells[(src, tgt, fraction)] = pipeline.CellRecord(
                     src=src, tgt=tgt, fraction=fraction, status="done",
-                    bleu=30.0, hypothesis_path="x", wall_time=0.0,
+                    bleu=30.0, wall_time=0.0,
                 )
         return pipeline.RunLedger(fingerprint="f" * 64, cells=cells)
 

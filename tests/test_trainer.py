@@ -14,6 +14,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -236,6 +237,14 @@ class TestTrainModel1:
             trainer.LexicalTable(entries={"a": {"x": 0.5}}, log_likelihoods=())
         with pytest.raises(ValueError, match="empty"):
             trainer.LexicalTable(entries={"a": {}}, log_likelihoods=())
+
+    def test_lexical_table_equality_and_repr(self):
+        table = trainer.LexicalTable(entries={"a": {"x": 1.0}}, log_likelihoods=(-1.0,))
+        assert table.__eq__({"a": {"x": 1.0}}) is NotImplemented
+        assert table != {"a": {"x": 1.0}}
+        assert repr(table) == (
+            "LexicalTable(entries={'a': {'x': 1.0}}, log_likelihoods=(-1.0,), skipped_pairs=0)"
+        )
 
 
 def entries_as_built_before(table):
@@ -580,6 +589,24 @@ class TestExternalJobs:
         assert quiet_job.proc.returncode == -signal.SIGKILL
         assert not process_running(int((tmp_path / "quiet.pid").read_text()))
         assert time.monotonic() - started < 5.0
+
+
+def test_sigint_deferred_off_the_main_thread_leaves_the_handler():
+    # Only the main thread runs signal handlers, so there is none to swap.
+    before = signal.getsignal(signal.SIGINT)
+    seen = []
+
+    def block():
+        with trainer.sigint_deferred():
+            seen.append(signal.getsignal(signal.SIGINT))
+
+    thread = threading.Thread(target=block)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert seen == [before]
+    assert signal.getsignal(signal.SIGINT) is before
+
 
 def process_running(pid):
     """Whether ``pid`` names a live process; a zombie has finished running."""
