@@ -37,12 +37,10 @@ process, and up to `max_parallel_jobs` of them run at once; one selector
 drains their pipes and wakes at the earliest deadline. Each turn of the
 loop scores the cells whose commands ended before it fills the free
 slots, so at most `max_parallel_jobs` working sets are alive at a time,
-and one for the builtin trainer. A language's bitext is loaded at the
-first pair prepared that uses it and dropped once the last pair that
-uses it is prepared, and the bitexts' pivot lines are shared, so an
-English sentence in several of them is held once. A run that stops
-starts no new cell, while the commands already running are waited for
-and journaled.
+and one for the builtin trainer. The bitexts of the pairs to prepare are
+all read before the first cell, so a bad input file stops the run before
+any cell trains. A run that stops starts no new cell, while the commands
+already running are waited for and journaled.
 
 Manifest schema (paths are resolved relative to the manifest file)::
 
@@ -61,7 +59,6 @@ Manifest schema (paths are resolved relative to the manifest file)::
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import fcntl
 import functools
@@ -69,7 +66,6 @@ import hashlib
 import json
 import os
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -215,6 +211,15 @@ def _typed(value, kind: str, name: str, optional: bool = False):
     return value
 
 
+def _path(base: Path, value, name: str) -> Path:
+    """The JSON string ``value`` as a path resolved from ``base``."""
+    _typed(value, "string", name)
+    try:
+        return (base / value).resolve()
+    except ValueError as exc:  # such as a NUL byte
+        raise ManifestError(f"bad {name} {value!r}: {exc}") from exc
+
+
 def load_manifest(path: str | Path) -> ExperimentManifest:
     """Load and validate an experiment manifest from a JSON file.
 
@@ -253,8 +258,7 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
                 f"data_sources[{lang!r}] must have 'pivot' and 'target' paths"
             )
         data_sources[lang] = tuple(
-            (base / _typed(entry[key], "string", f"data_sources.{lang}.{key}")).resolve()
-            for key in ("pivot", "target")
+            _path(base, entry[key], f"data_sources.{lang}.{key}") for key in ("pivot", "target")
         )
         if lang in languages:  # no run reads an unlisted language's files
             for p in data_sources[lang]:
@@ -278,8 +282,7 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
     trainer_kwargs = dict(trainer_raw)
     trainer_kwargs.setdefault("kind", "builtin-em")
     if "workdir" in trainer_kwargs:
-        workdir = _typed(trainer_kwargs["workdir"], "string", "trainer.workdir")
-        trainer_kwargs["workdir"] = str((base / workdir).resolve())
+        trainer_kwargs["workdir"] = str(_path(base, trainer_kwargs["workdir"], "trainer.workdir"))
     if "em_iterations" in trainer_kwargs:
         _typed(trainer_kwargs["em_iterations"], "integer", "trainer.em_iterations")
     if "timeout" in trainer_kwargs:
@@ -534,14 +537,14 @@ def _pair_files(manifest: ExperimentManifest, src: str, tgt: str) -> dict[str, l
 
 def _prepare_pair(
     manifest: ExperimentManifest,
-    bitext: Callable[[str], corpus.PivotBitext],
+    bitexts: dict[str, corpus.PivotBitext],
     digests: dict[Path, str],
     src: str,
     tgt: str,
 ) -> _PairData:
     """Write every file `_pair_files` lists for one pair; return its working set.
 
-    The corpus is joined from ``bitext(src)`` and ``bitext(tgt)`` and split
+    The corpus is joined from ``bitexts[src]`` and ``bitexts[tgt]`` and split
     on every call, and no file is read back. A split that `corpus.split_pair`
     refuses raises ValueError before any file is written. Each file goes
     through `corpus.write_text_atomic`, so one that already holds its bytes
@@ -568,7 +571,7 @@ def _prepare_pair(
         ).encode("utf-8")
     ).hexdigest()
 
-    train, dev, test = corpus.split_pair(corpus.build_parallel(bitext(src), bitext(tgt)), spec)
+    train, dev, test = corpus.split_pair(corpus.build_parallel(bitexts[src], bitexts[tgt]), spec)
     train_lines = corpus.write_split_bundle(
         pair_dir, src, tgt, train, dev, test, spec,
         extra_meta={"fingerprint": fingerprint},
@@ -770,10 +773,10 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
     then waits on the running commands through one selector until one ends
     or the earliest deadline passes. A cell holds its working set from its
     start until it is recorded, so at most `max_parallel_jobs` working sets
-    are alive (one for the builtin trainer). A language's bitext is loaded
-    at the first pair prepared that uses it, and dropped once the last
-    pair that uses it is prepared; pivot lines equal across bitexts are
-    held once.
+    are alive (one for the builtin trainer). The bitexts of the pairs to
+    prepare are read before the first cell, once each, and kept until the
+    run ends: a bad input file, or an external trainer's missing workdir,
+    raises before any cell trains and before ``ledger.journal`` exists.
 
     The first exception that stops the run, such as KeyboardInterrupt or a
     failed preparation, stops new cells: the commands already running are
@@ -818,31 +821,24 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
             ):
                 pairs.append((src, tgt))
 
-        # A bitext is loaded at the first pair prepared that uses it and
-        # dropped once the last pair that uses it is prepared. Pivot lines go
-        # through one dict, so a sentence in several bitexts is held once;
-        # the dict is emptied whenever no bitext is loaded.
-        users = collections.Counter(lang for pair in pairs for lang in pair)
-        bitexts: dict[str, corpus.PivotBitext] = {}
+        # What the cells need is checked and read before the first of them.
+        # Pivot lines go through one dict, so a sentence in several bitexts
+        # is held once.
+        spec = manifest.trainer_spec
+        if todo and spec.kind == "external" and not os.path.isdir(spec.workdir):
+            raise ManifestError(f"trainer.workdir {spec.workdir} is not a directory")
         pivots: dict[str, str] = {}
-
-        def bitext(lang: str) -> corpus.PivotBitext:
-            if lang not in bitexts:
-                loaded = corpus.load_pivot_bitext(*manifest.data_sources[lang], lang)
-                loaded.pivot_lines = [pivots.setdefault(s, s) for s in loaded.pivot_lines]
-                bitexts[lang] = loaded
-            return bitexts[lang]
+        bitexts: dict[str, corpus.PivotBitext] = {}
+        for lang in dict.fromkeys(lang for pair in pairs for lang in pair):
+            loaded = corpus.load_pivot_bitext(*manifest.data_sources[lang], lang)
+            loaded.pivot_lines = [pivots.setdefault(s, s) for s in loaded.pivot_lines]
+            bitexts[lang] = loaded
+        del pivots
 
         def walk():
             """Prepare each pair in turn; yield (key, working set) per cell to run."""
             for pair in pairs:
-                data = _prepare_pair(manifest, bitext, digests, *pair)
-                for lang in pair:
-                    users[lang] -= 1
-                    if not users[lang]:
-                        bitexts.pop(lang, None)
-                if not bitexts:
-                    pivots.clear()
+                data = _prepare_pair(manifest, bitexts, digests, *pair)
                 for key in todo.get(pair, ()):
                     yield key, data
                 del data

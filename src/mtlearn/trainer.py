@@ -43,6 +43,7 @@ if TYPE_CHECKING:
 NULL_TOKEN = "<NULL>"
 
 DEFAULT_EXTERNAL_TIMEOUT = 86400.0  # seconds; external systems may train for hours
+OUTPUT_TAIL = 8192  # bytes of each of a command's output streams kept for its error
 # An external command template's placeholders; the first three are required.
 _PLACEHOLDERS = ("train", "test_src", "hyp_out", "workdir")
 
@@ -201,9 +202,12 @@ class TrainerSpec:
         if self.kind == "builtin-em" and self.em_iterations < 1:
             raise ValueError("em_iterations must be >= 1")
         timeout = self.timeout
-        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not (
-            0 < timeout < float("inf")
-        ):
+        finite = isinstance(timeout, (int, float)) and not isinstance(timeout, bool)
+        try:  # float() of an int past float's range raises OverflowError
+            finite = finite and 0 < float(timeout) < float("inf")
+        except OverflowError:
+            finite = False
+        if not finite:
             raise ValueError(f"timeout must be a finite number of seconds > 0, not {timeout!r}")
         if self.kind == "external":
             try:
@@ -481,7 +485,8 @@ class ExternalJob:
     and stderr piped. It runs in a session of its own, so `kill` reaches
     everything it started. Once it has `ended`, `hypotheses` checks how
     it ended and reads what it wrote, which must be one line for each of
-    the test source's lines.
+    the test source's lines. Only the last `OUTPUT_TAIL` bytes of each of
+    its output streams are kept, for the error of a failed command.
     """
 
     def __init__(
@@ -507,7 +512,9 @@ class ExternalJob:
             start_new_session=True,
         )
         self.deadline = time.monotonic() + spec.timeout
+        # The tail of stdout and of stderr, and how many bytes were cut.
         self.output = {self.proc.stdout: bytearray(), self.proc.stderr: bytearray()}
+        self.cut = dict.fromkeys(self.output, 0)
 
     @property
     def ended(self) -> bool:
@@ -535,7 +542,11 @@ class ExternalJob:
                 f"external trainer timed out after {self.timeout}s: {self.command}"
             )
         if self.proc.returncode != 0:
-            stdout, stderr = (out.decode(errors="replace") for out in self.output.values())
+            stdout, stderr = (
+                (f"[{self.cut[pipe]} earlier bytes cut]\n" if self.cut[pipe] else "")
+                + out.decode(errors="replace")
+                for pipe, out in self.output.items()
+            )
             raise ExternalTrainerError(
                 f"external trainer exited {self.proc.returncode}: {self.command}\n"
                 f"stdout:\n{stdout}\nstderr:\n{stderr}"
@@ -620,7 +631,12 @@ class ExternalJobs:
             for key, _ in self._selector.select(timeout):
                 chunk = os.read(key.fd, 1 << 16)
                 if chunk:
-                    key.data.output[key.fileobj] += chunk
+                    job, pipe = key.data, key.fileobj
+                    out = job.output[pipe]
+                    out += chunk
+                    if len(out) > OUTPUT_TAIL:
+                        job.cut[pipe] += len(out) - OUTPUT_TAIL
+                        del out[:-OUTPUT_TAIL]
                 else:
                     self._selector.unregister(key.fileobj)
                     key.fileobj.close()

@@ -227,6 +227,11 @@ class TestLoadManifest:
                 float("inf"),
                 "bad trainer spec: timeout must be a finite number of seconds > 0, not inf",
             ),
+            pytest.param(
+                10**400,
+                f"bad trainer spec: timeout must be a finite number of seconds > 0, not {10**400}",
+                id="10**400",
+            ),
         ],
     )
     def test_bad_trainer_timeout_is_a_config_error(self, tmp_path, capsys, value, problem):
@@ -279,9 +284,16 @@ class TestLoadManifest:
             ),
             (("split", "dev_ratio"), 10**400, "int too large to convert to float"),
             (("output_dir",), "out\x00", "embedded null byte"),
+            (
+                ("data_sources", "aa", "pivot"),
+                "data/a\x00b",
+                "bad data_sources.aa.pivot 'data/a\\x00b': embedded null byte",
+            ),
+            (("trainer", "workdir"), "a\x00b", "bad trainer.workdir 'a\\x00b': embedded null byte"),
         ],
         ids=["not-an-object", "languages", "data_sources", "source-entry", "trainer",
-             "matrix", "matrix-overflow", "ratio-overflow", "output_dir"],
+             "matrix", "matrix-overflow", "ratio-overflow", "output_dir", "source-nul",
+             "workdir-nul"],
     )
     def test_misshapen_manifest_is_a_config_error(self, tmp_path, capsys, keys, value, problem):
         path = make_experiment(tmp_path)
@@ -1603,12 +1615,64 @@ class TestExternalCommands:
         assert none_running(recorded_pids(tmp_path / "child.pid"))
         gc.collect()  # a pipe left open would warn here, which fails the test
 
-    def test_a_command_that_cannot_start_fails_its_cell(self, tmp_path):
-        trainer_cfg = dict(PREFIX_SWAP_TRAINER, workdir="no such dir")
+    def test_a_command_that_cannot_start_fails_its_cell(self, tmp_path, monkeypatch):
+        # The workdir is there when the run starts and gone when the
+        # commands are launched.
+        workdir = tmp_path / "gone dir"
+        workdir.mkdir()
+        trainer_cfg = dict(PREFIX_SWAP_TRAINER, workdir=workdir.name)
         manifest = pipeline.load_manifest(make_experiment(tmp_path, trainer_cfg))
+        real_prepare = pipeline._prepare_pair
+
+        def prepare_without_workdir(*args):
+            shutil.rmtree(workdir, ignore_errors=True)
+            return real_prepare(*args)
+
+        monkeypatch.setattr(pipeline, "_prepare_pair", prepare_without_workdir)
         ledger = pipeline.run_experiment(manifest)
         assert len(ledger.failed()) == 18
-        assert all("no such dir" in c.error for c in ledger.failed())
+        assert all("gone dir" in c.error for c in ledger.failed())
+
+    def test_a_missing_workdir_stops_the_run_before_any_pair_is_prepared(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = make_experiment(tmp_path, dict(PREFIX_SWAP_TRAINER, workdir="no-such-dir"))
+        manifest = pipeline.load_manifest(path)  # reporting needs no workdir
+        calls = count_preparation(monkeypatch)
+        ran = count_cells(monkeypatch)
+        problem = f"trainer.workdir {tmp_path.resolve() / 'no-such-dir'} is not a directory"
+        with pytest.raises(pipeline.ManifestError) as raised:
+            pipeline.run_experiment(manifest)
+        assert str(raised.value) == problem
+        assert calls == {}
+        assert ran == []
+        assert cli.main(["run", "--manifest", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {problem}\n"
+        assert os.listdir(manifest.output_dir) == []
+
+        # A finished run needs it no more: a rerun runs no command.
+        (tmp_path / "no-such-dir").mkdir()
+        assert cli.main(["run", "--manifest", str(path)]) == 0
+        (tmp_path / "no-such-dir").rmdir()
+        assert cli.main(["run", "--manifest", str(path)]) == 0
+        assert cli.main(["report", "--manifest", str(path)]) == 0
+
+    def test_a_failing_command_keeps_only_the_tail_of_its_output(self, tmp_path):
+        # Each command prints 2 MB and fails. Kept whole, its output made
+        # each record's error 2 MB long and ledger.json 8 MB.
+        trainer_cfg = script_trainer(tmp_path, "yes | head -c 2000000; exit 1\n")
+        path = make_experiment(tmp_path, trainer_cfg)
+        raw = json.loads(path.read_text())
+        raw["fractions"] = [0.5, 1.0]
+        path.write_text(json.dumps(raw))
+        manifest = pipeline.load_manifest(path)
+        ledger = pipeline.run_experiment(manifest)
+        assert len(ledger.failed()) == 4
+        for record in ledger.failed():
+            assert f"[{2_000_000 - trainer.OUTPUT_TAIL} earlier bytes cut]" in record.error
+            assert len(record.error) < 10_000
+        assert (manifest.output_dir / "ledger.json").stat().st_size < 100_000
+        gc.collect()
 
     def test_at_most_max_parallel_jobs_commands_run_at_once(self, tmp_path):
         # Each command marks its start and its end in a log, and sleeps
@@ -1632,8 +1696,7 @@ class TestExternalCommands:
 
 
 class TestBoundedMemory:
-    """A pair's working set lives from its first cell to its last, and a
-    language's bitext until the last pair that uses it is prepared."""
+    """A pair's working set lives from its first cell to its last."""
 
     @pytest.mark.parametrize("trainer_cfg, alive", [(None, 1), (PREFIX_SWAP_TRAINER, 2)])
     def test_working_sets_and_bitexts_alive_at_each_cell(
@@ -1647,8 +1710,7 @@ class TestBoundedMemory:
         real_load = corpus.load_pivot_bitext
         working_sets = weakref.WeakSet()
         prepared = []
-        bitexts = {}
-        dropped_at_first_cell = {}
+        bitexts = []
 
         def tracking_prepare(*args):
             gc.collect()
@@ -1659,20 +1721,13 @@ class TestBoundedMemory:
             return data
 
         def tracking_load(pivot, target, lang):
-            loaded = real_load(pivot, target, lang)
-            bitexts[lang] = weakref.ref(loaded)
-            return loaded
+            bitexts.append(lang)
+            return real_load(pivot, target, lang)
 
         def check(manifest, data):
             gc.collect()
             assert len(working_sets) <= alive
             assert len(prepared) == len(set(prepared))
-            for lang, ref in bitexts.items():
-                if all(p in prepared for p in manifest.pairs() if lang in p):
-                    assert ref() is None, lang
-            dropped_at_first_cell.setdefault(
-                (data.src, data.tgt), {lang for lang, ref in bitexts.items() if ref() is None}
-            )
 
         # A cell starts with `_run_cell` (builtin) or `_launch_cell` (external).
         for name in ("_run_cell", "_launch_cell"):
@@ -1685,12 +1740,7 @@ class TestBoundedMemory:
         monkeypatch.setattr(corpus, "load_pivot_bitext", tracking_load)
         assert pipeline.run_experiment(manifest).all_done()
         assert sorted(prepared) == sorted(manifest.pairs())
-        # Every bitext is loaded once; aa is last used by cc-aa.
-        assert sorted(bitexts) == ["aa", "bb", "cc"]
-        assert dropped_at_first_cell == {
-            ("aa", "bb"): set(), ("aa", "cc"): set(), ("bb", "aa"): set(),
-            ("bb", "cc"): set(), ("cc", "aa"): {"aa"}, ("cc", "bb"): {"aa", "bb", "cc"},
-        }
+        assert sorted(bitexts) == ["aa", "bb", "cc"]  # each loaded once
 
     def test_bitexts_share_their_pivot_lines(self, tmp_path, monkeypatch):
         manifest = pipeline.load_manifest(
@@ -1715,6 +1765,30 @@ class TestBoundedMemory:
 
 
 class TestPreparationFailure:
+    @pytest.mark.parametrize("trainer_cfg", [None, PREFIX_SWAP_TRAINER])
+    def test_a_misaligned_input_stops_the_run_before_any_cell(
+        self, tmp_path, monkeypatch, capsys, trainer_cfg
+    ):
+        # cc is first used by the second pair, aa-cc; its target file lost
+        # its last line.
+        path = make_experiment(tmp_path, trainer_cfg, languages=("aa", "bb", "cc"))
+        target = tmp_path / "data" / "cc.txt"
+        target.write_text("".join(target.read_text().splitlines(keepends=True)[:-1]))
+        manifest = pipeline.load_manifest(path)
+        pivot, target = manifest.data_sources["cc"]
+        problem = f"line count mismatch: {pivot} has 95 lines, {target} has 94"
+        calls = count_preparation(monkeypatch)
+        ran = count_cells(monkeypatch)
+        with pytest.raises(ValueError) as raised:
+            pipeline.run_experiment(manifest)
+        assert str(raised.value) == problem
+        assert "_prepare_pair" not in calls
+        assert ran == []
+        assert os.listdir(manifest.output_dir) == []  # no journal, no hypothesis file
+        assert cli.main(["run", "--manifest", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {problem}\n"
+        assert os.listdir(manifest.output_dir) == []
+
     @pytest.mark.parametrize("trainer_cfg", [None, PREFIX_SWAP_TRAINER])
     def test_failed_preparation_stops_the_run_and_a_rerun_completes_it(
         self, tmp_path, monkeypatch, trainer_cfg

@@ -438,7 +438,10 @@ class TestTrainerSpec:
         with pytest.raises(ValueError):
             trainer.TrainerSpec(kind="builtin-em", em_iterations=0)
 
-    @pytest.mark.parametrize("timeout", [0, -5, math.nan, math.inf, "600", True, None])
+    @pytest.mark.parametrize(
+        "timeout",
+        [0, -5, math.nan, math.inf, "600", True, None, pytest.param(10**400, id="10**400")],
+    )
     def test_timeout_must_be_a_finite_number_above_zero(self, timeout):
         with pytest.raises(ValueError, match="timeout must be a finite number"):
             trainer.TrainerSpec(
@@ -500,6 +503,20 @@ class TestRunExternal:
         spec = self.spec("echo boom >&2; false # {train} {test_src} {hyp_out}")
         with pytest.raises(trainer.ExternalTrainerError, match="boom"):
             trainer.run_external(spec, str(train), str(test_src), str(hyp))
+
+    def test_a_failed_command_keeps_the_tail_of_its_output(self, tmp_path):
+        train, test_src, hyp = self.make_files(tmp_path)
+        spec = self.spec(
+            "head -c 20000 /dev/zero | tr '\\0' x; echo end; echo oops >&2; exit 1"
+            " # {train} {test_src} {hyp_out}"
+        )
+        with pytest.raises(trainer.ExternalTrainerError) as raised:
+            trainer.run_external(spec, str(train), str(test_src), str(hyp))
+        tail = "x" * (trainer.OUTPUT_TAIL - 4) + "end\n"  # of 20,004 bytes
+        cut = 20_004 - trainer.OUTPUT_TAIL
+        assert str(raised.value).endswith(
+            f"stdout:\n[{cut} earlier bytes cut]\n{tail}\nstderr:\noops\n"
+        )
 
     def test_missized_output_rejected(self, tmp_path):
         train, test_src, hyp = self.make_files(tmp_path)
@@ -582,7 +599,9 @@ class TestExternalJobs:
             assert time.monotonic() - started < 5.0
             assert not quiet_job.ended
             assert loud_job.hypotheses(3) == ["a", "b", "c"]
-            assert len(loud_job.output[loud_job.proc.stdout]) == 1_000_000
+            # Only the tail of its output is kept.
+            assert len(loud_job.output[loud_job.proc.stdout]) == trainer.OUTPUT_TAIL
+            assert loud_job.cut[loud_job.proc.stdout] == 1_000_000 - trainer.OUTPUT_TAIL
             with pytest.raises(trainer.ExternalTrainerError, match="timed out after 0.5s"):
                 slow_job.hypotheses(3)
         # Leaving the block killed and reaped the first command.
