@@ -282,6 +282,10 @@ def read_pairs_tsv(path: str | Path) -> list[tuple[str, str]]:
     return out
 
 
+# The files of a split bundle, in the order `write_split_bundle` writes them.
+SPLIT_BUNDLE_FILES = ("train.tsv", "dev.tsv", "test.tsv", "meta.json")
+
+
 def write_split_bundle(
     directory: str | Path,
     src: str,
@@ -301,10 +305,11 @@ def write_split_bundle(
     Returns the training split's `tsv_lines`, for subsets of its rows.
     """
     directory = Path(directory)
+    train_name, dev_name, test_name, meta_name = SPLIT_BUNDLE_FILES
     train_lines = tsv_lines(train.pairs)
-    write_text_atomic(directory / "train.tsv", "".join(train_lines))
-    write_text_atomic(directory / "dev.tsv", "".join(tsv_lines(dev.pairs)))
-    write_text_atomic(directory / "test.tsv", "".join(tsv_lines(test.pairs)))
+    write_text_atomic(directory / train_name, "".join(train_lines))
+    write_text_atomic(directory / dev_name, "".join(tsv_lines(dev.pairs)))
+    write_text_atomic(directory / test_name, "".join(tsv_lines(test.pairs)))
     meta = {
         "src": src,
         "tgt": tgt,
@@ -314,5 +319,5 @@ def write_split_bundle(
     }
     if extra_meta:
         meta.update(extra_meta)
-    write_text_atomic(directory / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(directory / meta_name, json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return train_lines

@@ -526,7 +526,7 @@ class _PairData:
 
 def _pair_files(manifest: ExperimentManifest, src: str, tgt: str) -> dict[str, list[str]]:
     """Every file `_prepare_pair` writes for one pair, by directory under output_dir."""
-    names = ["meta.json", "train.tsv", "dev.tsv", "test.tsv"]
+    names = list(corpus.SPLIT_BUNDLE_FILES)
     slugs = [fraction_slug(f) for f in manifest.fractions]
     subsets = [slug + ".json" for slug in slugs]
     if manifest.trainer_spec.kind == "external":
@@ -710,35 +710,30 @@ def _open_ledger(
     journal_path: Path,
     fingerprint: str,
     expected_keys: list[tuple[str, str, float]],
-) -> tuple[RunLedger, bool]:
+) -> tuple[RunLedger, int, bool | None]:
     """This run's ledger: ledger.json, with any journal replayed onto it.
 
-    A ledger.json that `_load_ledger` refuses, or that cannot be read, is
-    deleted before this run writes anything: its done cells vouch for
-    files this run is about to overwrite, and a rerun of its manifest
-    trusts the files of every pair whose cells are all done. The cells
-    are exactly expected_keys, in order, missing ones pending. A journal
-    left by a killed run is folded into ledger.json and deleted, so no
-    torn line can get glued to the next one appended. Also returns
-    whether ledger.json now holds this ledger: it does when the journal
-    was folded in, or when it had this fingerprint and exactly these
-    cells, so `RunLedger.load` of it gives the ledger returned.
+    Reads only; `run_experiment` changes the files once the run's inputs
+    have loaded. The cells are exactly expected_keys, in order, missing
+    ones pending. Also returns the number of journal records replayed and
+    what ledger.json holds: this ledger (True: it had this fingerprint
+    and exactly these cells, so `RunLedger.load` of it gives the ledger
+    returned, journal aside), an earlier state of it (False), or nothing
+    of it (None: it is missing, is refused by `_load_ledger`, or cannot
+    be read).
     """
     try:
         ledger = _load_ledger(ledger_path, fingerprint)
+        saved = ledger.cells.keys() == set(expected_keys)
     except (LedgerError, OSError):
-        ledger_path.unlink(missing_ok=True)
         ledger = RunLedger(fingerprint=fingerprint, cells={})
-    saved = ledger.cells.keys() == set(expected_keys)
+        saved = None
     replayed = ledger.replay(journal_path)
     # Drop stale cells so |cells| == |pairs| x |fractions| always holds.
     ledger.cells = {
         key: ledger.cells.get(key) or CellRecord(*key) for key in expected_keys
     }
-    if replayed:
-        ledger.save(ledger_path)
-    journal_path.unlink(missing_ok=True)
-    return ledger, saved or replayed > 0
+    return ledger, replayed, saved
 
 
 def run_experiment(manifest: ExperimentManifest) -> RunLedger:
@@ -747,8 +742,8 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
     Cells already marked done (with their hypothesis file still present)
     are skipped. Only pairs with a cell to run, or missing one of the
     files `_prepare_pair` writes, are prepared again; the other pairs'
-    files are trusted, since `_open_ledger` removes a ledger of another
-    manifest before anything is written. Whether a file exists is read
+    files are trusted, since a ledger of another manifest is deleted
+    before any pair is prepared. Whether a file exists is read
     from one listing of its directory. A failing cell is recorded as
     failed and does not stop the others. Each recorded cell is appended
     to ``ledger.journal`` and flushed, so a killed run loses at most the
@@ -776,7 +771,8 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
     are alive (one for the builtin trainer). The bitexts of the pairs to
     prepare are read before the first cell, once each, and kept until the
     run ends: a bad input file, or an external trainer's missing workdir,
-    raises before any cell trains and before ``ledger.journal`` exists.
+    raises before any cell trains, before ``ledger.journal`` exists and
+    before ``ledger.json`` or an old journal is changed.
 
     The first exception that stops the run, such as KeyboardInterrupt or a
     failed preparation, stops new cells: the commands already running are
@@ -799,7 +795,9 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
         ]
         ledger_path = out / "ledger.json"
         journal_path = out / "ledger.journal"
-        ledger, saved = _open_ledger(ledger_path, journal_path, fingerprint, expected_keys)
+        ledger, replayed, saved = _open_ledger(
+            ledger_path, journal_path, fingerprint, expected_keys
+        )
 
         # The pairs to prepare, in ledger order: each with a cell to run (not
         # done, or its hypothesis file missing) or missing a file that its
@@ -834,6 +832,20 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
             loaded.pivot_lines = [pivots.setdefault(s, s) for s in loaded.pivot_lines]
             bitexts[lang] = loaded
         del pivots
+
+        # Only a run whose inputs have loaded changes what the bundle
+        # records, and it does so before it prepares a pair. A journal left
+        # by a killed run is folded into ledger.json and deleted, so no torn
+        # line can get glued to the next one appended. A ledger.json of
+        # another manifest, or one that cannot be read, is deleted: its
+        # done cells vouch for files this run is about to overwrite, and a
+        # rerun of its manifest trusts the files of every pair whose cells
+        # are all done.
+        if replayed:
+            ledger.save(ledger_path)
+        elif saved is None:
+            ledger_path.unlink(missing_ok=True)
+        journal_path.unlink(missing_ok=True)
 
         def walk():
             """Prepare each pair in turn; yield (key, working set) per cell to run."""
@@ -910,7 +922,7 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
             if stop is not None:
                 raise stop
 
-        if recorded or not saved:
+        if recorded or not (saved or replayed):
             ledger.save(ledger_path)
         journal_path.unlink(missing_ok=True)
 

@@ -48,10 +48,6 @@ MIN_LEN = 3
 MAX_LEN = 11
 
 
-def base_vocabulary(vocab_size: int = DEFAULT_VOCAB_SIZE) -> list[str]:
-    return [f"w{i:04d}" for i in range(vocab_size)]
-
-
 def _zipf_cumulative(vocab_size: int) -> list[float]:
     weights = [1.0 / (i + 1) ** ZIPF_EXPONENT for i in range(vocab_size)]
     cum = []
@@ -62,20 +58,11 @@ def _zipf_cumulative(vocab_size: int) -> list[float]:
     return cum
 
 
-def generate_pivot_sentences(
-    n_sentences: int = DEFAULT_N_SENTENCES,
-    vocab_size: int = DEFAULT_VOCAB_SIZE,
-    seed: int = DEFAULT_SEED,
-) -> list[str]:
-    """Generate the shared pivot corpus: Zipf-weighted random sentences."""
-    return [" ".join(words) for words in _pivot_words(n_sentences, vocab_size, seed)]
-
-
-def _pivot_words(n_sentences: int, vocab_size: int, seed: int) -> list[list[str]]:
-    """The pivot sentences as word lists, whose words are the vocabulary's
-    own str objects, so the lists cost no string of their own."""
-    vocab = base_vocabulary(vocab_size)
-    cum = _zipf_cumulative(vocab_size)
+def _pivot_words(n_sentences: int, vocab: list[str], seed: int) -> list[list[str]]:
+    """The pivot sentences, Zipf-weighted over ``vocab``, as word lists whose
+    words are the vocabulary's own str objects, so the lists cost no string
+    of their own."""
+    cum = _zipf_cumulative(len(vocab))
     total = cum[-1]
     rng = SplitMix64(derive_seed(seed, "pivot"))
     sentences = []
@@ -97,46 +84,17 @@ def divergent_indices(lang: str, vocab_size: int, seed: int) -> set[int]:
     return set(order[:k])
 
 
-def _cipher(lang: str, divergent: set[int], vocab_size: int) -> dict[str, str]:
-    return {
-        w: (lang + w) if i in divergent else ("zz" + w)
-        for i, w in enumerate(base_vocabulary(vocab_size))
-    }
-
-
-def cipher_for(lang: str, vocab_size: int, seed: int) -> dict[str, str]:
-    """Word-substitution cipher mapping base words to this language."""
-    return _cipher(lang, divergent_indices(lang, vocab_size, seed), vocab_size)
-
-
-def _overlap(div_a: set[int], div_b: set[int], vocab_size: int) -> float:
-    return 1.0 - len(div_a | div_b) / vocab_size
-
-
-def vocabulary_overlap(
-    lang_a: str, lang_b: str, vocab_size: int = DEFAULT_VOCAB_SIZE,
-    seed: int = DEFAULT_SEED,
-) -> float:
-    """Exact fraction of base words the two ciphers map identically.
-
-    A word survives into both languages unchanged only when neither
-    diverges on it, so the overlap is 1 - |D_a union D_b| / V.
-    """
-    return _overlap(
-        divergent_indices(lang_a, vocab_size, seed),
-        divergent_indices(lang_b, vocab_size, seed),
-        vocab_size,
-    )
-
-
 def _divergent_sets(vocab_size: int, seed: int) -> dict[str, set[int]]:
     """Every language's divergent set, one shuffle each."""
     return {lang: divergent_indices(lang, vocab_size, seed) for lang in LANGUAGES}
 
 
 def _overlaps(divergent: dict[str, set[int]], vocab_size: int) -> dict[tuple[str, str], float]:
+    """The exact fraction of base words that each two ciphers map
+    identically. A word survives into both languages unchanged only when
+    neither diverges on it, so the overlap is 1 - |D_a union D_b| / V."""
     return {
-        (a, b): _overlap(divergent[a], divergent[b], vocab_size)
+        (a, b): 1.0 - len(divergent[a] | divergent[b]) / vocab_size
         for a in LANGUAGES
         for b in LANGUAGES
         if a != b
@@ -182,7 +140,8 @@ def write_family(
     data_dir.mkdir(parents=True, exist_ok=True)
 
     # Each sentence's words are drawn once and ciphered into every language.
-    pivot_words = _pivot_words(n_sentences, vocab_size, seed)
+    vocab = [f"w{i:04d}" for i in range(vocab_size)]
+    pivot_words = _pivot_words(n_sentences, vocab, seed)
     pivot = [" ".join(words) for words in pivot_words]
     n_keep = math.ceil(coverage * n_sentences)
 
@@ -190,7 +149,9 @@ def write_family(
     data_sources = {}
     for lang in LANGUAGES:
         keep = sorted(permutation(n_sentences, derive_seed(seed, "coverage", lang))[:n_keep])
-        encode = _cipher(lang, divergent[lang], vocab_size).__getitem__
+        encode = {
+            w: (lang + w) if i in divergent[lang] else ("zz" + w) for i, w in enumerate(vocab)
+        }.__getitem__
         pivot_lines = [pivot[i] for i in keep]
         target_lines = [" ".join(map(encode, pivot_words[i])) for i in keep]
         pivot_path = data_dir / f"{lang}.pivot.txt"

@@ -1789,6 +1789,37 @@ class TestPreparationFailure:
         assert capsys.readouterr().err == f"error: {problem}\n"
         assert os.listdir(manifest.output_dir) == []
 
+    @pytest.mark.parametrize(
+        "fault, problem",
+        [("misaligned input", "line count mismatch"), ("missing workdir", "is not a directory")],
+    )
+    def test_a_run_stopped_by_its_inputs_keeps_another_manifests_ledger(
+        self, tmp_path, monkeypatch, fault, problem
+    ):
+        manifest = pipeline.load_manifest(make_experiment(tmp_path / "a"))
+        assert pipeline.run_experiment(manifest).all_done()
+        ledger_path = manifest.output_dir / "ledger.json"
+        before = ledger_path.read_bytes()
+        journal_path = manifest.output_dir / "ledger.journal"
+        journal_path.write_bytes(b'{"torn')  # as a killed run of the first manifest leaves it
+
+        external = dict(PREFIX_SWAP_TRAINER, workdir="no-such-dir")
+        path = make_experiment(tmp_path / "b", external if fault == "missing workdir" else None)
+        if fault == "misaligned input":
+            target = tmp_path / "b" / "data" / "bb.txt"
+            target.write_text("".join(target.read_text().splitlines(keepends=True)[:-1]))
+        other = dataclasses.replace(
+            pipeline.load_manifest(path), seed=manifest.seed + 1, output_dir=manifest.output_dir
+        )
+        with pytest.raises(ValueError, match=problem):
+            pipeline.run_experiment(other)
+        assert ledger_path.read_bytes() == before
+        assert journal_path.read_bytes() == b'{"torn'
+
+        ran = count_cells(monkeypatch)
+        assert pipeline.run_experiment(manifest).all_done()
+        assert ran == []
+
     @pytest.mark.parametrize("trainer_cfg", [None, PREFIX_SWAP_TRAINER])
     def test_failed_preparation_stops_the_run_and_a_rerun_completes_it(
         self, tmp_path, monkeypatch, trainer_cfg

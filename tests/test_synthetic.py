@@ -1,21 +1,84 @@
-"""Tests for the synthetic cipher-language family generator."""
+"""Tests for the synthetic cipher-language family generator.
+
+Every invariant of the generated family is checked on the files that
+`write_family` writes, or on `overlap_matrix` against `divergent_indices`.
+"""
 
 import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtlearn import bleu, pipeline, synthetic
 
 
+def write(out, **kwargs):
+    """Write a family under ``out``; return its files' bytes by relative path."""
+    synthetic.write_family(out, **kwargs)
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+def lines(out, lang):
+    """The pivot lines and the target lines that a family gives ``lang``."""
+    return [
+        (out / "data" / name).read_text(encoding="utf-8").splitlines()
+        for name in (f"{lang}.pivot.txt", f"{lang}.txt")
+    ]
+
+
+def cipher_in_files(out, lang):
+    """The word-for-word map from pivot to target in ``lang``'s files.
+
+    Fails unless the two files have as many lines, each target line has
+    its pivot line's word count, each pivot word has one form, no two
+    words share a form, and each form is ``lang + w`` or ``"zz" + w``.
+    """
+    cipher = {}
+    for pivot, target in zip(*lines(out, lang), strict=True):
+        pivot, target = pivot.split(), target.split()
+        assert len(pivot) == len(target)
+        for word, form in zip(pivot, target):
+            assert cipher.setdefault(word, form) == form
+            assert form in (lang + word, "zz" + word)
+    assert len(set(cipher.values())) == len(cipher)
+    return cipher
+
+
+def assert_ciphered(out, lang, vocab_size, seed):
+    """Each target line of ``lang`` is its pivot line ciphered word by word:
+    ``lang + w`` for a word in its divergent set, ``"zz" + w`` otherwise."""
+    divergent = synthetic.divergent_indices(lang, vocab_size, seed)
+    pivot, target = lines(out, lang)
+    assert len(pivot) == len(target)
+    for p, t in zip(pivot, target):
+        expected = [(lang + w) if int(w[1:]) in divergent else ("zz" + w) for w in p.split()]
+        assert t == " ".join(expected)
+
+
+@pytest.fixture(scope="module")
+def family(tmp_path_factory):
+    out = tmp_path_factory.mktemp("family")
+    info = synthetic.write_family(
+        out, seed=42, n_sentences=400, vocab_size=300, coverage=0.97
+    )
+    return out, info
+
+
 class TestVocabularyAndCiphers:
-    def test_base_vocabulary_shape(self):
-        vocab = synthetic.base_vocabulary(900)
-        assert len(vocab) == 900
-        assert vocab[0] == "w0000"
-        assert vocab[899] == "w0899"
-        assert len(set(vocab)) == 900
+    def test_base_vocabulary_shape(self, family):
+        # Pivot words are "w0000" to "w0299"; "w0000", the most frequent,
+        # occurs in every language.
+        out, _ = family
+        vocab = {f"w{i:04d}" for i in range(300)}
+        for lang in synthetic.LANGUAGES:
+            words = [w for line in lines(out, lang)[0] for w in line.split()]
+            assert vocab.issuperset(words)
+            assert "w0000" in words
 
     def test_divergent_counts_match_divergence_levels(self):
         for lang, d in synthetic.DIVERGENCE.items():
@@ -27,27 +90,28 @@ class TestVocabularyAndCiphers:
         with pytest.raises(ValueError, match="unknown synthetic language"):
             synthetic.divergent_indices("xx", 900, seed=42)
 
-    def test_cipher_is_injective_and_prefixed(self):
+    def test_cipher_is_injective_and_prefixed(self, family):
+        out, _ = family
         for lang in synthetic.LANGUAGES:
-            cipher = synthetic.cipher_for(lang, 300, seed=7)
-            assert len(set(cipher.values())) == len(cipher)
-            for word, mapped in cipher.items():
-                assert mapped in (lang + word, "zz" + word)
+            assert cipher_in_files(out, lang)
 
-    def test_cipher_words_survive_13a_tokenization(self):
+    def test_cipher_words_survive_13a_tokenization(self, family):
         # BLEU comparisons only see cipher words as single tokens if the
         # tokenizer has no reason to split them.
+        out, _ = family
         for lang in synthetic.LANGUAGES:
-            cipher = synthetic.cipher_for(lang, 200, seed=3)
-            for mapped in cipher.values():
-                assert bleu.tokenize_13a(mapped) == [mapped]
+            for form in cipher_in_files(out, lang).values():
+                assert bleu.tokenize_13a(form) == [form]
 
-    def test_ciphers_deterministic(self):
-        a = synthetic.cipher_for("cc", 400, seed=11)
-        b = synthetic.cipher_for("cc", 400, seed=11)
-        assert a == b
-        c = synthetic.cipher_for("cc", 400, seed=12)
-        assert a != c
+    def test_ciphers_deterministic(self, tmp_path):
+        kwargs = {"n_sentences": 100, "vocab_size": 400}
+        a = write(tmp_path / "a", seed=11, **kwargs)
+        b = write(tmp_path / "b", seed=11, **kwargs)
+        c = write(tmp_path / "c", seed=12, **kwargs)
+        targets = [f"data/{lang}.txt" for lang in synthetic.LANGUAGES]
+        assert [a[name] for name in targets] == [b[name] for name in targets]
+        assert all(a[name] != c[name] for name in targets)
+        assert cipher_in_files(tmp_path / "a", "cc") != cipher_in_files(tmp_path / "c", "cc")
 
 
 class TestOverlap:
@@ -62,9 +126,8 @@ class TestOverlap:
         # aa (5% divergent) against bb (18%) must overlap more than
         # aa against ee (60%), for any seed.
         for seed in (1, 42, 999):
-            near = synthetic.vocabulary_overlap("aa", "bb", 900, seed)
-            far = synthetic.vocabulary_overlap("aa", "ee", 900, seed)
-            assert near > far
+            matrix = synthetic.overlap_matrix(900, seed)
+            assert matrix[("aa", "bb")] > matrix[("aa", "ee")]
 
     def test_overlap_lower_and_upper_bounds(self):
         # |D_a| + |D_b| caps the union, max(|D_a|, |D_b|) floors it.
@@ -75,49 +138,47 @@ class TestOverlap:
             assert value >= 1.0 - (da + db) / v - 1e-12
             assert value <= 1.0 - max(da, db) / v + 1e-12
 
-    def test_exact_value_from_sets(self):
-        da = synthetic.divergent_indices("bb", 500, seed=5)
-        db = synthetic.divergent_indices("dd", 500, seed=5)
-        expected = 1.0 - len(da | db) / 500
-        assert synthetic.vocabulary_overlap("bb", "dd", 500, seed=5) == expected
-
     @pytest.mark.parametrize("vocab_size, seed", [(900, 42), (500, 5)])
-    def test_matrix_equals_pairwise_overlap(self, vocab_size, seed):
+    def test_matrix_equals_pairwise_overlap(self, tmp_path, vocab_size, seed):
+        # The exact value from the divergent sets, and the same matrix
+        # that write_family returns.
         matrix = synthetic.overlap_matrix(vocab_size, seed)
         assert list(matrix) == [
             (a, b) for a in synthetic.LANGUAGES for b in synthetic.LANGUAGES if a != b
         ]
         for (a, b), value in matrix.items():
-            assert value == synthetic.vocabulary_overlap(a, b, vocab_size, seed)
+            da = synthetic.divergent_indices(a, vocab_size, seed)
+            db = synthetic.divergent_indices(b, vocab_size, seed)
+            assert value == 1.0 - len(da | db) / vocab_size
+        info = synthetic.write_family(tmp_path, seed=seed, n_sentences=1, vocab_size=vocab_size)
+        assert info["overlap"] == matrix
 
 
 class TestPivotSentences:
-    def test_count_lengths_and_determinism(self):
-        sents = synthetic.generate_pivot_sentences(200, 300, seed=9)
-        assert len(sents) == 200
-        for s in sents:
-            n = len(s.split())
-            assert synthetic.MIN_LEN <= n <= synthetic.MAX_LEN
-        assert sents == synthetic.generate_pivot_sentences(200, 300, seed=9)
-        assert sents != synthetic.generate_pivot_sentences(200, 300, seed=10)
+    def test_count_lengths_and_determinism(self, tmp_path):
+        kwargs = {"n_sentences": 200, "vocab_size": 300, "coverage": 1.0}
+        a = write(tmp_path / "a", seed=9, **kwargs)
+        for lang in synthetic.LANGUAGES:
+            pivot, _ = lines(tmp_path / "a", lang)
+            assert len(pivot) == 200
+            for s in pivot:
+                assert synthetic.MIN_LEN <= len(s.split()) <= synthetic.MAX_LEN
+        b = write(tmp_path / "b", seed=9, **kwargs)
+        c = write(tmp_path / "c", seed=10, **kwargs)
+        pivots = [f"data/{lang}.pivot.txt" for lang in synthetic.LANGUAGES]
+        assert [a[name] for name in pivots] == [b[name] for name in pivots]
+        assert all(a[name] != c[name] for name in pivots)
 
-    def test_zipf_skew(self):
+    def test_zipf_skew(self, tmp_path):
         # Under Zipf weighting the most frequent word dominates the least.
-        sents = synthetic.generate_pivot_sentences(2000, 300, seed=13)
+        synthetic.write_family(
+            tmp_path, seed=13, n_sentences=2000, vocab_size=300, coverage=1.0
+        )
         counts = {}
-        for s in sents:
+        for s in lines(tmp_path, "aa")[0]:
             for w in s.split():
                 counts[w] = counts.get(w, 0) + 1
         assert counts.get("w0000", 0) > 20 * counts.get("w0299", 0.5)
-
-
-@pytest.fixture(scope="module")
-def family(tmp_path_factory):
-    out = tmp_path_factory.mktemp("family")
-    info = synthetic.write_family(
-        out, seed=42, n_sentences=400, vocab_size=300, coverage=0.97
-    )
-    return out, info
 
 
 class TestWriteFamily:
@@ -132,11 +193,8 @@ class TestWriteFamily:
 
     def test_target_is_cipher_of_pivot(self, family):
         out, _ = family
-        cipher = synthetic.cipher_for("aa", 300, seed=42)
-        pivot_lines = (out / "data" / "aa.pivot.txt").read_text().splitlines()
-        target_lines = (out / "data" / "aa.txt").read_text().splitlines()
-        for p, t in zip(pivot_lines[:50], target_lines[:50]):
-            assert t == " ".join(cipher[w] for w in p.split())
+        for lang in synthetic.LANGUAGES:
+            assert_ciphered(out, lang, 300, seed=42)
 
     def test_manifest_loads_and_points_at_files(self, family):
         out, info = family
@@ -181,6 +239,39 @@ class TestWriteFamily:
         floor = 2 * n_keep - n
         assert floor == 2068
         assert abs(n_keep * cov - 2070) < 5
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_sentences=st.integers(1, 60),
+        vocab_size=st.integers(1, 40),
+        coverage=st.floats(0.0, 1.0, exclude_min=True),
+        seed=st.integers(),
+    )
+    def test_every_small_family_keeps_its_invariants(
+        self, n_sentences, vocab_size, coverage, seed
+    ):
+        kwargs = {"seed": seed, "n_sentences": n_sentences, "vocab_size": vocab_size}
+        with tempfile.TemporaryDirectory() as tmp:
+            out, full = Path(tmp) / "family", Path(tmp) / "full"
+            files = write(out, coverage=coverage, **kwargs)
+            assert write(Path(tmp) / "again", coverage=coverage, **kwargs) == files
+            synthetic.write_family(full, coverage=1.0, **kwargs)
+            pivot, _ = lines(full, "aa")
+            vocab = {f"w{i:04d}" for i in range(vocab_size)}
+            for lang in synthetic.LANGUAGES:
+                kept, _ = lines(out, lang)
+                assert len(kept) == math.ceil(coverage * n_sentences)
+                remaining = iter(pivot)
+                assert all(line in remaining for line in kept)
+                for line in kept:
+                    assert synthetic.MIN_LEN <= len(line.split()) <= synthetic.MAX_LEN
+                    assert vocab.issuperset(line.split())
+                assert_ciphered(out, lang, vocab_size, seed)
+                for form in cipher_in_files(out, lang).values():
+                    assert bleu.tokenize_13a(form) == [form]
+            overlap = synthetic.overlap_matrix(vocab_size, seed)
+            written = json.loads(files["manifest.json"])["matrices"]["written"]
+            assert written == {f"{a}-{b}": round(v * 100.0, 4) for (a, b), v in overlap.items()}
 
 
 # sha256 of each file of write_family(out, seed=42) at the default sizes.
@@ -247,8 +338,13 @@ class TestGeneratedBytes:
         assert not (tmp_path / "family").exists()
 
     def test_full_coverage_keeps_every_sentence(self, tmp_path):
-        synthetic.write_family(tmp_path, n_sentences=30, vocab_size=20, coverage=1.0)
-        pivot = synthetic.generate_pivot_sentences(30, 20)
+        # Every language keeps all 30 pivot lines, in the order that any
+        # lower coverage selects its lines from.
+        synthetic.write_family(tmp_path / "full", n_sentences=30, vocab_size=20, coverage=1.0)
+        synthetic.write_family(tmp_path / "half", n_sentences=30, vocab_size=20, coverage=0.5)
+        pivot, _ = lines(tmp_path / "full", "aa")
+        assert len(pivot) == 30
         for lang in synthetic.LANGUAGES:
-            lines = (tmp_path / "data" / f"{lang}.pivot.txt").read_text().splitlines()
-            assert lines == pivot
+            assert lines(tmp_path / "full", lang)[0] == pivot
+            remaining = iter(pivot)
+            assert all(line in remaining for line in lines(tmp_path / "half", lang)[0])
