@@ -18,81 +18,4 @@ Modules:
     cli       - the `mtlearn` command
 """
 
-from .analysis import (
-    AucScore,
-    IntelligibilityMatrix,
-    LearningCurve,
-    ScatterPoint,
-    auc_trapezoid,
-    build_scatter,
-    embedded_matrices,
-    embedded_reference_auc,
-    filter_by_source,
-    pearson,
-    relative_curve,
-)
-from .bleu import BleuScore, corpus_bleu, tokenize_13a
-from .corpus import (
-    ParallelPair,
-    PivotBitext,
-    SplitSpec,
-    build_parallel,
-    load_pivot_bitext,
-    normalize_pivot,
-    split_pair,
-)
-from .pipeline import (
-    ExperimentManifest,
-    RunLedger,
-    build_report,
-    load_manifest,
-    run_experiment,
-)
-from .sampling import FRACTION_GRID, SubsetManifest, subsample
-from .trainer import (
-    LexicalTable,
-    TrainerSpec,
-    decode,
-    run_external,
-    train_model1,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AucScore",
-    "BleuScore",
-    "ExperimentManifest",
-    "FRACTION_GRID",
-    "IntelligibilityMatrix",
-    "LearningCurve",
-    "LexicalTable",
-    "ParallelPair",
-    "PivotBitext",
-    "RunLedger",
-    "ScatterPoint",
-    "SplitSpec",
-    "SubsetManifest",
-    "TrainerSpec",
-    "auc_trapezoid",
-    "build_parallel",
-    "build_report",
-    "build_scatter",
-    "corpus_bleu",
-    "decode",
-    "embedded_matrices",
-    "embedded_reference_auc",
-    "filter_by_source",
-    "load_manifest",
-    "load_pivot_bitext",
-    "normalize_pivot",
-    "pearson",
-    "relative_curve",
-    "run_experiment",
-    "run_external",
-    "split_pair",
-    "subsample",
-    "tokenize_13a",
-    "train_model1",
-    "__version__",
-]

@@ -4,13 +4,15 @@ the library and prints; the checks of splits and ledgers live there.
 Exit status contract: 0 on success, 1 when any experiment cell failed or
 a report was refused (see `pipeline.finished_ledger`), 2 on configuration
 errors including bad flags, unreadable inputs and a split that leaves
-train or test empty, and when another run is using the output directory.
+train or test empty, and when another run is using the output directory;
+141 (128 + SIGPIPE, as a shell reports it) when stdout's reader has gone.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -68,7 +70,7 @@ def _cmd_subsample(args: argparse.Namespace) -> int:
         args.n_train, args.fraction, args.seed, src=args.src, tgt=args.tgt
     )
     if args.out:
-        Path(args.out).write_text(manifest.to_json() + "\n", encoding="utf-8")
+        corpus.write_text_atomic(Path(args.out), manifest.to_json() + "\n")
     else:
         print(manifest.to_json())
     return 0
@@ -87,8 +89,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     table = trainer.train_model1(pairs, args.iterations)
     src_lines = corpus.read_lines(args.test_src)
     hyps = [trainer.decode(table, line) for line in src_lines]
-    Path(args.hyp_out).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.hyp_out).write_text("\n".join(hyps) + "\n", encoding="utf-8")
+    corpus.write_text_atomic(Path(args.hyp_out), "\n".join(hyps) + "\n")
     print(
         f"trained on {len(pairs)} pairs ({args.iterations} EM iterations), "
         f"wrote {len(hyps)} hypotheses to {args.hyp_out}"
@@ -115,7 +116,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     ]
     text = analysis.curves_to_csv(curves)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        corpus.write_text_atomic(Path(args.out), text)
     else:
         print(text, end="")
     return 0
@@ -167,8 +168,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.jobs is not None:
         manifest = dataclasses.replace(manifest, max_parallel_jobs=args.jobs)
     ledger = pipeline.run_experiment(manifest)
-    done = sum(1 for c in ledger.cells.values() if c.status == "done")
     failed = ledger.failed()
+    if not failed:  # before printing, so a closed stdout still gets a report
+        summary = pipeline.build_report(ledger, manifest.matrices, manifest.output_dir)
+    done = sum(1 for c in ledger.cells.values() if c.status == "done")
     print(f"{done}/{len(ledger.cells)} cells done in {manifest.output_dir}")
     for cell in failed:
         print(
@@ -178,7 +181,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if failed:
         return 1
-    summary = pipeline.build_report(ledger, manifest.matrices, manifest.output_dir)
     print(f"report written to {manifest.output_dir} ({len(summary['auc'])} pairs)")
     return 0
 
@@ -291,6 +293,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # Nobody reads what is left; let the flush at exit write it nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except pipeline.RunInProgressError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -524,15 +524,15 @@ class _PairData:
         return trainer.Model1Corpus(self.train_pairs)
 
 
-def _pair_files(manifest: ExperimentManifest, src: str, tgt: str) -> dict[str, list[str]]:
-    """Every file `_prepare_pair` writes for one pair, by directory under output_dir."""
+def _pair_files(manifest: ExperimentManifest) -> dict[str, list[str]]:
+    """Every file `_prepare_pair` writes for a pair, in ``<top>/<src>-<tgt>/`` by top."""
     names = list(corpus.SPLIT_BUNDLE_FILES)
     slugs = [fraction_slug(f) for f in manifest.fractions]
     subsets = [slug + ".json" for slug in slugs]
     if manifest.trainer_spec.kind == "external":
         names.append("test.src.txt")
         subsets += [slug + ".train.tsv" for slug in slugs]
-    return {f"corpus/{src}-{tgt}": names, f"subsets/{src}-{tgt}": subsets}
+    return {"corpus": names, "subsets": subsets}
 
 
 def _prepare_pair(
@@ -605,7 +605,7 @@ def _prepare_pair(
     )
 
 
-def _files_in(directory: Path) -> frozenset[str]:
+def _files_in(directory: str) -> frozenset[str]:
     """The files in ``directory``, as `Path.is_file` sees them, from one
     listing; a directory that cannot be listed holds none."""
     try:
@@ -805,8 +805,9 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
         todo: dict[tuple[str, str], list[tuple[str, str, float]]] = {}
         pairs = []
         hyp_names = [(fraction, f"{fraction_slug(fraction)}.txt") for fraction in manifest.fractions]
+        pair_files = _pair_files(manifest)
         for src, tgt in manifest.pairs():
-            hyps = _files_in(out / "hyps" / f"{src}-{tgt}")
+            hyps = _files_in(f"{out}/hyps/{src}-{tgt}")
             keys = [
                 (src, tgt, fraction) for fraction, name in hyp_names
                 if ledger.cells[(src, tgt, fraction)].status != "done" or name not in hyps
@@ -814,8 +815,8 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
             if keys:
                 todo[(src, tgt)] = keys
             if keys or not all(
-                _files_in(out / d).issuperset(names)
-                for d, names in _pair_files(manifest, src, tgt).items()
+                _files_in(f"{out}/{top}/{src}-{tgt}").issuperset(names)
+                for top, names in pair_files.items()
             ):
                 pairs.append((src, tgt))
 

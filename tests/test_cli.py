@@ -1,8 +1,11 @@
 """End-to-end tests of every CLI subcommand through cli.main()."""
 
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -178,6 +181,26 @@ class TestTrainAndScore:
         assert len(lines) == 2
         assert lines[0] == "x y z"
         assert lines[1] == "zz"  # unknown token passes through
+
+    def test_an_interrupted_train_keeps_the_old_hypotheses(self, tmp_path, monkeypatch):
+        train = tmp_path / "train.tsv"
+        train.write_text("a b\tx y\na\tx\n")
+        test_src = tmp_path / "test.src"
+        test_src.write_text("a b\n")
+        hyp = tmp_path / "hyps" / "hyp.txt"
+        hyp.parent.mkdir()
+        hyp.write_bytes(b"old\n")
+
+        def interrupted_replace(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupted_replace)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(
+                ["train", "--train", str(train), "--test-src", str(test_src), "--hyp-out", str(hyp)]
+            )
+        assert hyp.read_bytes() == b"old\n"
+        assert os.listdir(hyp.parent) == ["hyp.txt"]
 
     def test_train_with_subset(self, tmp_path, capsys):
         train = tmp_path / "train.tsv"
@@ -370,6 +393,23 @@ class TestRunAndReport:
         assert rc == 0, captured.err
         # synthetic languages never match the Romance tables
         assert "pearson_written = undefined" in captured.out
+
+    def test_curve_and_auc_reproduce_the_report(self, tiny_bitexts, capsys):
+        root, manifest_path = tiny_bitexts
+        assert cli.main(["run", "--manifest", str(manifest_path)]) == 0
+        out = root / "out"
+        curves = root / "curves.csv"
+        rc = cli.main(["curve", "--scores", str(out / "scores.csv"), "--out", str(curves)])
+        assert rc == 0
+        assert curves.read_bytes() == (out / "curves.csv").read_bytes()
+        capsys.readouterr()
+
+        assert cli.main(["auc", "--curve", str(out / "curves.csv")]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        rows = (out / "auc.csv").read_text().splitlines()
+        assert rows[0] == "pair,auc"
+        assert [line.replace("\t", ",") for line in printed] == rows[1:]
+        assert len(printed) == 2
 
     def test_train_reproduces_a_cell_of_a_run(self, tiny_bitexts, capsys):
         root, manifest_path = tiny_bitexts
@@ -612,6 +652,40 @@ class TestRunAndReport:
         rc = cli.main(["run", "--manifest", str(tmp_path / "ghost.json")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+def run_with_closed_stdout(args, cwd):
+    """Run `mtlearn <args>` in a subprocess whose stdout is a pipe that
+    nobody reads: its read end is closed before the command starts."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from mtlearn import cli; "
+        "sys.exit(cli.main(sys.argv[1:]))"
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-c", code, *args],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=cwd, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+
+
+class TestClosedStdout:
+    # A reader that stops early, as `mtlearn auc ... | head -1` does, is no
+    # configuration error: the command exits 128 + SIGPIPE and says nothing.
+    def test_tables_exits_141(self, tmp_path):
+        done = run_with_closed_stdout(["tables"], tmp_path)
+        assert (done.returncode, done.stderr) == (141, "")
+
+    def test_run_writes_its_report_and_exits_141(self, tiny_bitexts):
+        root, manifest_path = tiny_bitexts
+        done = run_with_closed_stdout(["run", "--manifest", str(manifest_path)], root)
+        assert (done.returncode, done.stderr) == (141, "")
+        for name in ("scores.csv", "curves.csv", "auc.csv", "summary.json", "ledger.json"):
+            assert (root / "out" / name).is_file()
 
 
 class TestArgparseBehavior:

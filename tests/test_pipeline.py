@@ -1130,13 +1130,13 @@ class TestLazyResume:
         # missing, so a file written but not listed would never be restored.
         manifest = pipeline.load_manifest(make_experiment(tmp_path, trainer_cfg))
         assert pipeline.run_experiment(manifest).all_done()
+        listed = pipeline._pair_files(manifest)
+        assert sorted(listed) == ["corpus", "subsets"]
         for pair in manifest.pairs():
-            listed = pipeline._pair_files(manifest, *pair)
-            assert {d: sorted(os.listdir(manifest.output_dir / d)) for d in listed} == {
-                d: sorted(names) for d, names in listed.items()
-            }
             name = "-".join(pair)
-            assert sorted(listed) == [f"corpus/{name}", f"subsets/{name}"]
+            assert {
+                top: sorted(os.listdir(manifest.output_dir / top / name)) for top in listed
+            } == {top: sorted(names) for top, names in listed.items()}
 
     def test_interrupted_run_of_another_manifest_is_not_trusted(
         self, tmp_path, monkeypatch

@@ -639,15 +639,31 @@ def process_running(pid):
         return not Path("/proc").is_dir()
 
 
-def test_import_loads_neither_numpy_nor_urllib_request():
-    # numpy is imported by the builtin trainer when it first trains, so
-    # external-trainer and resume runs never pay its memory.
+def modules_after_import(module):
+    """The names of the modules a fresh interpreter holds after ``import module``."""
     src = str(Path(mtlearn.__file__).resolve().parents[1])
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import mtlearn; "
-        "print(sorted({'numpy', 'urllib.request'} & set(sys.modules)))"
+        f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+        "print(' '.join(sorted(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return set(out.stdout.split())
+
+
+def test_import_loads_neither_numpy_nor_urllib_request():
+    # numpy is imported by the builtin trainer when it first trains, so
+    # external-trainer and resume runs never pay its memory. The command
+    # imports every module that a run or a report uses.
+    loaded = modules_after_import("mtlearn.cli")
+    assert {"mtlearn.pipeline", "mtlearn.trainer", "mtlearn.charts"} <= loaded
+    assert {"numpy", "urllib.request"} & loaded == set()
+
+
+def test_a_module_is_imported_without_the_rest_of_the_package():
+    def package_modules(module):
+        return {m for m in modules_after_import(module) if m.split(".")[0] == "mtlearn"}
+
+    assert package_modules("mtlearn") == {"mtlearn"}
+    assert package_modules("mtlearn.bleu") == {"mtlearn", "mtlearn.bleu"}
