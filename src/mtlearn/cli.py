@@ -168,10 +168,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.jobs is not None:
         manifest = dataclasses.replace(manifest, max_parallel_jobs=args.jobs)
     ledger = pipeline.run_experiment(manifest)
-    failed = ledger.failed()
-    if not failed:  # before printing, so a closed stdout still gets a report
-        summary = pipeline.build_report(ledger, manifest.matrices, manifest.output_dir)
     done = sum(1 for c in ledger.cells.values() if c.status == "done")
+    failed = ledger.failed()
+    # Built before printing, so a closed stdout still gets a report.
+    summary = None if failed else pipeline.build_report(
+        ledger, manifest.matrices, manifest.output_dir
+    )
     print(f"{done}/{len(ledger.cells)} cells done in {manifest.output_dir}")
     for cell in failed:
         print(
@@ -292,10 +294,14 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 0 for --help and 2 for usage errors; keep both.
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a pipe buffers short output; fail here, not at exit
+        return rc
     except BrokenPipeError:
         # Nobody reads what is left; let the flush at exit write it nowhere.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     except pipeline.RunInProgressError as exc:
         print(f"error: {exc}", file=sys.stderr)

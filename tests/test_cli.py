@@ -662,11 +662,13 @@ def run_with_closed_stdout(args, cwd):
         f"import sys; sys.path.insert(0, {src!r}); from mtlearn import cli; "
         "sys.exit(cli.main(sys.argv[1:]))"
     )
+    # Without PYTHONUNBUFFERED, stdout buffers short output until a flush.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         return subprocess.run(
-            [sys.executable, "-c", code, *args],
+            [sys.executable, "-c", code, *args], env=env,
             stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=cwd, timeout=120,
         )
     finally:
