@@ -116,19 +116,21 @@ def relative_curve(
 
     Points are sorted by fraction and each BLEU value is divided by the
     BLEU at fraction 1.0, so a model reaching 24 with half the data and 30
-    with all of it gets relatives 0.8 and 1.0.
+    with all of it gets relatives 0.8 and 1.0. A ValueError names
+    ``pair_id`` when it is given.
     """
+    pair = f"pair {pair_str(pair_id)}: " if pair_id else ""
     if not raw:
-        raise ValueError("no curve points given")
+        raise ValueError(f"{pair}no curve points given")
     ordered = sorted(raw)
     fractions = [f for f, _ in ordered]
     if len(set(fractions)) != len(fractions):
-        raise ValueError(f"duplicate fractions in curve: {fractions}")
+        raise ValueError(f"{pair}duplicate fractions in curve: {fractions}")
     if fractions[-1] != 1.0:
-        raise ValueError("curve is missing the fraction-1.0 point")
+        raise ValueError(f"{pair}curve is missing the fraction-1.0 point")
     full_bleu = ordered[-1][1]
     if full_bleu == 0:
-        raise ValueError("BLEU at fraction 1.0 is 0; relative curve undefined")
+        raise ValueError(f"{pair}BLEU at fraction 1.0 is 0; relative curve undefined")
     points = tuple(
         CurvePoint(fraction=f, bleu=b, relative=b / full_bleu) for f, b in ordered
     )

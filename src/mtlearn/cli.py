@@ -306,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     except pipeline.RunInProgressError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (pipeline.LedgerError, trainer.ExternalTrainerError) as exc:
+    except pipeline.LedgerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

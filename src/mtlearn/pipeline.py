@@ -114,9 +114,7 @@ class ExperimentManifest:
     split_seed: int | None = None
     fractions: tuple[float, ...] = sampling.FRACTION_GRID
     seed: int = 0
-    trainer_spec: trainer.TrainerSpec = field(
-        default_factory=lambda: trainer.TrainerSpec(kind="builtin-em")
-    )
+    trainer_spec: trainer.TrainerSpec = field(default_factory=trainer.TrainerSpec)
     max_parallel_jobs: int = 1
     matrices: tuple[analysis.IntelligibilityMatrix, analysis.IntelligibilityMatrix] = field(
         default_factory=analysis.embedded_matrices
@@ -273,16 +271,17 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
     if not isinstance(fractions, list):
         raise ManifestError(f"fractions must be a list of numbers, not {fractions!r}")
 
-    trainer_raw = raw.get("trainer", {"kind": "builtin-em"})
+    trainer_raw = raw.get("trainer", {})
     if not isinstance(trainer_raw, dict):
         raise ManifestError("trainer must be an object")
-    allowed = {"kind", "em_iterations", "command_template", "workdir", "timeout"}
+    allowed = {f.name for f in fields(trainer.TrainerSpec)}
     if set(trainer_raw) - allowed:
         raise ManifestError(f"unknown trainer keys: {sorted(set(trainer_raw) - allowed)}")
     trainer_kwargs = dict(trainer_raw)
-    trainer_kwargs.setdefault("kind", "builtin-em")
-    if "workdir" in trainer_kwargs:
-        trainer_kwargs["workdir"] = str(_path(base, trainer_kwargs["workdir"], "trainer.workdir"))
+    # Written or not, the workdir is relative to the manifest.
+    trainer_kwargs["workdir"] = str(
+        _path(base, trainer_kwargs.get("workdir", trainer.TrainerSpec.workdir), "trainer.workdir")
+    )
     if "em_iterations" in trainer_kwargs:
         _typed(trainer_kwargs["em_iterations"], "integer", "trainer.em_iterations")
     if "timeout" in trainer_kwargs:
@@ -307,14 +306,19 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
             languages=tuple(languages),
             data_sources=data_sources,
             output_dir=(base / _typed(raw["output_dir"], "string", "output_dir")).resolve(),
-            dev_ratio=float(_typed(split.get("dev_ratio", 0.1), "number", "split.dev_ratio")),
-            test_ratio=float(_typed(split.get("test_ratio", 0.2), "number", "split.test_ratio")),
+            dev_ratio=float(_typed(
+                split.get("dev_ratio", ExperimentManifest.dev_ratio), "number", "split.dev_ratio"
+            )),
+            test_ratio=float(_typed(
+                split.get("test_ratio", ExperimentManifest.test_ratio), "number", "split.test_ratio"
+            )),
             split_seed=_typed(split.get("seed"), "integer", "split.seed", optional=True),
             fractions=tuple(float(_typed(f, "number", "each fraction")) for f in fractions),
-            seed=_typed(raw.get("seed", 0), "integer", "seed"),
+            seed=_typed(raw.get("seed", ExperimentManifest.seed), "integer", "seed"),
             trainer_spec=spec,
             max_parallel_jobs=_typed(
-                raw.get("max_parallel_jobs", 1), "integer", "max_parallel_jobs"
+                raw.get("max_parallel_jobs", ExperimentManifest.max_parallel_jobs),
+                "integer", "max_parallel_jobs",
             ),
             **matrices,
         )
@@ -1041,7 +1045,8 @@ def build_report(
     """Turn a complete ledger into the full report bundle.
 
     Raises LedgerError, and writes nothing, unless every cell is done, as
-    in a ledger from `finished_ledger`.
+    in a ledger from `finished_ledger`, and every pair's relative curve
+    can be built.
     """
     _refuse_unfinished(ledger)
     out = Path(output_dir)
@@ -1050,10 +1055,13 @@ def build_report(
     for (src, tgt, fraction), record in ledger.cells.items():
         raw_by_pair.setdefault((src, tgt), []).append((fraction, record.bleu))
 
-    curves = [
-        analysis.relative_curve(raw_by_pair[pair], pair_id=pair)
-        for pair in sorted(raw_by_pair)
-    ]
+    try:
+        curves = [
+            analysis.relative_curve(raw_by_pair[pair], pair_id=pair)
+            for pair in sorted(raw_by_pair)
+        ]
+    except ValueError as exc:  # such as a pair whose BLEU at fraction 1.0 is 0
+        raise LedgerError(str(exc)) from exc
     corpus.write_text_atomic(out / "curves.csv", analysis.curves_to_csv(curves))
 
     sources = sorted({pair[0] for pair in raw_by_pair})

@@ -65,46 +65,13 @@ class LexicalTable:
     wins), so decoding does no search.
 
     A table holds its distributions as flat arrays, one cell per (source,
-    target) in entries order. The sum check and argmax are computed from
-    those arrays when the table is made, and entries is built from them on
-    first read: decoding reads only argmax. `train_model1` hands over its EM
-    arrays; a table constructed from dicts flattens them into the same
-    arrays and goes through the same check. Tables are equal when their
-    entries, log_likelihoods and skipped_pairs are.
+    target) in entries order; `train_model1` makes tables from its EM
+    arrays. The sum check and argmax are computed from those arrays when
+    the table is made, and entries is built from them on first read:
+    decoding reads only argmax.
     """
 
     def __init__(
-        self,
-        entries: dict[str, dict[str, float]],
-        log_likelihoods: tuple[float, ...],
-        skipped_pairs: int = 0,
-    ) -> None:
-        import numpy as np
-
-        targets = [t for dist in entries.values() for t in dist]
-        rank = {t: r for r, t in enumerate(sorted(set(targets)))}
-        self._init(
-            list(entries),
-            np.fromiter(map(len, entries.values()), dtype=np.int64, count=len(entries)),
-            np.array(targets, dtype=object),
-            np.fromiter(map(rank.__getitem__, targets), dtype=np.int64, count=len(targets)),
-            np.fromiter(
-                (p for dist in entries.values() for p in dist.values()),
-                dtype=np.float64,
-                count=len(targets),
-            ),
-            log_likelihoods,
-            skipped_pairs,
-        )
-
-    @classmethod
-    def _from_arrays(cls, *arrays) -> LexicalTable:
-        """A table over the arrays that `_init` takes, without dicts."""
-        table = cls.__new__(cls)
-        table._init(*arrays)
-        return table
-
-    def _init(
         self,
         sources: list[str],
         lengths: np.ndarray,
@@ -160,19 +127,10 @@ class LexicalTable:
             lo = hi
         return entries
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LexicalTable):
-            return NotImplemented
-        return (self.entries, self.log_likelihoods, self.skipped_pairs) == (
-            other.entries,
-            other.log_likelihoods,
-            other.skipped_pairs,
-        )
-
     def __repr__(self) -> str:
         return (
-            f"LexicalTable(entries={self.entries!r}, "
-            f"log_likelihoods={self.log_likelihoods!r}, skipped_pairs={self.skipped_pairs!r})"
+            f"<LexicalTable entries={self.entries!r} "
+            f"log_likelihoods={self.log_likelihoods!r} skipped_pairs={self.skipped_pairs!r}>"
         )
 
 
@@ -180,7 +138,7 @@ class LexicalTable:
 class TrainerSpec:
     """How to obtain hypotheses for one training subset.
 
-    kind is "builtin-em" (uses em_iterations) or "external" (uses
+    kind is "builtin-em" (the default; uses em_iterations) or "external" (uses
     command_template, which must contain the placeholders {train},
     {test_src} and {hyp_out}; {workdir} is substituted when present).
     Placeholders become shell-quoted paths, so templates leave them bare,
@@ -190,7 +148,7 @@ class TrainerSpec:
     killed, a finite number above 0.
     """
 
-    kind: str
+    kind: str = "builtin-em"
     em_iterations: int = 5
     command_template: str = ""
     workdir: str = "."
@@ -428,7 +386,7 @@ def train_model1(
     del tok, src_row, cell, log_len
 
     present = np.flatnonzero(per_src)
-    return LexicalTable._from_arrays(
+    return LexicalTable(
         [corpus.src_words[s] for s in present.tolist()],
         per_src[present],
         cell_tgt,

@@ -61,14 +61,18 @@ class TestRelativeCurve:
         assert curve.points == (analysis.CurvePoint(1.0, 17.0, 1.0),)
 
     def test_errors(self):
-        with pytest.raises(ValueError, match="no curve points"):
-            analysis.relative_curve([])
-        with pytest.raises(ValueError, match="duplicate"):
-            analysis.relative_curve([(0.5, 10.0), (0.5, 11.0), (1.0, 12.0)])
-        with pytest.raises(ValueError, match="missing the fraction-1.0"):
-            analysis.relative_curve([(0.2, 10.0), (0.9, 12.0)])
-        with pytest.raises(ValueError, match="BLEU at fraction 1.0 is 0"):
-            analysis.relative_curve([(0.5, 10.0), (1.0, 0.0)])
+        # An error names the pair when the curve has one.
+        for pair_id, prefix in ((None, ""), (("es", "pt"), "pair es-pt: ")):
+            with pytest.raises(ValueError, match=f"^{prefix}no curve points"):
+                analysis.relative_curve([], pair_id=pair_id)
+            with pytest.raises(ValueError, match=f"^{prefix}duplicate"):
+                analysis.relative_curve(
+                    [(0.5, 10.0), (0.5, 11.0), (1.0, 12.0)], pair_id=pair_id
+                )
+            with pytest.raises(ValueError, match=f"^{prefix}curve is missing the fraction-1.0"):
+                analysis.relative_curve([(0.2, 10.0), (0.9, 12.0)], pair_id=pair_id)
+            with pytest.raises(ValueError, match=f"^{prefix}BLEU at fraction 1.0 is 0"):
+                analysis.relative_curve([(0.5, 10.0), (1.0, 0.0)], pair_id=pair_id)
 
     def test_learning_curve_validation(self):
         good = (analysis.CurvePoint(1.0, 5.0, 1.0),)

@@ -394,6 +394,26 @@ class TestRunAndReport:
         # synthetic languages never match the Romance tables
         assert "pearson_written = undefined" in captured.out
 
+    def test_a_curve_that_cannot_be_built_refuses_the_report(self, tiny_bitexts, capsys):
+        # Every hypothesis is "qqq", so every cell scores BLEU 0 and no pair
+        # has a relative curve.
+        root, manifest_path = tiny_bitexts
+        raw = json.loads(manifest_path.read_text())
+        raw["trainer"] = {
+            "kind": "external",
+            "command_template": "awk '{{print \"qqq\"}}' {test_src} > {hyp_out} # {train}",
+        }
+        manifest_path.write_text(json.dumps(raw))
+        problem = "error: pair aa-bb: BLEU at fraction 1.0 is 0; relative curve undefined\n"
+        assert cli.main(["run", "--manifest", str(manifest_path)]) == 1
+        assert capsys.readouterr() == ("", problem)
+        assert cli.main(["report", "--manifest", str(manifest_path)]) == 1
+        assert capsys.readouterr() == ("", problem)
+        assert not (root / "out" / "curves.csv").exists()
+        # The same scores given to `curve` are a bad input file.
+        assert cli.main(["curve", "--scores", str(root / "out" / "scores.csv")]) == 2
+        assert capsys.readouterr() == ("", problem)
+
     def test_curve_and_auc_reproduce_the_report(self, tiny_bitexts, capsys):
         root, manifest_path = tiny_bitexts
         assert cli.main(["run", "--manifest", str(manifest_path)]) == 0

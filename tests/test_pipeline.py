@@ -1657,6 +1657,20 @@ class TestExternalCommands:
         assert cli.main(["run", "--manifest", str(path)]) == 0
         assert cli.main(["report", "--manifest", str(path)]) == 0
 
+    def test_an_omitted_workdir_is_the_manifests_directory(self, tmp_path, monkeypatch):
+        # The script sits next to the manifest; the run starts elsewhere.
+        trainer_cfg = script_trainer(tmp_path, 'sed y/ab/ba/ "$2" > "$3"\n')
+        del trainer_cfg["workdir"]
+        path = make_experiment(tmp_path, trainer_cfg)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        manifest = pipeline.load_manifest(path)
+        assert manifest.trainer_spec.workdir == str(tmp_path.resolve())
+        assert cli.main(["run", "--manifest", str(path)]) == 0
+        assert pipeline.finished_ledger(manifest).all_done()
+        gc.collect()
+
     def test_a_failing_command_keeps_only_the_tail_of_its_output(self, tmp_path):
         # Each command prints 2 MB and fails. Kept whole, its output made
         # each record's error 2 MB long and ledger.json 8 MB.
@@ -2108,6 +2122,16 @@ class TestReports:
             pipeline.build_report(
                 ledger, analysis.embedded_matrices(), tmp_path
             )
+
+    def test_a_pair_without_a_curve_refuses_the_report(self, tmp_path):
+        ledger = self.constant_ledger()
+        ledger.cells[("bb", "aa", 1.0)].bleu = 0.0
+        with pytest.raises(
+            pipeline.LedgerError,
+            match=r"^pair bb-aa: BLEU at fraction 1\.0 is 0; relative curve undefined$",
+        ):
+            pipeline.build_report(ledger, analysis.embedded_matrices(), tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_constant_curves_give_auc_80(self, tmp_path):
         summary = pipeline.build_report(

@@ -18,6 +18,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,17 +234,34 @@ class TestTrainModel1:
             trainer.train_model1([("a", "x")], iterations=0)
 
     def test_lexical_table_validates_distributions(self):
-        with pytest.raises(ValueError, match="sums to"):
-            trainer.LexicalTable(entries={"a": {"x": 0.5}}, log_likelihoods=())
-        with pytest.raises(ValueError, match="empty"):
-            trainer.LexicalTable(entries={"a": {}}, log_likelihoods=())
+        def table(sources, lengths, probs):
+            # Each source's cells have the targets x, y, x, ... in turn.
+            return trainer.LexicalTable(
+                sources,
+                np.array(lengths, dtype=np.int64),
+                np.resize(np.array(["x", "y"], dtype=object), len(probs)),
+                np.resize(np.array([0, 1], dtype=np.int64), len(probs)),
+                np.array(probs, dtype=np.float64),
+                (),
+                0,
+            )
 
-    def test_lexical_table_equality_and_repr(self):
-        table = trainer.LexicalTable(entries={"a": {"x": 1.0}}, log_likelihoods=(-1.0,))
-        assert table.__eq__({"a": {"x": 1.0}}) is NotImplemented
-        assert table != {"a": {"x": 1.0}}
+        with pytest.raises(ValueError, match="distribution for 'a' sums to 0.5, not 1"):
+            table(["a"], [1], [0.5])
+        with pytest.raises(ValueError, match="empty distribution for source token 'a'"):
+            table(["a", "b"], [0, 1], [1.0])
+        with pytest.raises(ValueError, match="distribution for 'a' sums to nan"):
+            table(["a"], [2], [float("nan"), 0.5])
+        # 1e-10 off 1 is within the 1e-9 tolerance, 1e-8 off is not.
+        with pytest.raises(ValueError, match="distribution for 'b' sums to"):
+            table(["a", "b"], [2, 2], [0.5, 0.5 + 1e-10, 0.5, 0.5 + 1e-8])
+        assert table(["a"], [2], [0.5, 0.5 + 1e-10]).argmax == {"a": "y"}
+
+    def test_lexical_table_repr(self):
+        table = trainer.train_model1([("a", "x")], iterations=1)
         assert repr(table) == (
-            "LexicalTable(entries={'a': {'x': 1.0}}, log_likelihoods=(-1.0,), skipped_pairs=0)"
+            "<LexicalTable entries={'<NULL>': {'x': 1.0}, 'a': {'x': 1.0}} "
+            "log_likelihoods=(0.0,) skipped_pairs=0>"
         )
 
 
@@ -271,6 +289,19 @@ def argmax_as_searched_before(entries):
         top = max(dist.values())
         argmax[src] = min(t for t, p in dist.items() if p == top)
     return argmax
+
+
+def table_arrays(entries):
+    """The arrays `LexicalTable` takes for ``{source: {target: p}}`` dicts."""
+    targets = [t for dist in entries.values() for t in dist]
+    rank = {t: r for r, t in enumerate(sorted(set(targets)))}  # code-point order
+    return (
+        list(entries),
+        np.array([len(dist) for dist in entries.values()], dtype=np.int64),
+        np.array(targets, dtype=object),
+        np.array([rank[t] for t in targets], dtype=np.int64),
+        np.array([p for dist in entries.values() for p in dist.values()], dtype=np.float64),
+    )
 
 
 def hexed(entries):
@@ -302,13 +333,6 @@ class TestArrayTable:
         assert hexed(table.entries) == hexed(want)
         assert table.argmax == argmax_as_searched_before(want)
         assert list(table.argmax) == list(want)
-        rebuilt = trainer.LexicalTable(
-            entries=want,
-            log_likelihoods=table.log_likelihoods,
-            skipped_pairs=table.skipped_pairs,
-        )
-        assert rebuilt == table
-        assert rebuilt.argmax == table.argmax
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -322,7 +346,7 @@ class TestArrayTable:
         fault=st.sampled_from([None, "empty", "mass", "1e-8", "1e-10"]),
         data=st.data(),
     )
-    def test_table_from_dicts_keeps_errors_and_tie_break(self, counts, fault, data):
+    def test_table_from_arrays_keeps_errors_and_tie_break(self, counts, fault, data):
         # Small integer counts tie often; dividing by the total sums to 1
         # within rounding.
         entries = {
@@ -341,29 +365,26 @@ class TestArrayTable:
             error = {"empty": "empty", "mass": "sums to", "1e-8": "sums to"}.get(fault)
             if error:
                 with pytest.raises(ValueError, match=error):
-                    trainer.LexicalTable(entries=entries, log_likelihoods=())
+                    trainer.LexicalTable(*table_arrays(entries), (), 0)
                 return
-        table = trainer.LexicalTable(entries=entries, log_likelihoods=(-1.0,))
+        table = trainer.LexicalTable(*table_arrays(entries), (-1.0,), 0)
         assert table.argmax == argmax_as_searched_before(entries)
         assert hexed(table.entries) == hexed(entries)
-        assert table == trainer.LexicalTable(entries=dict(entries), log_likelihoods=(-1.0,))
-        assert table != trainer.LexicalTable(entries=entries, log_likelihoods=())
 
 
 class TestDecode:
     def test_argmax_lookup(self):
-        table = trainer.LexicalTable(entries={"a": {"x": 1.0}}, log_likelihoods=())
+        table = trainer.train_model1([("a", "x")], iterations=1)
         assert trainer.decode(table, "a a") == "x x"
 
     def test_unknown_token_passes_through(self):
-        table = trainer.LexicalTable(entries={"a": {"x": 1.0}}, log_likelihoods=())
+        table = trainer.train_model1([("a", "x")], iterations=1)
         assert trainer.decode(table, "zzz") == "zzz"
         assert trainer.decode(table, "a zzz a") == "x zzz x"
 
     def test_lexicographic_tie_break(self):
-        table = trainer.LexicalTable(
-            entries={"a": {"x": 0.5, "w": 0.5}}, log_likelihoods=()
-        )
+        table = trainer.train_model1([("a", "x w")], iterations=3)
+        assert table.entries["a"] == {"x": 0.5, "w": 0.5}
         assert trainer.decode(table, "a") == "w"
 
     def test_tie_on_trained_table(self):
@@ -380,7 +401,7 @@ class TestDecode:
         assert len(first.split()) == 3
 
     def test_empty_sentence(self):
-        table = trainer.LexicalTable(entries={"a": {"x": 1.0}}, log_likelihoods=())
+        table = trainer.train_model1([("a", "x")], iterations=1)
         assert trainer.decode(table, "") == ""
 
 
