@@ -16,6 +16,14 @@ from typing import NamedTuple
 
 ROMANCE_LANGS = ("es", "pt", "it", "fr", "ro")
 
+# The report's views as (view, medium, excluded source): each correlates
+# AUC with its medium's matrix, leaving out the excluded source's pairs.
+VIEWS = (
+    ("written", "written", None),
+    ("spoken", "spoken", None),
+    ("spoken_excl_ro", "spoken", "ro"),
+)
+
 # Written-text mutual intelligibility, percent, source language → target
 # language. Asymmetric by nature (reading Portuguese with Spanish skills
 # is not the same task as the reverse).
@@ -77,12 +85,6 @@ class LearningCurve:
 
 
 @dataclass(frozen=True)
-class AucScore:
-    auc: float
-    pair_id: tuple[str, str] | None = None
-
-
-@dataclass(frozen=True)
 class IntelligibilityMatrix:
     """Directed intelligibility scores for 5 languages, diagonal absent."""
 
@@ -97,8 +99,8 @@ class IntelligibilityMatrix:
         for (src, tgt), value in self.scores.items():
             if src == tgt:
                 raise ValueError(f"diagonal entry {src}->{tgt} not allowed")
-            if value <= 0:
-                raise ValueError(f"score for {src}->{tgt} must be positive: {value}")
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"score for {src}->{tgt} must be positive and finite: {value}")
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,14 @@ def relative_curve(
     return LearningCurve(points=points, pair_id=pair_id)
 
 
-def auc_trapezoid(curve: LearningCurve) -> AucScore:
+def relative_curves(
+    raw_by_pair: dict[tuple[str, str], list[tuple[float, float]]]
+) -> list[LearningCurve]:
+    """The relative curve of each pair, in pair order."""
+    return [relative_curve(raw_by_pair[pair], pair_id=pair) for pair in sorted(raw_by_pair)]
+
+
+def auc_trapezoid(curve: LearningCurve) -> float:
     """Trapezoidal area under the relative-BLEU curve.
 
     The x-axis is the fraction expressed in percent, so the full 0.2-1.0
@@ -151,21 +160,23 @@ def auc_trapezoid(curve: LearningCurve) -> AucScore:
         x0 = a.fraction * 100.0
         x1 = b.fraction * 100.0
         total += (x1 - x0) * (a.relative + b.relative) / 2.0
-    return AucScore(auc=total, pair_id=curve.pair_id)
+    return total
 
 
 def pearson(xs: list[float], ys: list[float]) -> float:
     """Pearson product-moment correlation of two equal-length samples.
 
-    Inputs must have at least 3 values and nonzero variance. The result is
-    clamped to [-1, 1] to absorb last-bit rounding on exactly collinear
-    data.
+    Inputs must be finite, with at least 3 values and nonzero variance.
+    The result is clamped to [-1, 1] to absorb last-bit rounding on exactly
+    collinear data.
     """
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     n = len(xs)
     if n < 3:
         raise ValueError(f"need at least 3 points for a correlation, got {n}")
+    if not all(math.isfinite(v) for v in (*xs, *ys)):
+        raise ValueError("non-finite value; correlation undefined")
     mean_x = math.fsum(xs) / n
     mean_y = math.fsum(ys) / n
     dx = [x - mean_x for x in xs]
@@ -248,9 +259,19 @@ def curves_to_csv(curves: list[LearningCurve]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def scores_to_csv(raw_by_pair: dict[tuple[str, str], list[tuple[float, float]]]) -> str:
+    """A scores CSV (pair,fraction,bleu): rows in pair order, then fraction order."""
+    lines = ["pair,fraction,bleu"]
+    for pair in sorted(raw_by_pair):
+        for fraction, bleu in sorted(raw_by_pair[pair]):
+            lines.append(f"{pair_str(pair)},{_fmt(fraction)},{_fmt(bleu)}")
+    return "\n".join(lines) + "\n"
+
+
 def _read_raw_points(text: str, header: str) -> dict[str, list[tuple[float, float]]]:
     """(fraction, bleu) points of a CSV whose first three columns are
-    pair,fraction,bleu, grouped by the pair column in appearance order."""
+    pair,fraction,bleu, grouped by the pair column in appearance order.
+    Both numbers must be finite."""
     lines = text.splitlines()
     if not lines or lines[0] != header:
         raise ValueError(f"bad or missing header; expected {header}")
@@ -262,7 +283,10 @@ def _read_raw_points(text: str, header: str) -> dict[str, list[tuple[float, floa
         cells = line.split(",")
         if len(cells) != columns:
             raise ValueError(f"line {lineno}: expected {columns} columns, got {len(cells)}")
-        raw_by_pair.setdefault(cells[0], []).append((float(cells[1]), float(cells[2])))
+        point = (float(cells[1]), float(cells[2]))
+        if not all(map(math.isfinite, point)):
+            raise ValueError(f"line {lineno}: fraction and BLEU must be finite: {line!r}")
+        raw_by_pair.setdefault(cells[0], []).append(point)
     return raw_by_pair
 
 
@@ -287,11 +311,10 @@ def read_curves_csv(text: str) -> list[LearningCurve]:
     ]
 
 
-def auc_to_csv(scores: list[AucScore]) -> str:
+def auc_to_csv(auc_by_pair: dict[tuple[str, str], float]) -> str:
+    """An AUC CSV (pair,auc) in pair order."""
     lines = ["pair,auc"]
-    for s in scores:
-        pair = pair_str(s.pair_id) if s.pair_id else ""
-        lines.append(f"{pair},{_fmt(s.auc)}")
+    lines += [f"{pair_str(pair)},{_fmt(auc_by_pair[pair])}" for pair in sorted(auc_by_pair)]
     return "\n".join(lines) + "\n"
 
 

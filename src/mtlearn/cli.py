@@ -110,11 +110,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 def _cmd_curve(args: argparse.Namespace) -> int:
     raw = analysis.read_scores_csv(Path(args.scores).read_text(encoding="utf-8"))
-    curves = [
-        analysis.relative_curve(points, pair_id=pair)
-        for pair, points in sorted(raw.items())
-    ]
-    text = analysis.curves_to_csv(curves)
+    text = analysis.curves_to_csv(analysis.relative_curves(raw))
     if args.out:
         corpus.write_text_atomic(Path(args.out), text)
     else:
@@ -123,13 +119,9 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_auc(args: argparse.Namespace) -> int:
-    curves = analysis.read_curves_csv(
-        Path(args.curve).read_text(encoding="utf-8")
-    )
-    for curve in curves:
-        score = analysis.auc_trapezoid(curve)
+    for curve in analysis.read_curves_csv(Path(args.curve).read_text(encoding="utf-8")):
         prefix = f"{analysis.pair_str(curve.pair_id)}\t" if curve.pair_id else ""
-        print(f"{prefix}{score.auc!r}")
+        print(f"{prefix}{analysis.auc_trapezoid(curve)!r}")
     return 0
 
 
@@ -138,21 +130,23 @@ def _auc_from_source(source: str) -> dict[tuple[str, str], float]:
     if source == "table3":
         return analysis.embedded_reference_auc()
     curves = analysis.read_curves_csv(Path(source).read_text(encoding="utf-8"))
-    out = {}
-    for curve in curves:
-        if curve.pair_id is None:
-            raise ValueError(f"curves in {source} need pair labels for correlation")
-        out[curve.pair_id] = analysis.auc_trapezoid(curve).auc
-    return out
+    if any(curve.pair_id is None for curve in curves):
+        raise ValueError(f"curves in {source} need pair labels for correlation")
+    return {curve.pair_id: analysis.auc_trapezoid(curve) for curve in curves}
 
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
     auc_by_pair = _auc_from_source(args.auc)
     written, spoken = analysis.embedded_matrices()
     matrix = written if args.against == "written" else spoken
-    points = analysis.filter_by_source(
-        analysis.build_scatter(auc_by_pair, matrix), args.exclude_source
-    )
+    points = analysis.build_scatter(auc_by_pair, matrix)
+    sources = sorted({p.pair_id[0] for p in points})
+    if args.exclude_source not in (None, *sources):
+        raise ValueError(
+            f"--exclude-source {args.exclude_source!r} is no pair's source; "
+            f"the sources are {', '.join(sources)}"
+        )
+    points = analysis.filter_by_source(points, args.exclude_source)
     r = analysis.pearson(
         [p.auc for p in points], [p.intelligibility for p in points]
     )
@@ -202,9 +196,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         summary = pipeline.build_report(pipeline.finished_ledger(manifest), manifest.matrices, out)
 
     print(f"report written to {out}")
-    for key in ("pearson_written", "pearson_spoken", "pearson_spoken_excl_ro"):
-        value = summary[key]
-        print(f"{key} = {value:.3f}" if value is not None else f"{key} = undefined")
+    for view, _, _ in analysis.VIEWS:
+        value = summary[f"pearson_{view}"]
+        print(f"pearson_{view} = " + (f"{value:.3f}" if value is not None else "undefined"))
     return 0
 
 

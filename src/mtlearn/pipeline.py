@@ -64,6 +64,7 @@ import fcntl
 import functools
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -399,12 +400,14 @@ class CellRecord:
 
         ValueError for a record that no run writes: a status other than
         pending, done or failed, or a done record whose bleu is not a
-        number.
+        finite number.
         """
         record = cls(**{name: d[name] for name in _CELL_FIELDS if name in d})
         if record.status not in ("pending", "done", "failed"):
             raise ValueError(f"unknown cell status {record.status!r}")
-        if record.status == "done" and type(record.bleu) not in (int, float):  # no bool
+        if record.status == "done" and not (
+            type(record.bleu) in (int, float) and math.isfinite(record.bleu)  # no bool
+        ):
             raise ValueError(f"done cell with bleu {record.bleu!r}")
         return record
 
@@ -428,6 +431,14 @@ class RunLedger:
 
     def failed(self) -> list[CellRecord]:
         return [c for c in self.cells.values() if c.status == "failed"]
+
+    def points(self) -> dict[tuple[str, str], list[tuple[float, float]]]:
+        """The (fraction, BLEU) points of the done cells, by pair."""
+        points: dict[tuple[str, str], list[tuple[float, float]]] = {}
+        for (src, tgt, fraction), record in self.cells.items():
+            if record.status == "done":
+                points.setdefault((src, tgt), []).append((fraction, record.bleu))
+        return points
 
     def to_json(self) -> str:
         cells = {self.key_str(k): c.to_dict() for k, c in self.cells.items()}
@@ -931,15 +942,7 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
             ledger.save(ledger_path)
         journal_path.unlink(missing_ok=True)
 
-        rows = ["pair,fraction,bleu"]
-        for key in sorted(ledger.cells):
-            record = ledger.cells[key]
-            if record.status == "done":
-                rows.append(
-                    f"{record.src}-{record.tgt},{repr(float(record.fraction))},"
-                    f"{repr(float(record.bleu))}"
-                )
-        corpus.write_text_atomic(out / "scores.csv", "\n".join(rows) + "\n")
+        corpus.write_text_atomic(out / "scores.csv", analysis.scores_to_csv(ledger.points()))
         return ledger
 
 
@@ -956,35 +959,24 @@ def report_from_auc(
     """Emit the correlation half of the report bundle from AUC values.
 
     Writes auc.csv, then a scatter CSV, a scatter SVG and a Pearson r for
-    each of three views: written, spoken, and spoken without ro-source
-    pairs (drawn as hollow points and flagged in the CSV), and last
-    summary.json. Pearson values are null when fewer than 3 scatter points
-    are kept or the kept values have no variance; a view with no points at
-    all gets no SVG. Returns the summary.
+    each view of `analysis.VIEWS` (pairs of the excluded source are drawn
+    as hollow points and flagged in the CSV), and last summary.json.
+    Pearson values are null when fewer than 3 scatter points are kept or
+    the kept values have no variance; a view with no points at all gets no
+    SVG, and loses one an earlier report left. Returns the summary.
     """
     out = Path(output_dir)
-    written, spoken = matrices
-
-    auc_rows = [
-        analysis.AucScore(auc=auc_by_pair[pair], pair_id=pair)
-        for pair in sorted(auc_by_pair)
-    ]
-    corpus.write_text_atomic(out / "auc.csv", analysis.auc_to_csv(auc_rows))
+    by_medium = {matrix.medium: matrix for matrix in matrices}
+    corpus.write_text_atomic(out / "auc.csv", analysis.auc_to_csv(auc_by_pair))
 
     summary: dict = {
         "auc": {analysis.pair_str(pair): auc_by_pair[pair] for pair in sorted(auc_by_pair)},
     }
-    for view, matrix, excluded in (
-        ("written", written, None),
-        ("spoken", spoken, None),
-        ("spoken_excl_ro", spoken, "ro"),
-    ):
-        points = analysis.build_scatter(auc_by_pair, matrix)
+    for view, medium, excluded in analysis.VIEWS:
+        points = analysis.build_scatter(auc_by_pair, by_medium[medium])
         kept = analysis.filter_by_source(points, excluded)
         try:
-            r = analysis.pearson(
-                [p.auc for p in kept], [p.intelligibility for p in kept]
-            )
+            r = analysis.pearson([p.auc for p in kept], [p.intelligibility for p in kept])
         except ValueError:
             r = None
         summary[f"pearson_{view}"] = r
@@ -992,7 +984,9 @@ def report_from_auc(
             out / f"scatter_{view}.csv",
             analysis.scatter_to_csv(points, excluded_source=excluded),
         )
+        svg = out / "plots" / f"scatter_{view}.svg"
         if not points:
+            svg.unlink(missing_ok=True)
             continue
         r_text = f"Pearson r = {r:.3f}" if r is not None else "Pearson r undefined"
         marked = [
@@ -1000,11 +994,11 @@ def report_from_auc(
             for p in points
         ]
         corpus.write_text_atomic(
-            out / "plots" / f"scatter_{view}.svg",
+            svg,
             charts.scatter_chart(
-                f"AUC vs {matrix.medium} intelligibility ({r_text})",
+                f"AUC vs {medium} intelligibility ({r_text})",
                 "learning-curve AUC",
-                f"{matrix.medium} intelligibility",
+                f"{medium} intelligibility",
                 marked,
             ),
         )
@@ -1051,21 +1045,13 @@ def build_report(
     _refuse_unfinished(ledger)
     out = Path(output_dir)
 
-    raw_by_pair: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    for (src, tgt, fraction), record in ledger.cells.items():
-        raw_by_pair.setdefault((src, tgt), []).append((fraction, record.bleu))
-
     try:
-        curves = [
-            analysis.relative_curve(raw_by_pair[pair], pair_id=pair)
-            for pair in sorted(raw_by_pair)
-        ]
+        curves = analysis.relative_curves(ledger.points())
     except ValueError as exc:  # such as a pair whose BLEU at fraction 1.0 is 0
         raise LedgerError(str(exc)) from exc
     corpus.write_text_atomic(out / "curves.csv", analysis.curves_to_csv(curves))
 
-    sources = sorted({pair[0] for pair in raw_by_pair})
-    for src in sources:
+    for src in sorted({c.pair_id[0] for c in curves}):
         series = {
             analysis.pair_str(c.pair_id): [
                 (p.fraction * 100.0, p.relative) for p in c.points
@@ -1083,7 +1069,5 @@ def build_report(
             ),
         )
 
-    auc_by_pair = {
-        c.pair_id: analysis.auc_trapezoid(c).auc for c in curves
-    }
+    auc_by_pair = {c.pair_id: analysis.auc_trapezoid(c) for c in curves}
     return report_from_auc(auc_by_pair, matrices, out)

@@ -46,6 +46,9 @@ DEFAULT_SEED = 42
 ZIPF_EXPONENT = 1.15
 MIN_LEN = 3
 MAX_LEN = 11
+# The run settings the emitted manifest.json gives.
+EM_ITERATIONS = 3
+MAX_PARALLEL_JOBS = 2
 
 
 def _zipf_cumulative(vocab_size: int) -> list[float]:
@@ -114,8 +117,6 @@ def write_family(
     n_sentences: int = DEFAULT_N_SENTENCES,
     vocab_size: int = DEFAULT_VOCAB_SIZE,
     coverage: float = DEFAULT_COVERAGE,
-    em_iterations: int = 3,
-    max_parallel_jobs: int = 2,
 ) -> dict:
     """Write pivot/target files for all 5 languages plus a run manifest.
 
@@ -170,8 +171,8 @@ def write_family(
         "data_sources": data_sources,
         "split": {"dev_ratio": 0.1, "test_ratio": 0.2},
         "seed": seed,
-        "trainer": {"kind": "builtin-em", "em_iterations": em_iterations},
-        "max_parallel_jobs": max_parallel_jobs,
+        "trainer": {"kind": "builtin-em", "em_iterations": EM_ITERATIONS},
+        "max_parallel_jobs": MAX_PARALLEL_JOBS,
         "output_dir": "out",
         "matrices": {"written": percent, "spoken": percent},
     }

@@ -6,6 +6,8 @@ import random
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mtlearn import analysis
 
@@ -97,17 +99,17 @@ class TestAucTrapezoid:
     def test_constant_curve_is_exactly_80(self):
         raw = [(f / 10, 30.0) for f in range(2, 11)]
         curve = analysis.relative_curve(raw)
-        assert analysis.auc_trapezoid(curve).auc == 80.0
+        assert analysis.auc_trapezoid(curve) == 80.0
 
     def test_linear_curve_is_exactly_48(self):
         # relative(f) = f over [0.2, 1.0]: area = (1.0^2 - 0.2^2) / 2 * 100
         raw = [(f / 10, 30.0 * f / 10) for f in range(2, 11)]
         curve = analysis.relative_curve(raw)
-        assert analysis.auc_trapezoid(curve).auc == 48.0
+        assert analysis.auc_trapezoid(curve) == 48.0
 
     def test_two_point_rectangle(self):
         curve = analysis.relative_curve([(0.5, 30.0), (1.0, 30.0)])
-        assert analysis.auc_trapezoid(curve).auc == pytest.approx(50.0, abs=1e-12)
+        assert analysis.auc_trapezoid(curve) == pytest.approx(50.0, abs=1e-12)
 
     def test_matches_numpy_trapezoid(self):
         rnd = random.Random(23)
@@ -116,7 +118,7 @@ class TestAucTrapezoid:
             xs = [p.fraction * 100.0 for p in curve.points]
             ys = [p.relative for p in curve.points]
             expected = float(np.trapezoid(ys, xs))
-            assert analysis.auc_trapezoid(curve).auc == pytest.approx(
+            assert analysis.auc_trapezoid(curve) == pytest.approx(
                 expected, abs=1e-9
             )
 
@@ -135,15 +137,9 @@ class TestAucTrapezoid:
             for k in range(steps):
                 x = xs[0] + (k + 0.5) * width
                 total += float(np.interp(x, xs, ys)) * width
-            assert analysis.auc_trapezoid(curve).auc == pytest.approx(
+            assert analysis.auc_trapezoid(curve) == pytest.approx(
                 total, abs=1e-6
             )
-
-    def test_carries_pair_id(self):
-        curve = analysis.relative_curve(
-            [(0.5, 10.0), (1.0, 20.0)], pair_id=("it", "fr")
-        )
-        assert analysis.auc_trapezoid(curve).pair_id == ("it", "fr")
 
     def test_single_point_rejected(self):
         curve = analysis.relative_curve([(1.0, 17.0)])
@@ -200,6 +196,14 @@ class TestPearson:
             analysis.pearson([1.0, 2.0], [3.0, 4.0])
         with pytest.raises(ValueError, match="zero variance"):
             analysis.pearson([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_refused(self, bad):
+        # min(1.0, nan) is 1.0: the clamp alone turned a NaN r into 1.
+        with pytest.raises(ValueError, match="non-finite"):
+            analysis.pearson([1.0, 2.0, bad], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            analysis.pearson([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
 
 
 class TestEmbeddedTables:
@@ -378,12 +382,15 @@ class TestCsvRoundTrips:
         with pytest.raises(ValueError, match="malformed pair"):
             analysis.read_scores_csv("pair,fraction,bleu\n,1.0,30.0\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_points_are_refused(self, value):
+        with pytest.raises(ValueError, match="^line 3: fraction and BLEU must be finite: "):
+            analysis.read_scores_csv(f"pair,fraction,bleu\nes-pt,1.0,30.0\nes-pt,0.5,{value}\n")
+        with pytest.raises(ValueError, match="^line 2: fraction and BLEU must be finite: "):
+            analysis.read_curves_csv(f"pair,fraction,bleu,relative\nes-pt,{value},30.0,1.0\n")
+
     def test_auc_csv(self):
-        scores = [
-            analysis.AucScore(auc=74.71, pair_id=("es", "pt")),
-            analysis.AucScore(auc=70.48, pair_id=("ro", "fr")),
-        ]
-        text = analysis.auc_to_csv(scores)
+        text = analysis.auc_to_csv({("ro", "fr"): 70.48, ("es", "pt"): 74.71})
         assert text == "pair,auc\nes-pt,74.71\nro-fr,70.48\n"
 
     def test_scatter_csv_marks_excluded_sources(self):
@@ -415,3 +422,49 @@ class TestFloatFormatting:
         for a, b in zip(curve.points, back.points):
             assert a.bleu == b.bleu
             assert a.relative == b.relative
+
+
+LANGS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=3)
+PAIRS = st.tuples(LANGS, LANGS)
+
+
+class TestReportFormatProperties:
+    @given(
+        st.dictionaries(
+            PAIRS,
+            st.lists(
+                st.tuples(
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                ),
+                min_size=1,
+                max_size=6,
+            ),
+            max_size=5,
+        )
+    )
+    def test_scores_csv_gives_back_each_pairs_sorted_points(self, raw):
+        back = analysis.read_scores_csv(analysis.scores_to_csv(raw))
+        assert back == {pair: sorted(points) for pair, points in raw.items()}
+
+    @given(
+        st.dictionaries(
+            PAIRS,
+            st.tuples(
+                st.lists(
+                    st.floats(min_value=0.01, max_value=0.99), unique=True, min_size=1, max_size=6
+                ),
+                st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=7, max_size=7),
+            ),
+            max_size=5,
+        )
+    )
+    def test_auc_csv_rows_parse_back_to_the_trapezoid_areas(self, drawn):
+        auc_by_pair = {}
+        for pair, (fractions, bleus) in drawn.items():
+            raw = list(zip(sorted(fractions) + [1.0], bleus))
+            auc_by_pair[pair] = analysis.auc_trapezoid(analysis.relative_curve(raw))
+        rows = analysis.auc_to_csv(auc_by_pair).splitlines()
+        assert rows[0] == "pair,auc"
+        parsed = [(analysis.parse_pair(p), float(a)) for p, a in (r.split(",") for r in rows[1:])]
+        assert parsed == sorted(auc_by_pair.items())

@@ -369,6 +369,37 @@ class TestCurveAucCorrelate:
             assert rc == 2
             assert captured.err == f"error: curves in {curves} need pair labels for correlation\n"
 
+    def test_correlate_refuses_a_non_finite_point(self, tmp_path, capsys):
+        # Unchecked, the NaN AUC of es-fr made r NaN, which the clamp to
+        # [-1, 1] turned into 1.000.
+        written, _ = analysis.embedded_matrices()
+        rows = ["pair,fraction,bleu,relative"]
+        for (src, tgt), score in sorted(written.scores.items()):
+            rows += [f"{src}-{tgt},0.5,{score * 0.3!r},0", f"{src}-{tgt},1.0,30.0,1.0"]
+        rows[1] = "es-fr,0.5,nan,0"
+        curves = tmp_path / "curves.csv"
+        curves.write_text("\n".join(rows) + "\n")
+        rc = cli.main(["correlate", "--auc", str(curves), "--against", "written"])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", "error: line 2: fraction and BLEU must be finite: 'es-fr,0.5,nan,0'\n"
+        )
+
+    @pytest.mark.parametrize("source", ["RO", "aa"])
+    def test_correlate_refuses_an_exclusion_it_cannot_make(self, capsys, source):
+        rc = cli.main(
+            [
+                "correlate", "--auc", "table3", "--against", "spoken",
+                "--exclude-source", source,
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: --exclude-source {source!r} is no pair's source; "
+            "the sources are es, fr, it, pt, ro\n",
+        )
+
     def test_bad_scores_header_is_config_error(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         scores.write_text("wrong,header\n")
@@ -526,7 +557,9 @@ class TestRunAndReport:
         assert run("--jobs", "1") == run()
 
     @pytest.mark.parametrize(
-        "edit", [{"bleu": None}, {"status": "running"}], ids=["null-bleu", "unknown-status"]
+        "edit",
+        [{"bleu": None}, {"status": "running"}, {"bleu": float("nan")}],
+        ids=["null-bleu", "unknown-status", "nan-bleu"],
     )
     def test_a_ledger_record_no_run_writes(self, tiny_bitexts, capsys, edit):
         # report refuses the ledger; run replaces it and trains every cell.

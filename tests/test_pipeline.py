@@ -27,6 +27,10 @@ from mtlearn import analysis, cli, corpus, pipeline, sampling, trainer
 from test_trainer import process_running
 
 
+# A valid intelligibility matrix as a manifest writes it.
+SCORES_20 = {analysis.pair_str(pair): 50.0 for pair in analysis.embedded_reference_auc()}
+
+
 def make_experiment(root, trainer_cfg=None, n_sentences=100, seed=3, languages=("aa", "bb")):
     """Write a tiny ciphered experiment and its manifest.
 
@@ -282,6 +286,16 @@ class TestLoadManifest:
                 {"written": {"aa-bb": 10**400}, "spoken": {}},
                 "bad written matrix: int too large to convert to float",
             ),
+            (  # Python's json reads NaN and Infinity
+                ("matrices",),
+                {"written": {**SCORES_20, "ro-fr": float("nan")}, "spoken": SCORES_20},
+                "bad written matrix: score for ro->fr must be positive and finite: nan",
+            ),
+            (
+                ("matrices",),
+                {"written": SCORES_20, "spoken": {**SCORES_20, "es-pt": float("inf")}},
+                "bad spoken matrix: score for es->pt must be positive and finite: inf",
+            ),
             (("split", "dev_ratio"), 10**400, "int too large to convert to float"),
             (("output_dir",), "out\x00", "embedded null byte"),
             (
@@ -292,8 +306,8 @@ class TestLoadManifest:
             (("trainer", "workdir"), "a\x00b", "bad trainer.workdir 'a\\x00b': embedded null byte"),
         ],
         ids=["not-an-object", "languages", "data_sources", "source-entry", "trainer",
-             "matrix", "matrix-overflow", "ratio-overflow", "output_dir", "source-nul",
-             "workdir-nul"],
+             "matrix", "matrix-overflow", "matrix-nan", "matrix-inf", "ratio-overflow",
+             "output_dir", "source-nul", "workdir-nul"],
     )
     def test_misshapen_manifest_is_a_config_error(self, tmp_path, capsys, keys, value, problem):
         path = make_experiment(tmp_path)
@@ -522,8 +536,11 @@ class TestLedger:
 
     @pytest.mark.parametrize(
         "edit",
-        [{"bleu": None}, {"bleu": True}, {"bleu": "30.0"}, {"status": "running"}],
-        ids=["null-bleu", "bool-bleu", "text-bleu", "unknown-status"],
+        [
+            {"bleu": None}, {"bleu": True}, {"bleu": "30.0"}, {"status": "running"},
+            {"bleu": float("nan")}, {"bleu": float("inf")},
+        ],
+        ids=["null-bleu", "bool-bleu", "text-bleu", "unknown-status", "nan-bleu", "inf-bleu"],
     )
     def test_a_record_no_run_writes_is_refused(self, tmp_path, edit):
         ledger = self.make_ledger()
@@ -2188,6 +2205,20 @@ class TestReports:
             "scatter_written.csv": "767610d624da9607d68397717730b93b4372df43593f5fdaf626e6e4f1268c20",
             "summary.json": "8e97db60a72b2a1a87206867f2448f38e6e505cb3d016ccee45dd3d665560e81",
         }
+
+    def test_a_view_without_points_loses_its_old_plot(self, tmp_path):
+        # aa and bb are in no Romance matrix, so no view of this report has
+        # a point; the Table 3 plots before it must not stay beside it.
+        pipeline.report_from_auc(
+            analysis.embedded_reference_auc(), analysis.embedded_matrices(), tmp_path
+        )
+        summary = pipeline.build_report(
+            self.constant_ledger(), analysis.embedded_matrices(), tmp_path
+        )
+        assert summary["pearson_written"] is None
+        assert sorted(p.name for p in (tmp_path / "plots").iterdir()) == [
+            "curves_aa.svg", "curves_bb.svg",
+        ]
 
     def test_report_is_deterministic(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
