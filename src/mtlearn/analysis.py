@@ -163,10 +163,19 @@ def auc_trapezoid(curve: LearningCurve) -> float:
     return total
 
 
+def _unit_scaled(values: list[float]) -> list[float]:
+    """``values`` times the power of two that brings the largest magnitude into [0.5, 1)."""
+    shift = math.frexp(max(map(abs, values)))[1]
+    return [math.ldexp(v, -shift) for v in values]
+
+
 def pearson(xs: list[float], ys: list[float]) -> float:
     """Pearson product-moment correlation of two equal-length samples.
 
     Inputs must be finite, with at least 3 values and nonzero variance.
+    Each sample is first scaled by the power of two that brings its largest
+    magnitude into [0.5, 1): that is exact, so r is unchanged, and no sum or
+    square below can leave float range however large or small the inputs.
     The result is clamped to [-1, 1] to absorb last-bit rounding on exactly
     collinear data.
     """
@@ -177,6 +186,7 @@ def pearson(xs: list[float], ys: list[float]) -> float:
         raise ValueError(f"need at least 3 points for a correlation, got {n}")
     if not all(math.isfinite(v) for v in (*xs, *ys)):
         raise ValueError("non-finite value; correlation undefined")
+    xs, ys = _unit_scaled(xs), _unit_scaled(ys)
     mean_x = math.fsum(xs) / n
     mean_y = math.fsum(ys) / n
     dx = [x - mean_x for x in xs]

@@ -66,8 +66,8 @@ def _cmd_build_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_subsample(args: argparse.Namespace) -> int:
-    manifest = sampling.subsample(
-        args.n_train, args.fraction, args.seed, src=args.src, tgt=args.tgt
+    [manifest] = sampling.subsample(
+        args.n_train, [args.fraction], args.seed, src=args.src, tgt=args.tgt
     )
     if args.out:
         corpus.write_text_atomic(Path(args.out), manifest.to_json() + "\n")

@@ -133,9 +133,10 @@ def read_lines(path: str | Path) -> list[str]:
     r"""Read a UTF-8 file as lines, split on "\n" only (CRLF reads like LF).
 
     str.splitlines() would also split on U+2028, U+0085, \x1c-\x1e, \v and
-    \f, and so misalign line-parallel files. A final newline adds no line.
+    \f, and so misalign line-parallel files. A final newline adds no line,
+    and a leading byte-order mark is dropped, not kept in the first line.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         *lines, tail = fh.read().split("\n")  # tail: the text after the last "\n"
     lines = [line.removesuffix("\r") for line in lines]
     if tail:

@@ -599,10 +599,10 @@ def _prepare_pair(
 
     subset_dir = out / "subsets" / f"{src}-{tgt}"
     subset_seed = manifest.pair_subset_seed(src, tgt)
-    subsets: dict[float, sampling.SubsetManifest] = {}
-    for fraction in manifest.fractions:
-        sm = sampling.subsample(len(train), fraction, subset_seed, src=src, tgt=tgt)
-        subsets[fraction] = sm
+    subsets = dict(zip(manifest.fractions, sampling.subsample(
+        len(train), manifest.fractions, subset_seed, src=src, tgt=tgt
+    )))
+    for fraction, sm in subsets.items():
         slug = fraction_slug(fraction)
         corpus.write_text_atomic(subset_dir / f"{slug}.json", sm.to_json() + "\n")
         if external:

@@ -1,18 +1,19 @@
 """Deterministic, nested training subsets over the fraction grid.
 
-For a fixed seed, the subset at fraction f1 is contained in the subset at
-any f2 >= f1: all fractions share one seeded permutation of the training
-indices and differ only in how long a prefix they keep. That nesting keeps
-learning curves smooth, so area differences between language pairs reflect
-data quantity rather than sampling noise.
+One `subsample` call makes all of a pair's subsets: it draws one seeded
+permutation of the training indices, and each fraction keeps a prefix of
+it. So for a fixed seed the subset at fraction f1 is contained in the
+subset at any f2 >= f1. That nesting keeps learning curves smooth, so area
+differences between language pairs reflect data quantity rather than
+sampling noise.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 from ._rng import permutation
@@ -32,18 +33,8 @@ class SubsetManifest:
     src: str | None = None
     tgt: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "src": self.src,
-            "tgt": self.tgt,
-            "fraction": self.fraction,
-            "seed": self.seed,
-            "n_train": self.n_train,
-            "indices": self.indices,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SubsetManifest":
@@ -68,35 +59,31 @@ class SubsetManifest:
             return cls.from_dict(json.load(fh))
 
 
-@lru_cache(maxsize=1)
-def _order(n_train: int, seed: int) -> tuple[int, ...]:
-    """The permutation behind every subset of one pair.
+def subsample(n_train: int, fractions: Sequence[float], seed: int,
+              src: str | None = None, tgt: str | None = None) -> list[SubsetManifest]:
+    """One manifest per fraction, in the order given, each holding
+    ceil(fraction * n_train) training indices.
 
-    A pair's fractions are subsampled one after another, so one cached
-    entry computes it once per pair, and the subsets share its int objects.
-    """
-    return tuple(permutation(n_train, seed))
-
-
-def subsample(n_train: int, fraction: float, seed: int,
-              src: str | None = None, tgt: str | None = None) -> SubsetManifest:
-    """Select ceil(fraction * n_train) training indices.
-
-    The selection is the prefix of one SplitMix64-seeded permutation of
-    range(n_train), so subsets are nested across fractions for a fixed seed
-    and identical across runs and platforms. Indices are returned sorted.
+    Every selection is a prefix of one SplitMix64-seeded permutation of
+    range(n_train), drawn once per call, so the subsets are nested across
+    fractions for a fixed seed and identical across runs and platforms; a
+    subset does not depend on which other fractions were asked for.
+    Indices are returned sorted.
     """
     if n_train < 1:
         raise ValueError(f"n_train must be >= 1, got {n_train}")
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    k = math.ceil(fraction * n_train)
-    order = _order(n_train, seed)
-    return SubsetManifest(
-        fraction=fraction,
-        seed=seed,
-        n_train=n_train,
-        indices=sorted(order[:k]),
-        src=src,
-        tgt=tgt,
-    )
+    for fraction in fractions:
+        if not 0.0 < fraction <= 1.0:
+            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    order = permutation(n_train, seed)
+    return [
+        SubsetManifest(
+            fraction=fraction,
+            seed=seed,
+            n_train=n_train,
+            indices=sorted(order[:math.ceil(fraction * n_train)]),
+            src=src,
+            tgt=tgt,
+        )
+        for fraction in fractions
+    ]

@@ -403,10 +403,10 @@ def test_criterion_9_sampling_invariants():
         f_big = rnd.uniform(f_small, 1.0)
         seed = rnd.randrange(2**63)
 
-        small = sampling.subsample(n, f_small, seed)
-        big = sampling.subsample(n, f_big, seed)
-        again = sampling.subsample(n, f_small, seed)
-        full = sampling.subsample(n, 1.0, seed)
+        small = sampling.subsample(n, [f_small], seed)[0]
+        big = sampling.subsample(n, [f_big], seed)[0]
+        again = sampling.subsample(n, [f_small], seed)[0]
+        full = sampling.subsample(n, [1.0], seed)[0]
 
         if len(small.indices) != math.ceil(f_small * n):
             violations.append(f"size: n={n} f={f_small}")

@@ -206,6 +206,30 @@ class TestPearson:
             analysis.pearson([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
 
 
+    # Zero or a magnitude in [1e-6, 1e6]: times 2**k for |k| <= 900 it stays
+    # a normal float, so the scaled sample is exactly the scaled input.
+    _value = st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
+
+    @given(
+        st.lists(st.tuples(_value, _value), min_size=3, max_size=30),
+        st.integers(-900, 900),
+        st.booleans(),
+    )
+    def test_a_power_of_two_scale_leaves_r_exactly(self, points, k, scale_x):
+        # The scale of either sample, however large or small, must not move
+        # r by a bit: not by overflow, not by underflow, not by rounding.
+        xs, ys = [x for x, _ in points], [y for _, y in points]
+        scaled = [v * 2.0**k for v in (xs if scale_x else ys)]
+        args = (scaled, ys) if scale_x else (xs, scaled)
+        try:
+            expected = analysis.pearson(xs, ys)
+        except ValueError:
+            with pytest.raises(ValueError, match="zero variance"):
+                analysis.pearson(*args)
+            return
+        assert analysis.pearson(*args) == expected
+
+
 class TestEmbeddedTables:
     def test_written_spot_values(self):
         written, _ = analysis.embedded_matrices()

@@ -150,7 +150,7 @@ class TestSubsample:
         )
         assert rc == 0
         manifest = sampling.SubsetManifest.read(out)
-        assert manifest.indices == sampling.subsample(20, 0.3, 42).indices
+        assert manifest.indices == sampling.subsample(20, [0.3], 42)[0].indices
         assert manifest.src == "aa"
         assert out.read_text(encoding="utf-8") == manifest.to_json() + "\n"
 

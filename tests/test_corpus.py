@@ -91,10 +91,11 @@ class TestNormalizePivot:
 
 
 # Any line a writer can emit: no "\n", and no trailing "\r" (which would
-# read back as the end of a CRLF line ending).
+# read back as the end of a CRLF line ending). The first line does not start
+# with U+FEFF, which would read back as a byte-order mark.
 _lines = st.lists(
     st.text().filter(lambda line: "\n" not in line and not line.endswith("\r"))
-)
+).filter(lambda lines: not lines[:1] or not lines[0].startswith("\ufeff"))
 
 
 # Any sentence: arbitrary Unicode without "\n", with tabs and "\r" common.
@@ -130,6 +131,24 @@ class TestReadLines:
         path = tmp_path / "crlf.txt"
         path.write_bytes(b"a\r\nb\r\n\r\nc")
         assert corpus.read_lines(path) == ["a", "b", "", "c"]
+
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbfa\n\xef\xbb\xbfb\n")
+        assert corpus.read_lines(path) == ["a", "\ufeffb"]  # only the file's first
+
+    def test_byte_order_marks_leave_the_pivot_join_intact(self, tmp_path):
+        # A kept mark would make a pivot file's first key match no other
+        # language, and would stay in a target file's first sentence.
+        (tmp_path / "en-es.txt").write_bytes(b"\xef\xbb\xbfthe house is red\nthe cat\n")
+        (tmp_path / "es.txt").write_bytes(b"\xef\xbb\xbfla casa es roja\nel gato\n")
+        (tmp_path / "en-pt.txt").write_text("the house is red\nthe cat\n", encoding="utf-8")
+        (tmp_path / "pt.txt").write_text("a casa e vermelha\no gato\n", encoding="utf-8")
+        es = corpus.load_pivot_bitext(tmp_path / "en-es.txt", tmp_path / "es.txt", "es")
+        pt = corpus.load_pivot_bitext(tmp_path / "en-pt.txt", tmp_path / "pt.txt", "pt")
+        assert corpus.build_parallel(es, pt).pairs == [
+            ("la casa es roja", "a casa e vermelha"), ("el gato", "o gato"),
+        ]
 
     def test_lone_cr_stays_inside_its_line(self, tmp_path):
         path = tmp_path / "cr.txt"

@@ -1022,6 +1022,22 @@ class TestLazyResume:
         assert calls == {}
         assert bundle_bytes(manifest.output_dir, skip=()) == before
 
+    def test_a_fresh_run_draws_one_permutation_per_prepared_pair(self, tmp_path, monkeypatch):
+        manifest = pipeline.load_manifest(make_experiment(tmp_path, languages=("aa", "bb", "cc")))
+        calls = count_preparation(monkeypatch)
+        drawn = []
+
+        def permutation(n, seed, _real=sampling.permutation):
+            drawn.append(seed)
+            return _real(n, seed)
+
+        monkeypatch.setattr(sampling, "permutation", permutation)
+        assert pipeline.run_experiment(manifest).all_done()
+        pairs = prepared_pairs(calls)
+        assert len(pairs) == 6
+        assert len(calls["subsample"]) == len(pairs)
+        assert sorted(drawn) == sorted(manifest.pair_subset_seed(*pair) for pair in pairs)
+
     def test_missing_hypothesis_prepares_only_its_pair(self, tmp_path, monkeypatch):
         manifest = pipeline.load_manifest(make_experiment(tmp_path))
         assert pipeline.run_experiment(manifest).all_done()
@@ -2205,6 +2221,23 @@ class TestReports:
             "scatter_written.csv": "767610d624da9607d68397717730b93b4372df43593f5fdaf626e6e4f1268c20",
             "summary.json": "8e97db60a72b2a1a87206867f2448f38e6e505cb3d016ccee45dd3d665560e81",
         }
+
+    @pytest.mark.parametrize("scale", [1e160, 1e306, 1e-170])
+    def test_matrix_scale_leaves_the_correlations(self, tmp_path, scale):
+        # Sums or squares of these scores leave float range unless pearson
+        # scales them first: r would read 0 (1e160), overflow (1e306) or be
+        # undefined (1e-170).
+        matrices = tuple(
+            analysis.IntelligibilityMatrix(
+                medium=m.medium, scores={pair: v * scale for pair, v in m.scores.items()}
+            )
+            for m in analysis.embedded_matrices()
+        )
+        summary = pipeline.report_from_auc(analysis.embedded_reference_auc(), matrices, tmp_path)
+        assert summary["pearson_written"] == pytest.approx(0.7963487888653411, abs=1e-9)
+        assert summary["pearson_spoken"] == pytest.approx(0.4920620011200588, abs=1e-9)
+        assert summary["pearson_spoken_excl_ro"] == pytest.approx(0.7746280183774621, abs=1e-9)
+        assert "Pearson r = 0.796" in (tmp_path / "plots" / "scatter_written.svg").read_text()
 
     def test_a_view_without_points_loses_its_old_plot(self, tmp_path):
         # aa and bb are in no Romance matrix, so no view of this report has

@@ -436,7 +436,7 @@ class TestLearningSignal:
             test_tgt = [t for _, t in test]
             scores = []
             for fraction in sampling.FRACTION_GRID:
-                subset = sampling.subsample(len(train), fraction, derive_seed(seed, "sub"))
+                subset = sampling.subsample(len(train), [fraction], derive_seed(seed, "sub"))[0]
                 table = trainer.train_model1([train[i] for i in subset.indices], 3)
                 hyps = [trainer.decode(table, s) for s in test_src]
                 scores.append(bleu.corpus_bleu(hyps, test_tgt).score)
