@@ -109,7 +109,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    raw = analysis.read_scores_csv(Path(args.scores).read_text(encoding="utf-8"))
+    raw = analysis.read_scores_csv(corpus.read_text(args.scores))
     text = analysis.curves_to_csv(analysis.relative_curves(raw))
     if args.out:
         corpus.write_text_atomic(Path(args.out), text)
@@ -119,7 +119,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_auc(args: argparse.Namespace) -> int:
-    for curve in analysis.read_curves_csv(Path(args.curve).read_text(encoding="utf-8")):
+    for curve in analysis.read_curves_csv(corpus.read_text(args.curve)):
         prefix = f"{analysis.pair_str(curve.pair_id)}\t" if curve.pair_id else ""
         print(f"{prefix}{analysis.auc_trapezoid(curve)!r}")
     return 0
@@ -129,7 +129,7 @@ def _auc_from_source(source: str) -> dict[tuple[str, str], float]:
     """AUC values from the reference table or from a curves CSV."""
     if source == "table3":
         return analysis.embedded_reference_auc()
-    curves = analysis.read_curves_csv(Path(source).read_text(encoding="utf-8"))
+    curves = analysis.read_curves_csv(corpus.read_text(source))
     if any(curve.pair_id is None for curve in curves):
         raise ValueError(f"curves in {source} need pair labels for correlation")
     return {curve.pair_id: analysis.auc_trapezoid(curve) for curve in curves}

@@ -115,8 +115,8 @@ def load_pivot_bitext(pivot_path: str | Path, target_path: str | Path, lang: str
     """Load a (pivot file, target file) pair into a PivotBitext.
 
     Both files must be UTF-8 with one sentence per line and equal line
-    counts. Raises ValueError on a count mismatch; I/O and decoding errors
-    (OSError, UnicodeDecodeError) propagate unchanged.
+    counts. Raises ValueError on a count mismatch or a file that is not
+    UTF-8 (see `read_text`); I/O errors (OSError) propagate unchanged.
     """
     validate_lang(lang)
     pivot_lines = read_lines(pivot_path)
@@ -129,15 +129,28 @@ def load_pivot_bitext(pivot_path: str | Path, target_path: str | Path, lang: str
     return PivotBitext(lang=lang, pivot_lines=pivot_lines, target_lines=target_lines)
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file, a leading byte-order mark dropped.
+
+    A file that is not UTF-8 raises ValueError naming it and the offset of
+    its first bad byte; line ends are left as they are.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8: {exc.reason} at byte offset {exc.start}") from None
+
+
 def read_lines(path: str | Path) -> list[str]:
     r"""Read a UTF-8 file as lines, split on "\n" only (CRLF reads like LF).
 
     str.splitlines() would also split on U+2028, U+0085, \x1c-\x1e, \v and
     \f, and so misalign line-parallel files. A final newline adds no line,
     and a leading byte-order mark is dropped, not kept in the first line.
+    A file that is not UTF-8 raises ValueError (see `read_text`).
     """
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        *lines, tail = fh.read().split("\n")  # tail: the text after the last "\n"
+    *lines, tail = read_text(path).split("\n")  # tail: the text after the last "\n"
     lines = [line.removesuffix("\r") for line in lines]
     if tail:
         lines.append(tail)

@@ -67,6 +67,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -227,11 +228,13 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(corpus.read_text(path))
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not UTF-8
+        raise ManifestError(f"manifest {exc}") from exc
     if not isinstance(raw, dict):
         raise ManifestError("manifest must be a JSON object")
     unknown = set(raw) - _MANIFEST_KEYS
@@ -635,47 +638,38 @@ def _hyp_path(data: _PairData, fraction: float) -> str:
     return f"hyps/{data.src}-{data.tgt}/{fraction_slug(fraction)}.txt"
 
 
-def _score_cell(
-    data: _PairData, fraction: float, started: float, hyps: list[str]
+def _end_cell(
+    key: tuple[str, str, float],
+    data: _PairData,
+    started: float,
+    hypotheses: Callable[[], list[str]],
 ) -> CellRecord:
-    """The done record of a cell whose hypotheses are ``hyps``: its BLEU
-    and the wall time since ``started``."""
-    return CellRecord(
-        src=data.src,
-        tgt=data.tgt,
-        fraction=fraction,
-        status="done",
-        bleu=bleu.corpus_bleu(hyps, data.test_refs).score,
-        wall_time=time.monotonic() - started,
-    )
-
-
-def _failed_cell(key: tuple[str, str, float], started: float, exc: Exception) -> CellRecord:
-    """The failed record of cell ``key``: the error ``exc`` and the wall
-    time since ``started``."""
-    return CellRecord(*key, status="failed", error=str(exc), wall_time=time.monotonic() - started)
+    """The record of cell ``key``, timed from ``started``: done with the
+    BLEU of ``hypotheses()`` against the pair's references, or failed with
+    whatever training, decoding, the command or scoring raised."""
+    try:
+        outcome = {"status": "done", "bleu": bleu.corpus_bleu(hypotheses(), data.test_refs).score}
+    except Exception as exc:  # cell failures must not sink the run
+        outcome = {"status": "failed", "error": str(exc)}
+    return CellRecord(*key, **outcome, wall_time=time.monotonic() - started)
 
 
 def _run_cell(
     manifest: ExperimentManifest, data: _PairData, fraction: float
-) -> CellRecord:
-    """Train, decode, and score one builtin-trainer cell.
+) -> list[str]:
+    """Train and decode one builtin-trainer cell; return its hypotheses.
 
     The hypothesis file is written atomically.
     """
-    started = time.monotonic()
-    try:
-        table = trainer.train_model1(
-            data.em_corpus.subset(data.subsets[fraction].indices),
-            manifest.trainer_spec.em_iterations,
-        )
-        hyps = [trainer.decode(table, s) for s in data.test_src]
-        corpus.write_text_atomic(
-            manifest.output_dir / _hyp_path(data, fraction), "\n".join(hyps) + "\n"
-        )
-        return _score_cell(data, fraction, started, hyps)
-    except Exception as exc:  # cell failures must not sink the run
-        return _failed_cell((data.src, data.tgt, fraction), started, exc)
+    table = trainer.train_model1(
+        data.em_corpus.subset(data.subsets[fraction].indices),
+        manifest.trainer_spec.em_iterations,
+    )
+    hyps = [trainer.decode(table, s) for s in data.test_src]
+    corpus.write_text_atomic(
+        manifest.output_dir / _hyp_path(data, fraction), "\n".join(hyps) + "\n"
+    )
+    return hyps
 
 
 def _launch_cell(
@@ -688,8 +682,8 @@ def _launch_cell(
 
     The command's files and the directory of its hypothesis file were
     made when the pair was prepared (`_prepare_pair`). Once the job has
-    ended, `_score_cell` of its `hypotheses(len(data.test_src))` gives the
-    cell's record: the pair's test sources are in memory, so the count
+    ended, `_end_cell` scores its `hypotheses(len(data.test_src))` into
+    the cell's record: the pair's test sources are in memory, so the count
     needs no read of ``test.src.txt``.
     """
     out = manifest.output_dir
@@ -776,18 +770,19 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
     prepares each pair once, yields its working set with each of its
     cells, and lets go of it before it prepares the next pair. One loop in
     the calling thread takes the cells; it starts no thread. A builtin
-    cell runs inline (`_run_cell`). An external cell is launched
-    (`_launch_cell`) into one of `max_parallel_jobs` slots, and once its
-    command has ended it is scored (`_score_cell`) and journaled. Each turn
-    of the loop scores the ended cells, launches into the free slots, and
-    then waits on the running commands through one selector until one ends
-    or the earliest deadline passes. A cell holds its working set from its
-    start until it is recorded, so at most `max_parallel_jobs` working sets
-    are alive (one for the builtin trainer). The bitexts of the pairs to
-    prepare are read before the first cell, once each, and kept until the
-    run ends: a bad input file, or an external trainer's missing workdir,
-    raises before any cell trains, before ``ledger.journal`` exists and
-    before ``ledger.json`` or an old journal is changed.
+    cell trains and decodes inline (`_run_cell`). An external cell is
+    launched (`_launch_cell`) into one of `max_parallel_jobs` slots. Either
+    trainer's hypotheses are scored, or the cell's failure recorded, by
+    `_end_cell`, and the record is journaled. Each turn of the loop scores
+    the ended cells, launches into the free slots, and then waits on the
+    running commands through one selector until one ends or the earliest
+    deadline passes. A cell holds its working set from its start until it
+    is recorded, so at most `max_parallel_jobs` working sets are alive (one
+    for the builtin trainer). The bitexts of the pairs to prepare are read
+    before the first cell, once each, and kept until the run ends: a bad
+    input file, or an external trainer's missing workdir, raises before any
+    cell trains, before ``ledger.journal`` exists and before
+    ``ledger.json`` or an old journal is changed.
 
     The first exception that stops the run, such as KeyboardInterrupt or a
     failed preparation, stops new cells: the commands already running are
@@ -887,25 +882,23 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
         # a cell once begun is journaled.
         def start(key: tuple[str, str, float], data: _PairData) -> None:
             with trainer.sigint_deferred():
-                if manifest.trainer_spec.kind == "builtin-em":
-                    journal_record(key, _run_cell(manifest, data, key[2]))
-                    return
                 started = time.monotonic()
+                if manifest.trainer_spec.kind == "builtin-em":
+                    hypotheses = functools.partial(_run_cell, manifest, data, key[2])
+                    journal_record(key, _end_cell(key, data, started, hypotheses))
+                    return
                 try:
                     running[_launch_cell(manifest, data, key[2], jobs)] = key, data, started
                 except Exception as exc:  # a cell that cannot start fails alone
-                    journal_record(key, _failed_cell(key, started, exc))
+                    journal_record(key, CellRecord(
+                        *key, "failed", error=str(exc), wall_time=time.monotonic() - started
+                    ))
 
         def finish(job: trainer.ExternalJob) -> None:
             with trainer.sigint_deferred():
                 key, data, started = running.pop(job)
-                try:
-                    record = _score_cell(
-                        data, key[2], started, job.hypotheses(len(data.test_src))
-                    )
-                except Exception as exc:  # cell failures must not sink the run
-                    record = _failed_cell(key, started, exc)
-                journal_record(key, record)
+                hypotheses = functools.partial(job.hypotheses, len(data.test_src))
+                journal_record(key, _end_cell(key, data, started, hypotheses))
 
         stop: BaseException | None = None  # the first exception, which stops the run
         if pairs:

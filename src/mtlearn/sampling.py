@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._rng import permutation
+from .corpus import read_text
 
 # The canonical evaluation grid: 20% to 100% in steps of 10%.
 FRACTION_GRID = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -38,25 +39,34 @@ class SubsetManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SubsetManifest":
-        """ValueError, naming the problem, unless d is an object with every field."""
+        """ValueError, naming the problem, unless d is an object with every
+        field, whose n_train is an integer and indices an array of integers
+        (a bool is not an integer)."""
         if not isinstance(d, dict):
             raise ValueError(f"a subset manifest must be a JSON object, not a {type(d).__name__}")
         missing = [key for key in ("fraction", "seed", "n_train", "indices") if key not in d]
         if missing:
             raise ValueError(f"subset manifest lacks {', '.join(missing)}")
+        if type(d["n_train"]) is not int:
+            raise ValueError(f"subset manifest n_train must be an integer, not {d['n_train']!r}")
+        indices = d["indices"]
+        if type(indices) is not list:
+            raise ValueError(f"subset manifest indices must be an array, not {indices!r}")
+        for index in indices:
+            if type(index) is not int:
+                raise ValueError(f"subset manifest indices must be integers, not {index!r}")
         return cls(
             fraction=d["fraction"],
             seed=d["seed"],
             n_train=d["n_train"],
-            indices=list(d["indices"]),
+            indices=indices,
             src=d.get("src"),
             tgt=d.get("tgt"),
         )
 
     @classmethod
     def read(cls, path: str | Path) -> "SubsetManifest":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(json.loads(read_text(path)))
 
 
 def subsample(n_train: int, fractions: Sequence[float], seed: int,

@@ -44,6 +44,10 @@ NULL_TOKEN = "<NULL>"
 
 DEFAULT_EXTERNAL_TIMEOUT = 86400.0  # seconds; external systems may train for hours
 OUTPUT_TAIL = 8192  # bytes of each of a command's output streams kept for its error
+# The longest one selector wait, in seconds: epoll takes its wait as an int
+# of milliseconds, which overflows past about 24.8 days. A wait that ends
+# short of a deadline just waits again.
+_MAX_WAIT = 3600.0
 # An external command template's placeholders; the first three are required.
 _PLACEHOLDERS = ("train", "test_src", "hyp_out", "workdir")
 
@@ -494,6 +498,7 @@ class ExternalJob:
         It fails when it timed out or exited non-zero, or when its
         hypothesis file does not have exactly ``n_expected`` lines (lines
         as `corpus.read_lines` splits them), the test source's line count.
+        A hypothesis file that is not UTF-8 raises ValueError naming it.
         """
         if self.timed_out:
             raise ExternalTrainerError(
@@ -585,7 +590,7 @@ class ExternalJobs:
             if silent:
                 timeouts.append(delay)
                 delay = min(2 * delay, 0.05)
-            timeout = max(min(timeouts), 0.0) if timeouts else None
+            timeout = min(max(min(timeouts), 0.0), _MAX_WAIT) if timeouts else None
             for key, _ in self._selector.select(timeout):
                 chunk = os.read(key.fd, 1 << 16)
                 if chunk:

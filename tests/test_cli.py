@@ -162,6 +162,10 @@ class TestSubsample:
         assert "error:" in capsys.readouterr().err
 
 
+# A valid subset manifest of a 2-row training TSV.
+SUBSET = {"fraction": 1.0, "seed": 9, "n_train": 2, "indices": [0, 1]}
+
+
 class TestTrainAndScore:
     def test_train_decodes_test_set(self, tmp_path, capsys):
         train = tmp_path / "train.tsv"
@@ -266,6 +270,12 @@ class TestTrainAndScore:
             ({"indices": [0]}, "lacks fraction, seed, n_train"),
             ([0, 1], "must be a JSON object, not a list"),
             ("0.5", "must be a JSON object, not a str"),
+            # numpy would take each of these three for rows 0 and 1.
+            (dict(SUBSET, indices=[0, 1.7]), "indices must be integers, not 1.7"),
+            (dict(SUBSET, indices="01"), "indices must be an array, not '01'"),
+            (dict(SUBSET, indices=[0, True]), "indices must be integers, not True"),
+            (dict(SUBSET, n_train=2.0), "n_train must be an integer, not 2.0"),
+            (dict(SUBSET, n_train="2"), "n_train must be an integer, not '2'"),
         ],
     )
     def test_malformed_subset_is_config_error(self, tmp_path, capsys, content, problem):
@@ -282,6 +292,23 @@ class TestTrainAndScore:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and problem in err
+
+    @pytest.mark.parametrize("bad", ["train", "test-src", "subset"])
+    def test_train_names_the_file_that_is_not_utf8(self, tmp_path, capsys, bad):
+        files = {
+            "train": (tmp_path / "train.tsv", b"a\tx\nb\ty\n"),
+            "test-src": (tmp_path / "test.src", b"a\nb\n"),
+            "subset": (tmp_path / "subset.json", json.dumps(SUBSET).encode()),
+        }
+        args = ["train", "--hyp-out", str(tmp_path / "h.txt")]
+        for flag, (path, data) in files.items():
+            path.write_bytes(data + b"\xff" if flag == bad else data)
+            args += [f"--{flag}", str(path)]
+        assert cli.main(args) == 2
+        path, data = files[bad]
+        assert capsys.readouterr().err == (
+            f"error: {path} is not UTF-8: invalid start byte at byte offset {len(data)}\n"
+        )
 
     def test_score_identity_and_json(self, tmp_path, capsys):
         text = "a b c d\ne f g h\n"
@@ -399,6 +426,27 @@ class TestCurveAucCorrelate:
             f"error: --exclude-source {source!r} is no pair's source; "
             "the sources are es, fr, it, pt, ro\n",
         )
+
+    def test_csv_inputs_may_start_with_a_byte_order_mark(self, tmp_path, capsys):
+        # As a spreadsheet saves "CSV UTF-8".
+        bom = b"\xef\xbb\xbf"
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes(bom + self.SCORES.encode("utf-8"))
+        curves = tmp_path / "curves.csv"
+        assert cli.main(["curve", "--scores", str(scores), "--out", str(curves)]) == 0
+        curves.write_bytes(bom + curves.read_bytes())
+        assert cli.main(["auc", "--curve", str(curves)]) == 0
+        assert capsys.readouterr().out == "es-pt\t45.0\npt-es\t50.0\n"
+
+        written, _ = analysis.embedded_matrices()
+        rows = [
+            row
+            for (src, tgt), score in sorted(written.scores.items())
+            for row in (f"{src}-{tgt},0.5,{score * 0.3!r},0", f"{src}-{tgt},1.0,30.0,1.0")
+        ]
+        curves.write_bytes(bom + "\n".join(["pair,fraction,bleu,relative", *rows, ""]).encode())
+        assert cli.main(["correlate", "--auc", str(curves), "--against", "written"]) == 0
+        assert capsys.readouterr().out == "r = 1.000  (AUC vs written, n = 20)\n"
 
     def test_bad_scores_header_is_config_error(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
@@ -700,6 +748,30 @@ class TestRunAndReport:
         assert [c.status for c in ledger.cells.values()] == ["done"] * 18
         hyp = (root / "out" / "hyps" / "aa-bb" / "1.0.txt").read_text()
         assert hyp == (root / "out" / "corpus" / "aa-bb" / "test.src.txt").read_text()
+
+    def test_run_names_the_input_file_that_is_not_utf8(self, tiny_bitexts, capsys):
+        root, manifest_path = tiny_bitexts
+        target = (root / "data" / "bb.txt").resolve()
+        data = target.read_bytes()
+        target.write_bytes(data[:20] + b"\xff" + data[21:])
+        assert cli.main(["run", "--manifest", str(manifest_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {target} is not UTF-8: invalid start byte at byte offset 20\n"
+        )
+
+    def test_a_hypothesis_file_that_is_not_utf8_fails_its_cell_by_name(self, tiny_bitexts, capsys):
+        root, manifest_path = tiny_bitexts
+        raw = json.loads(manifest_path.read_text())
+        raw["trainer"] = {
+            "kind": "external",
+            "command_template": r"printf 'ok\377\n' > {hyp_out} # {train} {test_src}",
+        }
+        manifest_path.write_text(json.dumps(raw))
+        assert cli.main(["run", "--manifest", str(manifest_path)]) == 1
+        hyp = (root / "out" / "hyps" / "aa-bb" / "0.2.txt").resolve()
+        assert (
+            f"FAILED aa-bb @ 0.2: {hyp} is not UTF-8: invalid start byte at byte offset 2\n"
+        ) in capsys.readouterr().err
 
     def test_missing_manifest_is_config_error(self, tmp_path, capsys):
         rc = cli.main(["run", "--manifest", str(tmp_path / "ghost.json")])

@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import re
 import unicodedata
 
 import pytest
@@ -51,7 +52,7 @@ class TestLoadPivotBitext:
         target = tmp_path / "es.txt"
         pivot.write_bytes(b"\xff\xfe bad bytes\n")
         target.write_text("x\n", encoding="utf-8")
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(pivot))} is not UTF-8: .* offset 0$"):
             corpus.load_pivot_bitext(pivot, target, "es")
 
     def test_bad_lang_code(self, tmp_path):
@@ -149,6 +150,23 @@ class TestReadLines:
         assert corpus.build_parallel(es, pt).pairs == [
             ("la casa es roja", "a casa e vermelha"), ("el gato", "o gato"),
         ]
+
+    @pytest.mark.parametrize(
+        "data, problem",
+        [
+            (b"\xef\xbb\xbfab\n\xffc\n", "invalid start byte at byte offset 6"),
+            (b"ab\n\xc3(\n", "invalid continuation byte at byte offset 3"),
+            (b"ab\n\xe2\x82", "unexpected end of data at byte offset 3"),
+        ],
+        ids=["after-a-byte-order-mark", "bad-continuation", "cut-short"],
+    )
+    def test_a_file_that_is_not_utf8_is_named_with_its_bad_byte(self, tmp_path, data, problem):
+        # The offset counts the file's bytes, a byte-order mark included.
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as raised:
+            corpus.read_lines(path)
+        assert str(raised.value) == f"{path} is not UTF-8: {problem}"
 
     def test_lone_cr_stays_inside_its_line(self, tmp_path):
         path = tmp_path / "cr.txt"

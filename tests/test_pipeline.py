@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtlearn.trainer
-from mtlearn import analysis, cli, corpus, pipeline, sampling, trainer
+from mtlearn import analysis, bleu, cli, corpus, pipeline, sampling, trainer
 from test_trainer import process_running
 
 
@@ -115,6 +115,22 @@ class TestLoadManifest:
     def test_missing_file(self, tmp_path):
         with pytest.raises(pipeline.ManifestError, match="cannot read"):
             pipeline.load_manifest(tmp_path / "absent.json")
+
+    def test_a_manifest_that_is_not_utf8_is_a_manifest_error(self, tmp_path):
+        path = make_experiment(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b'"out"', b'"\xffout"'))
+        offset = path.read_bytes().index(b"\xff")
+        with pytest.raises(pipeline.ManifestError) as raised:
+            pipeline.load_manifest(path)
+        assert str(raised.value) == (
+            f"manifest {path} is not UTF-8: invalid start byte at byte offset {offset}"
+        )
+
+    def test_a_manifest_may_start_with_a_byte_order_mark(self, tmp_path):
+        path = make_experiment(tmp_path)
+        plain = pipeline.load_manifest(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert pipeline.load_manifest(path) == plain
 
     def test_unknown_key_rejected(self, tmp_path):
         path = make_experiment(tmp_path)
@@ -908,6 +924,37 @@ class TestFailureAndResume:
         for hyp in sorted((clean_manifest.output_dir / "hyps").rglob("*.txt")):
             twin = flaky_manifest.output_dir / hyp.relative_to(clean_manifest.output_dir)
             assert twin.read_bytes() == hyp.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["builtin-em", "external"])
+    def test_a_cell_whose_scoring_fails_is_recorded_failed_and_rerun_alone(
+        self, tmp_path, monkeypatch, kind
+    ):
+        # Both trainers' hypotheses are scored in one place, which records
+        # a failure of the scoring itself like one of training.
+        trainer_cfg = PREFIX_SWAP_TRAINER if kind == "external" else None
+        manifest = pipeline.load_manifest(make_experiment(tmp_path, trainer_cfg))
+        real_bleu = bleu.corpus_bleu
+        calls = []
+
+        def third_call_fails(hyps, refs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("injected scoring failure")
+            return real_bleu(hyps, refs)
+
+        monkeypatch.setattr(bleu, "corpus_bleu", third_call_fails)
+        first = pipeline.run_experiment(manifest)
+        [failed] = first.failed()
+        assert failed.error == "injected scoring failure"
+        assert failed.bleu is None and failed.wall_time >= 0.0
+        others = [c for c in first.cells.values() if c is not failed]
+        assert len(others) == 17 and all(c.status == "done" for c in others)
+
+        monkeypatch.setattr(bleu, "corpus_bleu", real_bleu)
+        ran = count_cells(monkeypatch)
+        second = pipeline.run_experiment(manifest)
+        assert ran == [(failed.src, failed.tgt, failed.fraction)]
+        assert second.all_done()
 
     def test_corpus_rebuild_cut_after_train_tsv_is_not_reused(self, tmp_path, monkeypatch):
         manifest = pipeline.load_manifest(make_experiment(tmp_path))

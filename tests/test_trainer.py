@@ -557,6 +557,15 @@ class TestRunExternal:
         with pytest.raises(trainer.ExternalTrainerError, match="timed out"):
             trainer.run_external(spec, str(train), str(test_src), str(hyp))
 
+    @pytest.mark.parametrize("timeout", [2.2e6, 2592000, 1e10, 1e300])
+    def test_a_timeout_of_any_length_is_waited_out(self, tmp_path, timeout):
+        # epoll takes its wait as an int of milliseconds, which a wait of
+        # more than about 24.8 days would overflow.
+        train, test_src, hyp = self.make_files(tmp_path)
+        spec = self.spec("sleep 0.05; cp {test_src} {hyp_out} # {train}", timeout=timeout)
+        result = trainer.run_external(spec, str(train), str(test_src), str(hyp))
+        assert result == ["a", "b", "c"]
+
     def test_paths_are_shell_quoted(self, tmp_path):
         # A space would split a path into two words, and a ";" would end
         # the command and start another one.
@@ -629,6 +638,15 @@ class TestExternalJobs:
         assert quiet_job.proc.returncode == -signal.SIGKILL
         assert not process_running(int((tmp_path / "quiet.pid").read_text()))
         assert time.monotonic() - started < 5.0
+
+    def test_leaving_the_block_reaps_a_command_with_a_long_timeout(self, tmp_path):
+        train, test_src, hyp = self.make_files(tmp_path)
+        spec = self.spec("exec sleep 20 # {train} {test_src} {hyp_out}", timeout=1e10)
+        with pytest.raises(KeyboardInterrupt):
+            with trainer.ExternalJobs() as jobs:
+                job = jobs.launch(spec, str(train), str(test_src), str(hyp))
+                raise KeyboardInterrupt
+        assert job.proc.returncode == -signal.SIGKILL
 
 
 def test_sigint_deferred_off_the_main_thread_leaves_the_handler():
