@@ -1044,7 +1044,8 @@ def build_report(
         raise LedgerError(str(exc)) from exc
     corpus.write_text_atomic(out / "curves.csv", analysis.curves_to_csv(curves))
 
-    for src in sorted({c.pair_id[0] for c in curves}):
+    sources = sorted({c.pair_id[0] for c in curves})
+    for src in sources:
         series = {
             analysis.pair_str(c.pair_id): [
                 (p.fraction * 100.0, p.relative) for p in c.points
@@ -1061,6 +1062,11 @@ def build_report(
                 series,
             ),
         )
+    # A reused output directory may hold the plots of sources it no longer has.
+    drawn = {f"curves_{src}.svg" for src in sources}
+    for svg in (out / "plots").glob("curves_*.svg"):
+        if svg.name not in drawn:
+            svg.unlink()
 
     auc_by_pair = {c.pair_id: analysis.auc_trapezoid(c) for c in curves}
     return report_from_auc(auc_by_pair, matrices, out)

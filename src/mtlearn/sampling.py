@@ -66,7 +66,13 @@ class SubsetManifest:
 
     @classmethod
     def read(cls, path: str | Path) -> "SubsetManifest":
-        return cls.from_dict(json.loads(read_text(path)))
+        """The manifest in the file at path; ValueError naming the file when
+        it is not UTF-8, not JSON, or not a subset manifest."""
+        text = read_text(path)
+        try:
+            return cls.from_dict(json.loads(text))
+        except ValueError as exc:  # json.JSONDecodeError is a ValueError
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def subsample(n_train: int, fractions: Sequence[float], seed: int,

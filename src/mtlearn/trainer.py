@@ -70,17 +70,19 @@ class LexicalTable:
 
     A table holds its distributions as flat arrays, one cell per (source,
     target) in entries order; `train_model1` makes tables from its EM
-    arrays. The sum check and argmax are computed from those arrays when
-    the table is made, and entries is built from them on first read:
-    decoding reads only argmax.
+    arrays. A cell's target is an integer id into a list of words in
+    code-point order, so the id is also the word's tie-break rank. The sum
+    check and argmax are computed from those arrays when the table is
+    made, and entries is built from them on first read: decoding reads
+    only argmax.
     """
 
     def __init__(
         self,
         sources: list[str],
         lengths: np.ndarray,
+        words: list[str],
         targets: np.ndarray,
-        ranks: np.ndarray,
         probs: np.ndarray,
         log_likelihoods: tuple[float, ...],
         skipped_pairs: int,
@@ -88,9 +90,8 @@ class LexicalTable:
         """Check and keep one table's arrays.
 
         Source i owns the next lengths[i] cells; cell c has target word
-        targets[c] (an object array), probability probs[c], and ranks[c],
-        the rank of its word in code-point order among the words the table
-        may hold, so a source's cells have distinct ranks.
+        words[targets[c]] and probability probs[c]. words is in code-point
+        order and a source's cells have distinct targets.
         """
         import numpy as np
 
@@ -105,24 +106,25 @@ class LexicalTable:
             raise ValueError(
                 f"distribution for {sources[i]!r} sums to {float(totals[i])!r}, not 1"
             )
-        # A source's argmax is the smallest-ranked of its cells that reach
-        # its maximum, which is the (-p, token) order; exactly one cell per
-        # source has that rank.
+        # A source's argmax is the smallest id among its cells that reach its
+        # maximum, which is the (-p, token) order.
         top = np.repeat(np.maximum.reduceat(probs, starts), lengths)
-        key = np.where(probs == top, ranks, np.iinfo(ranks.dtype).max)
-        best = np.repeat(np.minimum.reduceat(key, starts), lengths)
-        self.argmax: dict[str, str] = dict(zip(sources, targets[key == best].tolist()))
+        best = np.minimum.reduceat(
+            np.where(probs == top, targets, np.iinfo(targets.dtype).max), starts
+        )
+        self.argmax: dict[str, str] = dict(zip(sources, map(words.__getitem__, best.tolist())))
         self.log_likelihoods = log_likelihoods
         self.skipped_pairs = skipped_pairs
         self._sources = sources
         self._lengths = lengths
+        self._words = words
         self._targets = targets
         self._probs = probs
 
     @functools.cached_property
     def entries(self) -> dict[str, dict[str, float]]:
         """Each source token's distribution, built from the arrays on first read."""
-        targets = self._targets.tolist()
+        targets = list(map(self._words.__getitem__, self._targets.tolist()))
         probs = self._probs.tolist()
         entries: dict[str, dict[str, float]] = {}
         lo = 0
@@ -203,14 +205,15 @@ class Model1Corpus:
 
     Sentences are whitespace-tokenized and interned into int32 arrays (a
     pair with an empty side is kept, with no tokens, and counted as
-    skipped when trained on). The EM rows, one per (target token, source
-    position) of each sentence, NULL included, are laid out once in the
-    order that `train_model1` fixes, and the co-occurring (source, target)
-    cells are sorted once, each with the rank of its target word in
-    code-point order for the argmax tie-break. `subset` selects the
-    training pairs of one fraction; the learning curve's nested fractions
-    of a pair thus share one index instead of re-tokenizing the same
-    sentences for each one.
+    skipped when trained on). Target ids are numbered in code-point order,
+    so tgt_words is the sorted target vocabulary and a target's id is also
+    its rank for the argmax tie-break. The EM rows, one per (target token,
+    source position) of each sentence, NULL included, are laid out once in
+    the order that `train_model1` fixes, and the co-occurring (source,
+    target) cells are sorted once by source id, then target id. `subset`
+    selects the training pairs of one fraction; the learning curve's
+    nested fractions of a pair thus share one index instead of
+    re-tokenizing the same sentences for each one.
     """
 
     def __init__(self, train_pairs: Iterable[tuple[str, str]]) -> None:
@@ -235,7 +238,9 @@ class Model1Corpus:
             src_lens.append(len(src_tokens) + 1)
             tgt_lens.append(len(tgt_tokens))
         self.src_words = list(src_ids)
-        self.tgt_words = list(tgt_ids)
+        self.tgt_words = sorted(tgt_ids)  # code-point order
+        rank = np.empty(len(tgt_ids), dtype=np.int32)
+        rank[[tgt_ids[t] for t in self.tgt_words]] = np.arange(len(tgt_ids), dtype=np.int32)
         self.src_len = np.frombuffer(src_lens, dtype=np.int32)
         self.tgt_len = np.frombuffer(tgt_lens, dtype=np.int32)
         self.pair_rows = self.src_len * self.tgt_len
@@ -246,12 +251,12 @@ class Model1Corpus:
         row_start = np.cumsum(width) - width
         src_start = np.repeat(np.cumsum(self.src_len) - self.src_len, self.tgt_len)
         n_rows = int(width.sum())
-        tok = np.repeat(np.arange(len(tgt_flat), dtype=np.int32), width)
-        self.src_row = np.frombuffer(src_flat, dtype=np.int32)[
-            np.repeat(src_start - row_start, width) + np.arange(n_rows)
-        ]
-        tgt_row = np.frombuffer(tgt_flat, dtype=np.int32)[tok]
-        del width, row_start, src_start, tok
+        tgt_row = np.repeat(rank[np.frombuffer(tgt_flat, dtype=np.int32)], width)
+        at = np.repeat(src_start - row_start, width)
+        del width, row_start, src_start, rank
+        at += np.arange(n_rows)
+        self.src_row = np.frombuffer(src_flat, dtype=np.int32)[at]
+        del at
 
         # Cells are the co-occurring (source, target) pairs, sorted by source
         # id, and cell[r] is row r's cell. This is np.unique(key,
@@ -273,13 +278,8 @@ class Model1Corpus:
         self.cell = np.empty(n_rows, dtype=np.int32)
         self.cell[order] = np.cumsum(first, dtype=np.int32) - 1
         del order, first
-        self.cell_src = cells // n_tgt
-        tgt = cells % n_tgt
-        words = np.array(self.tgt_words, dtype=object)
-        rank = np.empty(len(words), dtype=np.int32)
-        rank[words.argsort()] = np.arange(len(words), dtype=np.int32)  # code-point order
-        self.cell_tgt = words[tgt]
-        self.cell_rank = rank[tgt]  # for the argmax tie-break
+        self.cell_src = (cells // n_tgt).astype(np.int32)
+        self.cell_tgt = (cells % n_tgt).astype(np.int32)  # an index into tgt_words
 
     def __len__(self) -> int:
         return len(self.src_len)
@@ -332,7 +332,9 @@ def train_model1(
     totals run over the training set in row order. So a view and the list
     of its pairs get the same floats. Totals are summed from the rows rather
     than from the cell counts, because regrouping a float sum changes its
-    last bits and with them the argmax ties that decoding breaks.
+    last bits and with them the argmax ties that decoding breaks. The
+    table's cells keep the corpus's target ids, which are code-point ranks
+    into its tgt_words, so the argmax tie-break compares integers.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -358,12 +360,10 @@ def train_model1(
     cell = (np.cumsum(used, dtype=np.int32) - 1)[cell]
     cell_src = corpus.cell_src[used]
     cell_tgt = corpus.cell_tgt[used]
-    cell_rank = corpus.cell_rank[used]
     del used
     width = np.repeat(src_len, tgt_len)
     n_tok = len(width)
     tok = np.repeat(np.arange(n_tok, dtype=np.int32), width)
-    del width
     # Each target token is generated by one of its sentence's source tokens
     # (NULL included) with probability t(t|s)/|src|, so log|src| is paid once
     # per target token.
@@ -382,19 +382,19 @@ def train_model1(
         terms = np.log(denom)
         terms -= log_len
         log_likelihoods.append(float(np.cumsum(terms)[-1]))  # in token order
-        share /= denom[tok]  # each row's posterior share of its target token
+        share /= np.repeat(denom, width)  # each row's posterior share of its target token
         counts = np.bincount(cell, weights=share, minlength=len(cell_src))
         totals = np.bincount(src_row, weights=share, minlength=n_src)
         del share
         p = counts / totals[cell_src]
-    del tok, src_row, cell, log_len
+    del tok, width, src_row, cell, log_len
 
     present = np.flatnonzero(per_src)
     return LexicalTable(
         [corpus.src_words[s] for s in present.tolist()],
         per_src[present],
+        corpus.tgt_words,
         cell_tgt,
-        cell_rank,
         p,
         tuple(log_likelihoods),
         skipped,

@@ -293,6 +293,31 @@ class TestTrainAndScore:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and problem in err
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            (
+                "{bad",
+                ": Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+            ),
+            ("[1,2]", ": a subset manifest must be a JSON object, not a list"),
+        ],
+        ids=["not-json", "not-an-object"],
+    )
+    def test_a_bad_subset_error_names_its_file(self, tmp_path, capsys, text, problem):
+        train = tmp_path / "train.tsv"
+        train.write_text("a\tx\nb\ty\n")
+        subset = tmp_path / "s.json"
+        subset.write_text(text)
+        rc = cli.main(
+            [
+                "train", "--train", str(train), "--test-src", str(train),
+                "--hyp-out", str(tmp_path / "h"), "--subset", str(subset),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.endswith(f"{subset}{problem}\n")
+
     @pytest.mark.parametrize("bad", ["train", "test-src", "subset"])
     def test_train_names_the_file_that_is_not_utf8(self, tmp_path, capsys, bad):
         files = {

@@ -5,6 +5,7 @@ import dataclasses
 import fcntl
 import gc
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -2185,9 +2186,9 @@ class TestFinishedLedger:
 
 
 class TestReports:
-    def constant_ledger(self):
+    def constant_ledger(self, languages=("aa", "bb")):
         cells = {}
-        for src, tgt in (("aa", "bb"), ("bb", "aa")):
+        for src, tgt in itertools.permutations(languages, 2):
             for fraction in sampling.FRACTION_GRID:
                 cells[(src, tgt, fraction)] = pipeline.CellRecord(
                     src=src, tgt=tgt, fraction=fraction, status="done",
@@ -2299,6 +2300,17 @@ class TestReports:
         assert sorted(p.name for p in (tmp_path / "plots").iterdir()) == [
             "curves_aa.svg", "curves_bb.svg",
         ]
+
+    def test_a_source_no_longer_reported_loses_its_curves_plot(self, tmp_path):
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        matrices = analysis.embedded_matrices()
+        pipeline.build_report(self.constant_ledger(("aa", "bb", "cc")), matrices, reused)
+        assert (reused / "plots" / "curves_cc.svg").is_file()
+        pipeline.build_report(self.constant_ledger(), matrices, reused)
+        pipeline.build_report(self.constant_ledger(), matrices, fresh)
+        assert sorted(p.name for p in (reused / "plots").iterdir()) == sorted(
+            p.name for p in (fresh / "plots").iterdir()
+        ) == ["curves_aa.svg", "curves_bb.svg"]
 
     def test_report_is_deterministic(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"

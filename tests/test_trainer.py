@@ -239,8 +239,8 @@ class TestTrainModel1:
             return trainer.LexicalTable(
                 sources,
                 np.array(lengths, dtype=np.int64),
-                np.resize(np.array(["x", "y"], dtype=object), len(probs)),
-                np.resize(np.array([0, 1], dtype=np.int64), len(probs)),
+                ["x", "y"],
+                np.resize(np.array([0, 1], dtype=np.int32), len(probs)),
                 np.array(probs, dtype=np.float64),
                 (),
                 0,
@@ -271,7 +271,7 @@ def entries_as_built_before(table):
     One dict per source token, zipped from the cell targets and
     probabilities in cell order; the table's arrays are its EM arrays.
     """
-    targets = table._targets.tolist()
+    targets = [table._words[t] for t in table._targets.tolist()]
     probs = table._probs.tolist()
     ends = table._lengths.cumsum().tolist()
     entries = {}
@@ -294,12 +294,13 @@ def argmax_as_searched_before(entries):
 def table_arrays(entries):
     """The arrays `LexicalTable` takes for ``{source: {target: p}}`` dicts."""
     targets = [t for dist in entries.values() for t in dist]
-    rank = {t: r for r, t in enumerate(sorted(set(targets)))}  # code-point order
+    words = sorted(set(targets))  # code-point order
+    rank = {t: r for r, t in enumerate(words)}
     return (
         list(entries),
         np.array([len(dist) for dist in entries.values()], dtype=np.int64),
-        np.array(targets, dtype=object),
-        np.array([rank[t] for t in targets], dtype=np.int64),
+        words,
+        np.array([rank[t] for t in targets], dtype=np.int32),
         np.array([p for dist in entries.values() for p in dist.values()], dtype=np.float64),
     )
 
@@ -333,6 +334,24 @@ class TestArrayTable:
         assert hexed(table.entries) == hexed(want)
         assert table.argmax == argmax_as_searched_before(want)
         assert list(table.argmax) == list(want)
+        # The index numbers its target words in code-point order, each
+        # cell's target id names the word it co-occurs with, and it holds
+        # no object arrays.
+        index = trainer.Model1Corpus(corpus)
+        assert index.tgt_words == sorted(index.tgt_words)
+        cells = {
+            (index.src_words[s], index.tgt_words[t])
+            for s, t in zip(index.cell_src.tolist(), index.cell_tgt.tolist())
+        }
+        assert cells == {
+            (s, t)
+            for src, tgt in corpus
+            if src.split() and tgt.split()
+            for s in [NULL, *src.split()]
+            for t in tgt.split()
+        }
+        arrays = [a for a in vars(index).values() if isinstance(a, np.ndarray)]
+        assert arrays and all(a.dtype != object for a in arrays)
 
     @settings(max_examples=200, deadline=None)
     @given(
