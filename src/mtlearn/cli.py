@@ -219,8 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pivot-b", required=True)
     p.add_argument("--target-b", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--dev-ratio", type=float, default=0.1)
-    p.add_argument("--test-ratio", type=float, default=0.2)
+    p.add_argument("--dev-ratio", type=float, default=pipeline.ExperimentManifest.dev_ratio)
+    p.add_argument("--test-ratio", type=float, default=pipeline.ExperimentManifest.test_ratio)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_build_corpus)
 
@@ -237,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True, help="2-column TSV of (src, tgt)")
     p.add_argument("--test-src", required=True, help="source sentences, one per line")
     p.add_argument("--hyp-out", required=True)
-    p.add_argument("--iterations", type=int, default=5)
+    p.add_argument("--iterations", type=int, default=trainer.TrainerSpec.em_iterations)
     p.add_argument("--subset", help="subset manifest restricting the train rows")
     p.set_defaults(func=_cmd_train)
 

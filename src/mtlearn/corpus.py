@@ -262,11 +262,13 @@ def tsv_lines(pairs: list[tuple[str, str]]) -> list[str]:
 def write_text_atomic(path: Path, text: str) -> None:
     """Write UTF-8 text so readers never observe a half-written file.
 
-    A file that already holds exactly these bytes is left untouched, so a
-    rerun keeps its inode and mtime. A write cut short, even by a
-    KeyboardInterrupt, leaves the file as it was and no ``.tmp`` file.
+    A text that starts with U+FEFF gets a byte-order mark in front, which
+    `read_text` drops, so it reads back whole. A file that already holds
+    exactly these bytes is left untouched, so a rerun keeps its inode and
+    mtime. A write cut short, even by a KeyboardInterrupt, leaves the file
+    as it was and no ``.tmp`` file.
     """
-    data = text.encode("utf-8")
+    data = ("\ufeff" + text if text.startswith("\ufeff") else text).encode("utf-8")
     try:
         if path.read_bytes() == data:
             return

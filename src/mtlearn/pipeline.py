@@ -66,6 +66,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
@@ -623,14 +624,22 @@ def _prepare_pair(
     )
 
 
-def _files_in(directory: str) -> frozenset[str]:
-    """The files in ``directory``, as `Path.is_file` sees them, from one
-    listing; a directory that cannot be listed holds none."""
+def _entries(directory: str) -> dict[str, os.DirEntry]:
+    """The entries of ``directory`` by name, from one listing; a directory
+    that cannot be listed has none."""
     try:
         with os.scandir(directory) as entries:
-            return frozenset(entry.name for entry in entries if entry.is_file())
+            return {entry.name: entry for entry in entries}
     except (OSError, ValueError):
-        return frozenset()
+        return {}
+
+
+def _remove(entry: os.DirEntry) -> None:
+    """Delete ``entry``: a directory with everything in it, else the name."""
+    if entry.is_dir(follow_symlinks=False):
+        shutil.rmtree(entry.path)
+    else:
+        os.unlink(entry.path)
 
 
 def _hyp_path(data: _PairData, fraction: float) -> str:
@@ -752,18 +761,20 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
     are skipped. Only pairs with a cell to run, or missing one of the
     files `_prepare_pair` writes, are prepared again; the other pairs'
     files are trusted, since a ledger of another manifest is deleted
-    before any pair is prepared. Whether a file exists is read
-    from one listing of its directory. A failing cell is recorded as
-    failed and does not stop the others. Each recorded cell is appended
-    to ``ledger.journal`` and flushed, so a killed run loses at most the
-    cells it was working on; ``ledger.json`` is checkpointed when the
-    number of cells recorded in this run is a power of two, so it shows
-    progress, and written in full at the end, when the journal is
-    deleted. A pass that records no cell creates no journal, and writes
-    ``ledger.json`` only when it does not already hold the ledger. The
-    run holds an exclusive lock on output_dir; a second run on the same
-    directory raises `RunInProgressError` before it reads or writes
-    anything.
+    before any pair is prepared. So is every entry of ``corpus/``,
+    ``subsets/`` and ``hyps/`` that a fresh run of this manifest would not
+    write, so a reused directory ends up with a fresh run's bundle.
+    Whether a file exists is read from one listing of its directory. A
+    failing cell is recorded as failed and does not stop the others. Each
+    recorded cell is appended to ``ledger.journal`` and flushed, so a
+    killed run loses at most the cells it was working on;
+    ``ledger.json`` is checkpointed when the number of cells recorded in
+    this run is a power of two, so it shows progress, and written in full
+    at the end, when the journal is deleted. A pass that records no cell
+    creates no journal, and writes ``ledger.json`` only when it does not
+    already hold the ledger. The run holds an exclusive lock on
+    output_dir; a second run on the same directory raises
+    `RunInProgressError` before it reads or writes anything.
 
     The run is one walk over the pairs to prepare, in ledger order: each
     pair with a cell to run, and each that misses a file. The walk
@@ -811,22 +822,33 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
 
         # The pairs to prepare, in ledger order: each with a cell to run (not
         # done, or its hypothesis file missing) or missing a file that its
-        # preparation writes.
+        # preparation writes. Each pair directory is listed once.
         todo: dict[tuple[str, str], list[tuple[str, str, float]]] = {}
         pairs = []
         hyp_names = [(fraction, f"{fraction_slug(fraction)}.txt") for fraction in manifest.fractions]
         pair_files = _pair_files(manifest)
+        pair_files["hyps"] = [name for _, name in hyp_names]
+        listings = {
+            (top, f"{src}-{tgt}"): _entries(f"{out}/{top}/{src}-{tgt}")
+            for src, tgt in manifest.pairs()
+            for top in pair_files
+        }
+        # The files of each listing, as `Path.is_file` sees them.
+        files = {
+            key: {name for name, entry in entries.items() if entry.is_file()}
+            for key, entries in listings.items()
+        }
         for src, tgt in manifest.pairs():
-            hyps = _files_in(f"{out}/hyps/{src}-{tgt}")
+            pair = f"{src}-{tgt}"
             keys = [
                 (src, tgt, fraction) for fraction, name in hyp_names
-                if ledger.cells[(src, tgt, fraction)].status != "done" or name not in hyps
+                if ledger.cells[(src, tgt, fraction)].status != "done"
+                or name not in files["hyps", pair]
             ]
             if keys:
                 todo[(src, tgt)] = keys
             if keys or not all(
-                _files_in(f"{out}/{top}/{src}-{tgt}").issuperset(names)
-                for top, names in pair_files.items()
+                files[top, pair].issuperset(names) for top, names in pair_files.items()
             ):
                 pairs.append((src, tgt))
 
@@ -857,6 +879,17 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
         elif saved is None:
             ledger_path.unlink(missing_ok=True)
         journal_path.unlink(missing_ok=True)
+        # Every entry of corpus/, subsets/ and hyps/ that a fresh run of this
+        # manifest would not write goes, so a reused directory ends up with
+        # the same bundle: another manifest's pairs and fractions, another
+        # trainer's files, and a killed write's ``.tmp``.
+        for top in pair_files:
+            for pair, entry in _entries(f"{out}/{top}").items():
+                if (top, pair) not in listings:
+                    _remove(entry)
+        for (top, pair), entries in listings.items():
+            for name in entries.keys() - pair_files[top]:
+                _remove(entries[name])
 
         def walk():
             """Prepare each pair in turn; yield (key, working set) per cell to run."""

@@ -210,7 +210,9 @@ class Model1Corpus:
     its rank for the argmax tie-break. The EM rows, one per (target token,
     source position) of each sentence, NULL included, are laid out once in
     the order that `train_model1` fixes, and the co-occurring (source,
-    target) cells are sorted once by source id, then target id. `subset`
+    target) cells are sorted once by source id, then target id. Each row
+    fact is stored once: cell is the one row-length array, and row r's
+    source and target ids are cell_src and cell_tgt at cell[r]. `subset`
     selects the training pairs of one fraction; the learning curve's
     nested fractions of a pair thus share one index instead of
     re-tokenizing the same sentences for each one.
@@ -255,16 +257,18 @@ class Model1Corpus:
         at = np.repeat(src_start - row_start, width)
         del width, row_start, src_start, rank
         at += np.arange(n_rows)
-        self.src_row = np.frombuffer(src_flat, dtype=np.int32)[at]
+        src_row = np.frombuffer(src_flat, dtype=np.int32)[at]
         del at
 
         # Cells are the co-occurring (source, target) pairs, sorted by source
         # id, and cell[r] is row r's cell. This is np.unique(key,
         # return_inverse=True) written out, because np.unique holds five
         # row-length int64 arrays at once and this holds three; that
-        # transient sets the run's peak memory.
+        # transient sets the run's peak memory. A row's source id is
+        # cell_src[cell[r]], so the index keeps no source-row array.
         n_tgt = len(tgt_ids) or 1  # a corpus without usable pairs has no rows
-        key = self.src_row.astype(np.int64)
+        key = src_row.astype(np.int64)
+        del src_row
         key *= n_tgt
         key += tgt_row
         del tgt_row
@@ -324,9 +328,11 @@ def train_model1(
 
     EM runs on flat arrays with one row per (target token, source position)
     of each sentence, NULL included, ordered by sentence, then target
-    position, then source position. A view selects its rows from its
-    corpus's rows with a sentence mask, which keeps that order, and numbers
-    only the cells and target tokens it uses. np.bincount adds its weights
+    position, then source position. A view of every usable pair of its
+    corpus trains on the corpus's own cell, cell_src and cell_tgt arrays,
+    uncopied; any other view selects its rows with a sentence mask, which
+    keeps that order, and numbers only the cells it uses. A row's source id
+    is its cell's, gathered once. np.bincount adds its weights
     in input order, so every sum has one fixed order: a target token's
     denominator runs over its source positions, and counts and per-source
     totals run over the training set in row order. So a view and the list
@@ -351,16 +357,22 @@ def train_model1(
         raise ValueError("no usable training pairs (empty corpus)")
     skipped = len(train_pairs) - len(src_len)
 
-    rows = np.repeat(usable, corpus.pair_rows)
-    src_row = corpus.src_row[rows]
-    cell = corpus.cell[rows]
-    del rows
-    used = np.zeros(len(corpus.cell_src), dtype=bool)
-    used[cell] = True
-    cell = (np.cumsum(used, dtype=np.int32) - 1)[cell]
-    cell_src = corpus.cell_src[used]
-    cell_tgt = corpus.cell_tgt[used]
-    del used
+    if len(src_len) == np.count_nonzero(corpus.src_len):
+        # Every usable pair: the corpus's own rows and cells, uncopied.
+        cell, cell_src, cell_tgt = corpus.cell, corpus.cell_src, corpus.cell_tgt
+    else:
+        rows = np.repeat(usable, corpus.pair_rows)
+        cell = corpus.cell[rows]
+        del rows
+        used = np.zeros(len(corpus.cell_src), dtype=bool)
+        used[cell] = True
+        cell = (np.cumsum(used, dtype=np.int32) - 1)[cell]
+        cell_src = corpus.cell_src[used]
+        cell_tgt = corpus.cell_tgt[used]
+        del used
+    # Cell ids are in range by construction, so these gathers skip numpy's
+    # bounds check and the intp copy of an int32 fancy index.
+    src_row = np.take(cell_src, cell, mode="clip")
     width = np.repeat(src_len, tgt_len)
     n_tok = len(width)
     tok = np.repeat(np.arange(n_tok, dtype=np.int32), width)
@@ -376,8 +388,9 @@ def train_model1(
     p = 1.0 / per_src[cell_src]
 
     log_likelihoods: list[float] = []
+    share = np.empty(len(cell))
     for _ in range(iterations):
-        share = p[cell]
+        np.take(p, cell, out=share, mode="clip")
         denom = np.bincount(tok, weights=share, minlength=n_tok)
         terms = np.log(denom)
         terms -= log_len
@@ -385,9 +398,8 @@ def train_model1(
         share /= np.repeat(denom, width)  # each row's posterior share of its target token
         counts = np.bincount(cell, weights=share, minlength=len(cell_src))
         totals = np.bincount(src_row, weights=share, minlength=n_src)
-        del share
         p = counts / totals[cell_src]
-    del tok, width, src_row, cell, log_len
+    del share, tok, width, src_row, cell, log_len
 
     present = np.flatnonzero(per_src)
     return LexicalTable(

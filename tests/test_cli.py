@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mtlearn import analysis, cli, corpus, pipeline, sampling, synthetic
+from mtlearn import analysis, cli, corpus, pipeline, sampling, synthetic, trainer
 
 
 @pytest.fixture
@@ -845,6 +845,17 @@ class TestArgparseBehavior:
         assert cli.main(["subsample"]) == 2  # missing required args
         assert cli.main(["definitely-not-a-command"]) == 2
         capsys.readouterr()
+
+    def test_defaults_are_the_librarys(self):
+        parser = cli._build_parser()
+        paths = ["--lang-a", "a", "--pivot-a", "p", "--target-a", "t"]
+        paths += ["--lang-b", "b", "--pivot-b", "p", "--target-b", "t", "--out", "o"]
+        args = parser.parse_args(["build-corpus", *paths])
+        assert (args.dev_ratio, args.test_ratio) == (
+            pipeline.ExperimentManifest.dev_ratio, pipeline.ExperimentManifest.test_ratio
+        )
+        args = parser.parse_args(["train", "--train", "t", "--test-src", "s", "--hyp-out", "h"])
+        assert args.iterations == trainer.TrainerSpec.em_iterations
 
     def test_help_exit_0(self, capsys):
         assert cli.main(["--help"]) == 0

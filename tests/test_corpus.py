@@ -138,6 +138,15 @@ class TestReadLines:
         path.write_bytes(b"\xef\xbb\xbfa\n\xef\xbb\xbfb\n")
         assert corpus.read_lines(path) == ["a", "\ufeffb"]  # only the file's first
 
+    def test_a_written_text_that_starts_with_u_feff_reads_back_whole(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        pairs = [("\ufeffa", "b"), ("\ufeffc", "d")]
+        corpus.write_text_atomic(path, "".join(corpus.tsv_lines(pairs)))
+        assert corpus.read_pairs_tsv(path) == pairs
+        mtime = path.stat().st_mtime_ns
+        corpus.write_text_atomic(path, "".join(corpus.tsv_lines(pairs)))
+        assert path.stat().st_mtime_ns == mtime  # the same bytes: left untouched
+
     def test_byte_order_marks_leave_the_pivot_join_intact(self, tmp_path):
         # A kept mark would make a pivot file's first key match no other
         # language, and would stay in a target file's first sentence.

@@ -1331,6 +1331,49 @@ class TestLazyResume:
         assert bundle_bytes(out) == fresh
 
 
+class TestReusedOutputDirectory:
+    """A run into another manifest's output directory gives a fresh bundle."""
+
+    @pytest.mark.parametrize("change", ["languages", "grid", "trainer"])
+    def test_a_reused_directory_ends_with_a_fresh_bundle(self, tmp_path, change):
+        first_kwargs = {
+            "languages": {"languages": ("aa", "bb", "cc")},
+            "grid": {},
+            "trainer": {"trainer_cfg": PREFIX_SWAP_TRAINER},
+        }[change]
+        first = pipeline.load_manifest(make_experiment(tmp_path / "first", **first_kwargs))
+        second = pipeline.load_manifest(make_experiment(tmp_path / "second"))
+        if change == "grid":
+            second = dataclasses.replace(second, fractions=(0.5, 1.0))
+        assert pipeline.run_experiment(second).all_done()
+        fresh = bundle_bytes(second.output_dir)
+
+        out = first.output_dir
+        assert pipeline.run_experiment(first).all_done()
+        # As a killed write of this manifest's run leaves them.
+        (out / "subsets" / "aa-bb" / "1.0.json.tmp").write_text("{")
+        (out / "hyps" / "bb-aa" / "1.0.txt.tmp").write_text("")
+        assert pipeline.run_experiment(dataclasses.replace(second, output_dir=out)).all_done()
+        assert bundle_bytes(out) == fresh
+
+    def test_a_run_stopped_by_its_inputs_removes_nothing(self, tmp_path):
+        first = pipeline.load_manifest(
+            make_experiment(tmp_path / "first", languages=("aa", "bb", "cc"))
+        )
+        out = first.output_dir
+        assert pipeline.run_experiment(first).all_done()
+        (out / "hyps" / "aa-bb" / "1.0.txt.tmp").write_text("")
+        before = bundle_bytes(out, skip=())
+
+        path = make_experiment(tmp_path / "second")
+        target = tmp_path / "second" / "data" / "bb.txt"
+        target.write_text("".join(target.read_text().splitlines(keepends=True)[:-1]))
+        second = dataclasses.replace(pipeline.load_manifest(path), output_dir=out)
+        with pytest.raises(ValueError, match="line count mismatch"):
+            pipeline.run_experiment(second)
+        assert bundle_bytes(out, skip=()) == before
+
+
 class TestLedgerWrites:
     """ledger.json is written only when it would change, and never lies."""
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mtlearn
@@ -216,6 +216,56 @@ class TestTrainModel1:
             trainer.train_model1(index.subset([1]), 1)
         with pytest.raises(ValueError, match="empty"):
             trainer.train_model1(index.subset([]), 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=corpora, iterations=st.integers(min_value=1, max_value=3))
+    @example(corpus=[("a b", "x"), ("", "y"), ("c", ""), ("a", "x z")], iterations=3)
+    def test_a_full_view_trains_on_the_index_uncopied(self, corpus, iterations):
+        # A view of every pair takes the index's own arrays; a view that
+        # leaves out one pair selects and renumbers its rows. Both, and the
+        # list, must give the same floats to the last bit.
+        if not any(s.split() and t.split() for s, t in corpus):
+            return
+        index = trainer.Model1Corpus(corpus)
+        full = trainer.train_model1(index.subset(range(len(corpus))), iterations)
+        assert full._targets is index.cell_tgt
+        extended = trainer.Model1Corpus([*corpus, ("a w", "ww x")])
+        masked = trainer.train_model1(extended.subset(range(len(corpus))), iterations)
+        for table in (masked, trainer.train_model1(corpus, iterations)):
+            assert hexed(table.entries) == hexed(full.entries)
+            assert table.argmax == full.argmax
+            assert table.skipped_pairs == full.skipped_pairs
+            assert table.log_likelihoods == full.log_likelihoods
+        # Training read the index and changed none of it.
+        again = trainer.train_model1(index.subset(range(len(corpus))), iterations)
+        assert hexed(again.entries) == hexed(full.entries)
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=corpora)
+    def test_a_rows_cell_names_its_source_and_target(self, corpus):
+        index = trainer.Model1Corpus(corpus)
+        rows = [
+            (s, t)
+            for src, tgt in corpus
+            if src.split() and tgt.split()
+            for t in tgt.split()
+            for s in [NULL, *src.split()]
+        ]
+        assert [index.src_words[s] for s in index.cell_src[index.cell].tolist()] == [
+            s for s, _ in rows
+        ]
+        assert [index.tgt_words[t] for t in index.cell_tgt[index.cell].tolist()] == [
+            t for _, t in rows
+        ]
+
+    def test_the_index_holds_one_row_length_array(self):
+        # 14 rows, 6 cells, 3 pairs: each array's length says what it is per.
+        index = trainer.Model1Corpus([("a b a", "x y"), ("b", "x x x"), ("", "z")])
+        n_rows = int(index.pair_rows.sum())
+        assert (n_rows, len(index.cell_src), len(index)) == (14, 6, 3)
+        arrays = {k: a for k, a in vars(index).items() if isinstance(a, np.ndarray)}
+        assert [k for k, a in arrays.items() if len(a) == n_rows] == ["cell"]
+        assert index.cell.dtype == np.int32
 
     def test_empty_sides_skipped_with_count(self):
         pairs = [("a", "x"), ("", "x"), ("a", "   "), ("b", "y")]
@@ -725,3 +775,33 @@ def test_a_module_is_imported_without_the_rest_of_the_package():
 
     assert package_modules("mtlearn") == {"mtlearn"}
     assert package_modules("mtlearn.bleu") == {"mtlearn", "mtlearn.bleu"}
+
+
+def test_the_bundle_does_not_depend_on_numpys_simd_dispatch(tmp_path):
+    # EM's reductions must give the same floats, and so the same bundle,
+    # whichever of numpy's SIMD kernels run them. numpy ignores the names of
+    # targets it does not dispatch to on this CPU.
+    src = str(Path(mtlearn.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from mtlearn import cli, synthetic; "
+        "info = synthetic.write_family(sys.argv[1], n_sentences=600); "
+        "sys.exit(cli.main(['run', '--manifest', str(info['manifest_path'])]))"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    bundles = []
+    for name, extra in (
+        ("plain", {}),
+        ("no-simd", {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}),
+    ):
+        subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / name)],
+            env={**env, **extra}, capture_output=True, check=True, timeout=300,
+        )
+        out = tmp_path / name / "out"
+        bundles.append({
+            p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "ledger.json"
+        })
+    assert "hyps/aa-bb/1.0.txt" in bundles[0] and "summary.json" in bundles[0]
+    assert bundles[0] == bundles[1]
