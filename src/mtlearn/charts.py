@@ -98,7 +98,7 @@ def _chart_shell(title: str, xlabel: str, ylabel: str, frame: _Frame,
             f'y2="{py}" stroke="#dddddd" stroke-width="1"/>'
         )
         parts.append(
-            f'<text x="{frame.px_left - 8}" y="{py + 4}" text-anchor="end" '
+            f'<text x="{frame.px_left - 8}" y="{round(py + 4, 2)}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{_fmt_tick(t)}</text>'
         )
     # Axes.
@@ -194,7 +194,7 @@ def scatter_chart(title: str, xlabel: str, ylabel: str,
         else:
             body.append(f'<circle cx="{px}" cy="{py}" r="4" fill="#0072B2"/>')
         body.append(
-            f'<text x="{px + 6}" y="{py - 5}" font-family="sans-serif" '
+            f'<text x="{round(px + 6, 2)}" y="{round(py - 5, 2)}" font-family="sans-serif" '
             f'font-size="10" fill="#444444">{html.escape(label, quote=False)}</text>'
         )
     return _chart_shell(title, xlabel, ylabel, frame, body)

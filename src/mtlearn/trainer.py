@@ -6,6 +6,10 @@ lexical table, which is crude but deterministic and shows genuine
 data-scaling behavior. A `Model1Corpus` indexes one training set once
 (tokens, EM rows, co-occurrence cells), and `train_model1` trains on any
 subset of it, so the nested fractions of a learning curve share one index.
+Both go through the EM rows in blocks of whole sentences of at most
+`EM_BLOCK_ROWS` rows, so above the kept index their row-length arrays are
+one block's, not the corpus's, and the floats are the same for any block
+size.
 A trained `LexicalTable` keeps EM's arrays: its sum check and argmax are
 computed from them, and its `entries` dicts are built only when read.
 The external adapter runs an arbitrary command with file-path
@@ -50,6 +54,10 @@ OUTPUT_TAIL = 8192  # bytes of each of a command's output streams kept for its e
 _MAX_WAIT = 3600.0
 # An external command template's placeholders; the first three are required.
 _PLACEHOLDERS = ("train", "test_src", "hyp_out", "workdir")
+# The most EM rows that the index build and each EM iteration hold at once,
+# in blocks of whole sentences (a longer sentence is a block of its own), so
+# their memory above the kept index does not grow with the corpus.
+EM_BLOCK_ROWS = 2**15
 
 
 class ExternalTrainerError(RuntimeError):
@@ -200,6 +208,46 @@ class TrainerSpec:
                     )
 
 
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """The start of each of consecutive runs of ``lengths``, from 0, then the
+    end of the last: len(lengths) + 1 int64 offsets."""
+    import numpy as np
+
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def _first(keys: np.ndarray) -> np.ndarray:
+    """Flags for the first of each run of equal values in sorted ``keys``."""
+    import numpy as np
+
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
+def _blocks(rows: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive sentence ranges [lo, hi) of whole sentences, in order.
+
+    rows[k] is sentence k's number of EM rows. A range holds at most
+    `EM_BLOCK_ROWS` rows unless it is one sentence with more, and at
+    least one sentence; every sentence is in one range.
+    """
+    import numpy as np
+
+    ends = np.cumsum(rows, dtype=np.int64)
+    blocks = []
+    lo = 0
+    while lo < len(ends):
+        start = int(ends[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(ends, start + EM_BLOCK_ROWS, side="right")), lo + 1)
+        blocks.append((lo, hi))
+        lo = hi
+    return blocks
+
+
 class Model1Corpus:
     """One training set, tokenized, interned and expanded once for EM.
 
@@ -212,7 +260,11 @@ class Model1Corpus:
     the order that `train_model1` fixes, and the co-occurring (source,
     target) cells are sorted once by source id, then target id. Each row
     fact is stored once: cell is the one row-length array, and row r's
-    source and target ids are cell_src and cell_tgt at cell[r]. `subset`
+    source and target ids are cell_src and cell_tgt at cell[r]. The rows
+    are built and their cells numbered in blocks of whole sentences of at
+    most `EM_BLOCK_ROWS` rows, so the build holds cell, one block's sort
+    keys and each block's distinct keys, not several row-length arrays;
+    the arrays are the same for any block size. `subset`
     selects the training pairs of one fraction; the learning curve's
     nested fractions of a pair thus share one index instead of
     re-tokenizing the same sentences for each one.
@@ -247,41 +299,49 @@ class Model1Corpus:
         self.tgt_len = np.frombuffer(tgt_lens, dtype=np.int32)
         self.pair_rows = self.src_len * self.tgt_len
 
-        # Target token g of sentence k owns the src_len[k] consecutive rows
-        # starting at row_start[g], one per source position of sentence k.
-        width = np.repeat(self.src_len, self.tgt_len)
-        row_start = np.cumsum(width) - width
-        src_start = np.repeat(np.cumsum(self.src_len) - self.src_len, self.tgt_len)
-        n_rows = int(width.sum())
-        tgt_row = np.repeat(rank[np.frombuffer(tgt_flat, dtype=np.int32)], width)
-        at = np.repeat(src_start - row_start, width)
-        del width, row_start, src_start, rank
-        at += np.arange(n_rows)
-        src_row = np.frombuffer(src_flat, dtype=np.int32)[at]
-        del at
-
         # Cells are the co-occurring (source, target) pairs, sorted by source
-        # id, and cell[r] is row r's cell. This is np.unique(key,
-        # return_inverse=True) written out, because np.unique holds five
-        # row-length int64 arrays at once and this holds three; that
-        # transient sets the run's peak memory. A row's source id is
+        # id, and cell[r] is row r's cell: the distinct sort keys and each
+        # row's rank among them, found a block of whole sentences at a time,
+        # because row-length transients would set the peak memory. Each
+        # block sorts its own keys and writes block-local cell ids; the
+        # blocks' distinct keys are then merged, and each block's ids are
+        # renumbered through the merged keys. A row's source id is
         # cell_src[cell[r]], so the index keeps no source-row array.
         n_tgt = len(tgt_ids) or 1  # a corpus without usable pairs has no rows
-        key = src_row.astype(np.int64)
-        del src_row
-        key *= n_tgt
-        key += tgt_row
-        del tgt_row
-        order = key.argsort()
-        key = key[order]
-        first = np.empty(n_rows, dtype=bool)
-        first[:1] = True
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        cells = key[first]
-        del key
-        self.cell = np.empty(n_rows, dtype=np.int32)
-        self.cell[order] = np.cumsum(first, dtype=np.int32) - 1
-        del order, first
+        src_flat = np.frombuffer(src_flat, dtype=np.int32)
+        tgt_flat = np.frombuffer(tgt_flat, dtype=np.int32)
+        row_at = _offsets(self.pair_rows)
+        src_at = _offsets(self.src_len)
+        tgt_at = _offsets(self.tgt_len)
+        self.cell = np.empty(row_at[-1], dtype=np.int32)
+        blocks = []
+        for lo, hi in _blocks(self.pair_rows):
+            src_len = self.src_len[lo:hi]
+            tgt_len = self.tgt_len[lo:hi]
+            # Target token g of the block owns the width[g] consecutive rows
+            # from row_start[g], one per source position of its sentence, and
+            # row r reads the block's source token at[r].
+            width = np.repeat(src_len, tgt_len)
+            row_start = np.cumsum(width) - width
+            at = np.repeat(np.repeat(_offsets(src_len)[:-1], tgt_len) - row_start, width)
+            at += np.arange(len(at))
+            key = src_flat[src_at[lo] : src_at[hi]][at].astype(np.int64)
+            del at
+            key *= n_tgt
+            key += np.repeat(rank[tgt_flat[tgt_at[lo] : tgt_at[hi]]], width)
+            order = key.argsort()
+            key = key[order]
+            first = _first(key)
+            self.cell[row_at[lo] : row_at[hi]][order] = np.cumsum(first, dtype=np.int32) - 1
+            blocks.append((lo, hi, key[first]))
+        del rank
+        keys = np.concatenate([keys for *_, keys in blocks] or [np.empty(0, np.int64)])
+        keys.sort()
+        cells = keys[_first(keys)]
+        del keys
+        for lo, hi, block_keys in blocks:
+            ids = self.cell[row_at[lo] : row_at[hi]]
+            ids[:] = np.take(np.searchsorted(cells, block_keys), ids, mode="clip")
         self.cell_src = (cells // n_tgt).astype(np.int32)
         self.cell_tgt = (cells % n_tgt).astype(np.int32)  # an index into tgt_words
 
@@ -328,19 +388,31 @@ def train_model1(
 
     EM runs on flat arrays with one row per (target token, source position)
     of each sentence, NULL included, ordered by sentence, then target
-    position, then source position. A view of every usable pair of its
-    corpus trains on the corpus's own cell, cell_src and cell_tgt arrays,
-    uncopied; any other view selects its rows with a sentence mask, which
-    keeps that order, and numbers only the cells it uses. A row's source id
-    is its cell's, gathered once. np.bincount adds its weights
-    in input order, so every sum has one fixed order: a target token's
-    denominator runs over its source positions, and counts and per-source
-    totals run over the training set in row order. So a view and the list
-    of its pairs get the same floats. Totals are summed from the rows rather
-    than from the cell counts, because regrouping a float sum changes its
-    last bits and with them the argmax ties that decoding breaks. The
-    table's cells keep the corpus's target ids, which are code-point ranks
-    into its tgt_words, so the argmax tie-break compares integers.
+    position, then source position. Each iteration goes through the
+    training pairs in blocks of whole sentences of at most `EM_BLOCK_ROWS`
+    rows (a longer sentence is a block of its own), so what it holds above
+    the index is one block's arrays, a few arrays per cell and two per
+    target token (its number of rows and its log|src|, made once), not
+    arrays per row of the training set. A view of
+    every usable pair of its corpus trains on the corpus's own cell,
+    cell_src and cell_tgt arrays, uncopied. Any other view first marks the
+    cells its rows use, block by block, and numbers them once; then each
+    block selects the view's rows with a sentence mask, which keeps their
+    order. A row's source id is its cell's.
+
+    Every sum has one fixed order, whatever the blocks: a target token's
+    denominator runs over its source positions (np.bincount adds its
+    weights in input order, and a token's rows are in one block), counts
+    and per-source totals run over the training set in row order (np.add.at
+    adds into the running arrays in input order, block after block), and
+    the log-likelihood adds the per-token terms in token order (np.cumsum
+    of each block's terms, led by the sum so far). So a view, the list of
+    its pairs and any block size get the same floats. Totals are summed
+    from the rows rather than from the cell counts, because regrouping a
+    float sum changes its last bits and with them the argmax ties that
+    decoding breaks. The table's cells keep the corpus's target ids, which
+    are code-point ranks into its tgt_words, so the argmax tie-break
+    compares integers.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -351,35 +423,49 @@ def train_model1(
         train_pairs = whole.subset(range(len(whole)))
     corpus = train_pairs.corpus
     usable = train_pairs.selected & (corpus.src_len > 0)
-    src_len = corpus.src_len[usable]
-    tgt_len = corpus.tgt_len[usable]
-    if not len(src_len):
+    pick = np.flatnonzero(usable)  # the corpus index of each pair trained on
+    if not len(pick):
         raise ValueError("no usable training pairs (empty corpus)")
-    skipped = len(train_pairs) - len(src_len)
-
-    if len(src_len) == np.count_nonzero(corpus.src_len):
-        # Every usable pair: the corpus's own rows and cells, uncopied.
-        cell, cell_src, cell_tgt = corpus.cell, corpus.cell_src, corpus.cell_tgt
-    else:
-        rows = np.repeat(usable, corpus.pair_rows)
-        cell = corpus.cell[rows]
-        del rows
-        used = np.zeros(len(corpus.cell_src), dtype=bool)
-        used[cell] = True
-        cell = (np.cumsum(used, dtype=np.int32) - 1)[cell]
-        cell_src = corpus.cell_src[used]
-        cell_tgt = corpus.cell_tgt[used]
-        del used
-    # Cell ids are in range by construction, so these gathers skip numpy's
-    # bounds check and the intp copy of an int32 fancy index.
-    src_row = np.take(cell_src, cell, mode="clip")
-    width = np.repeat(src_len, tgt_len)
-    n_tok = len(width)
-    tok = np.repeat(np.arange(n_tok, dtype=np.int32), width)
+    skipped = len(train_pairs) - len(pick)
+    src_len = corpus.src_len[pick]
+    tgt_len = corpus.tgt_len[pick]
+    full = len(pick) == np.count_nonzero(corpus.src_len)
+    row_at = _offsets(corpus.pair_rows)
     # Each target token is generated by one of its sentence's source tokens
     # (NULL included) with probability t(t|s)/|src|, so log|src| is paid once
     # per target token.
-    log_len = np.repeat(np.log(src_len), tgt_len)
+    log_len = np.log(src_len)
+    # Each block's corpus pairs [lo, hi), and per target token of the view's
+    # pairs in it, its number of rows and its log|src|.
+    blocks = [
+        (
+            pick[k0],
+            pick[k1 - 1] + 1,
+            np.repeat(src_len[k0:k1], tgt_len[k0:k1]),
+            np.repeat(log_len[k0:k1], tgt_len[k0:k1]),
+        )
+        for k0, k1 in _blocks(corpus.pair_rows[pick])
+    ]
+    del log_len
+
+    def cells_of(lo: int, hi: int) -> np.ndarray:
+        """The corpus cell id of each of the view's rows in corpus pairs [lo, hi)."""
+        cell = corpus.cell[row_at[lo] : row_at[hi]]
+        if full:
+            return cell
+        return cell[np.repeat(usable[lo:hi], corpus.pair_rows[lo:hi])]
+
+    if full:
+        # Every usable pair: the corpus's own rows and cells, uncopied.
+        cell_src, cell_tgt = corpus.cell_src, corpus.cell_tgt
+    else:
+        used = np.zeros(len(corpus.cell_src), dtype=bool)
+        for lo, hi, _, _ in blocks:
+            used[cells_of(lo, hi)] = True
+        renumber = np.cumsum(used, dtype=np.int32) - 1
+        cell_src = corpus.cell_src[used]
+        cell_tgt = corpus.cell_tgt[used]
+        del used
 
     n_src = len(corpus.src_words)
     # Uniform initialization over co-occurring pairs: each source token
@@ -388,18 +474,27 @@ def train_model1(
     p = 1.0 / per_src[cell_src]
 
     log_likelihoods: list[float] = []
-    share = np.empty(len(cell))
     for _ in range(iterations):
-        np.take(p, cell, out=share, mode="clip")
-        denom = np.bincount(tok, weights=share, minlength=n_tok)
-        terms = np.log(denom)
-        terms -= log_len
-        log_likelihoods.append(float(np.cumsum(terms)[-1]))  # in token order
-        share /= np.repeat(denom, width)  # each row's posterior share of its target token
-        counts = np.bincount(cell, weights=share, minlength=len(cell_src))
-        totals = np.bincount(src_row, weights=share, minlength=n_src)
+        counts = np.zeros(len(cell_src))
+        totals = np.zeros(n_src)
+        log_likelihood = 0.0
+        for lo, hi, width, tok_log_len in blocks:
+            # Cell ids are in range by construction, so these gathers skip
+            # numpy's bounds check.
+            cell = cells_of(lo, hi)
+            if not full:
+                cell = np.take(renumber, cell, mode="clip")
+            share = np.take(p, cell, mode="clip")
+            denom = np.bincount(np.repeat(np.arange(len(width)), width), weights=share)
+            terms = np.log(denom)
+            terms -= tok_log_len
+            terms[0] += log_likelihood
+            log_likelihood = float(np.cumsum(terms)[-1])
+            share /= np.repeat(denom, width)  # each row's posterior share of its target token
+            np.add.at(counts, cell, share)
+            np.add.at(totals, np.take(cell_src, cell, mode="clip"), share)
+        log_likelihoods.append(log_likelihood)
         p = counts / totals[cell_src]
-    del share, tok, width, src_row, cell, log_len
 
     present = np.flatnonzero(per_src)
     return LexicalTable(

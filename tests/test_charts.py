@@ -1,8 +1,11 @@
 """Tests for the dependency-free SVG chart renderer."""
 
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtlearn import charts
 
@@ -114,6 +117,28 @@ class TestChartGeometry:
         for el in tags(root, "circle"):
             assert 0 <= float(el.get("cx")) <= charts.WIDTH
             assert 0 <= float(el.get("cy")) <= charts.HEIGHT
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(
+            st.tuples(st.floats(0, 100, allow_nan=False), st.floats(0, 100, allow_nan=False)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_every_coordinate_is_rounded_to_2_decimals(self, values):
+        # Tick labels and point labels sit at an offset from a rounded
+        # coordinate; the offset must not bring back float noise such as
+        # y="257.53999999999996".
+        points = [(x, y, f"p{i}", i % 2 == 0) for i, (x, y) in enumerate(values)]
+        for svg in (
+            charts.scatter_chart("t", "x", "y", points),
+            charts.line_chart("t", "x", "y", {"a-b": values}),
+        ):
+            for el in parse(svg).iter():
+                for name in ("x", "y", "x1", "y1", "x2", "y2", "cx", "cy", "points"):
+                    for number in re.split("[ ,]", el.get(name, "")) if el.get(name) else ():
+                        assert re.fullmatch(r"-?\d+(\.\d{1,2})?", number), (name, number)
 
     def test_gridlines_and_ticks_present(self):
         root = parse(charts.line_chart("t", "x", "y", LINE_SERIES))

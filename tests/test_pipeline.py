@@ -2306,7 +2306,7 @@ class TestReports:
             "auc.csv": "a35a2e0e7bd68b20818d945eecd20100057492d0e05925673bec8ada2168ae54",
             "plots/scatter_spoken.svg": "1e85d9f68700370518a85120ca0e50063d83f252c5d4410727233eb403f4b15c",
             "plots/scatter_spoken_excl_ro.svg": "17bab15e67a7b048dc95b45530dd508daa3fb910e5035742da89e291e448f61e",
-            "plots/scatter_written.svg": "ebadd539a10572239d8f804de5eab2c000c7cf49cd8e26b05d8dd66a827df189",
+            "plots/scatter_written.svg": "12771304e695c07a97adcc213b9c4dad96ad1c4ed68c72d9c379c63126c1ea4f",
             "scatter_spoken.csv": "6391083414f245d8163b17a0ab460aa13e452122a3c4b174617e923927b547ec",
             "scatter_spoken_excl_ro.csv": "9cfe351cf855949b3ccf527ef2197330b6a690ceb2fa643ac5c5fc3e5123bbdb",
             "scatter_written.csv": "767610d624da9607d68397717730b93b4372df43593f5fdaf626e6e4f1268c20",

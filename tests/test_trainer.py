@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -439,6 +440,101 @@ class TestArrayTable:
         table = trainer.LexicalTable(*table_arrays(entries), (-1.0,), 0)
         assert table.argmax == argmax_as_searched_before(entries)
         assert hexed(table.entries) == hexed(entries)
+
+
+# Far above any corpus built here: one block holds every sentence.
+ONE_BLOCK = 2**40
+
+
+def em_run(corpus, indices, iterations, block_rows):
+    """The index arrays, and per view of ``indices`` the table or its error,
+    with ``trainer.EM_BLOCK_ROWS`` set to ``block_rows``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trainer, "EM_BLOCK_ROWS", block_rows)
+        index = trainer.Model1Corpus(corpus)
+        tables = []
+        for view in indices:
+            try:
+                table = trainer.train_model1(index.subset(view), iterations)
+            except ValueError as exc:
+                tables.append(str(exc))
+            else:
+                tables.append(
+                    (hexed(table.entries), table.argmax, table.log_likelihoods,
+                     table.skipped_pairs)
+                )
+    arrays = [(a.dtype, a.tolist()) for a in (index.cell, index.cell_src, index.cell_tgt)]
+    return arrays, tables
+
+
+def long_sentences(n_pairs, words, seed):
+    """``n_pairs`` pairs of 30- to 40-word sentences over ``words`` words."""
+    rnd = random.Random(seed)
+    vocab = [f"w{i}" for i in range(words)]
+
+    def sentence():
+        return " ".join(rnd.choice(vocab) for _ in range(rnd.randint(30, 40)))
+
+    return [(sentence(), sentence()) for _ in range(n_pairs)]
+
+
+class TestBlocks:
+    """The index build and EM go through a corpus in blocks of whole
+    sentences; the block size must change no bit of any result."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        corpus=corpora,
+        keep=st.lists(st.booleans(), min_size=5, max_size=5),
+        iterations=st.integers(min_value=1, max_value=3),
+        block_rows=st.sampled_from([1, 2, 5, 11]),
+    )
+    # A sentence of 4 x 3 = 12 rows, longer than any block drawn, between
+    # pairs with an empty side.
+    @example(
+        corpus=[("", "x"), ("a b c", "x y z"), ("c", ""), ("a", "x")],
+        keep=[False, True, True, True, False], iterations=3, block_rows=5,
+    )
+    def test_blocked_and_unblocked_runs_agree(self, corpus, keep, iterations, block_rows):
+        # Two views: every pair, which trains on the index uncopied, and the
+        # kept pairs, which are masked block by block.
+        views = [range(len(corpus)), [i for i in range(len(corpus)) if keep[i]]]
+        blocked = em_run(corpus, views, iterations, block_rows)
+        assert blocked == em_run(corpus, views, iterations, ONE_BLOCK)
+        if not any(s.split() and t.split() for s, t in corpus):
+            assert blocked[1] == ["no usable training pairs (empty corpus)"] * 2
+
+    def test_memory_stays_with_the_block(self):
+        # 300 pairs of 30- to 40-word sentences: about 380,000 EM rows and
+        # at most 51 x 50 cells. In blocks of 2**14 rows the build holds
+        # the kept index (4 bytes a row for cell), each block's keys and
+        # the blocks' distinct keys, and training holds a block, the
+        # cell-sized arrays and two per target token: under 12 and 2 bytes
+        # a row. In one block both
+        # hold several row-length arrays at once.
+        corpus = long_sentences(300, 50, seed=7)
+        peaks = {}
+        for block_rows in (2**14, ONE_BLOCK):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(trainer, "EM_BLOCK_ROWS", block_rows)
+                tracemalloc.start()
+                try:
+                    start = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    index = trainer.Model1Corpus(corpus)
+                    kept, build = tracemalloc.get_traced_memory()
+                    tracemalloc.reset_peak()
+                    for view in (range(300), range(0, 300, 2)):
+                        trainer.train_model1(index.subset(view), 2)
+                    train = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            rows = int(index.pair_rows.sum())
+            peaks[block_rows] = ((build - start) / rows, (train - kept) / rows)
+        assert rows > 300_000
+        (build, train), (one_build, one_train) = peaks[2**14], peaks[ONE_BLOCK]
+        assert build < 12 and train < 2, peaks
+        assert build < one_build and train < one_train, peaks
 
 
 class TestDecode:
