@@ -393,12 +393,13 @@ def train_model1(
     rows (a longer sentence is a block of its own), so what it holds above
     the index is one block's arrays, a few arrays per cell and two per
     target token (its number of rows and its log|src|, made once), not
-    arrays per row of the training set. A view of
-    every usable pair of its corpus trains on the corpus's own cell,
-    cell_src and cell_tgt arrays, uncopied. Any other view first marks the
-    cells its rows use, block by block, and numbers them once; then each
-    block selects the view's rows with a sentence mask, which keeps their
-    order. A row's source id is its cell's.
+    arrays per row of the training set. Every view trains in its corpus's
+    own cell numbering: it marks the cells its rows use, block by block, and
+    counts into arrays over all of the corpus's cells, where a cell it does
+    not use stays at 0. A block whose rows are all the view's reads the
+    corpus's cell array as is; any other block selects the view's rows with
+    a sentence mask, which keeps their order. A row's source id is its
+    cell's.
 
     Every sum has one fixed order, whatever the blocks: a target token's
     denominator runs over its source positions (np.bincount adds its
@@ -429,61 +430,55 @@ def train_model1(
     skipped = len(train_pairs) - len(pick)
     src_len = corpus.src_len[pick]
     tgt_len = corpus.tgt_len[pick]
-    full = len(pick) == np.count_nonzero(corpus.src_len)
+    rows = corpus.pair_rows[pick]
     row_at = _offsets(corpus.pair_rows)
     # Each target token is generated by one of its sentence's source tokens
     # (NULL included) with probability t(t|s)/|src|, so log|src| is paid once
     # per target token.
     log_len = np.log(src_len)
-    # Each block's corpus pairs [lo, hi), and per target token of the view's
-    # pairs in it, its number of rows and its log|src|.
+    # Each block's corpus pairs [lo, hi), whether all of their rows are the
+    # view's, and per target token of the view's pairs in it, its number of
+    # rows and its log|src|.
     blocks = [
         (
             pick[k0],
             pick[k1 - 1] + 1,
+            row_at[pick[k1 - 1] + 1] - row_at[pick[k0]] == rows[k0:k1].sum(),
             np.repeat(src_len[k0:k1], tgt_len[k0:k1]),
             np.repeat(log_len[k0:k1], tgt_len[k0:k1]),
         )
-        for k0, k1 in _blocks(corpus.pair_rows[pick])
+        for k0, k1 in _blocks(rows)
     ]
     del log_len
 
-    def cells_of(lo: int, hi: int) -> np.ndarray:
+    def cells_of(lo: int, hi: int, unmasked: bool) -> np.ndarray:
         """The corpus cell id of each of the view's rows in corpus pairs [lo, hi)."""
         cell = corpus.cell[row_at[lo] : row_at[hi]]
-        if full:
-            return cell
-        return cell[np.repeat(usable[lo:hi], corpus.pair_rows[lo:hi])]
+        return cell if unmasked else cell[np.repeat(usable[lo:hi], corpus.pair_rows[lo:hi])]
 
-    if full:
-        # Every usable pair: the corpus's own rows and cells, uncopied.
-        cell_src, cell_tgt = corpus.cell_src, corpus.cell_tgt
-    else:
-        used = np.zeros(len(corpus.cell_src), dtype=bool)
-        for lo, hi, _, _ in blocks:
-            used[cells_of(lo, hi)] = True
-        renumber = np.cumsum(used, dtype=np.int32) - 1
-        cell_src = corpus.cell_src[used]
-        cell_tgt = corpus.cell_tgt[used]
-        del used
+    used = np.zeros(len(corpus.cell_src), dtype=bool)
+    for lo, hi, unmasked, _, _ in blocks:
+        used[cells_of(lo, hi, unmasked)] = True
 
     n_src = len(corpus.src_words)
     # Uniform initialization over co-occurring pairs: each source token
-    # starts with equal mass on every target token it appears alongside.
-    per_src = np.bincount(cell_src, minlength=n_src)
-    p = 1.0 / per_src[cell_src]
+    # starts with equal mass on every target token it appears alongside in
+    # the view. A cell the view does not use starts at 0 and gets no count,
+    # so it stays at 0; a source with no row in the view keeps a total of
+    # 1, so its cells divide 0 by 1.
+    per_src = np.bincount(corpus.cell_src[used], minlength=n_src)
+    unseen = (per_src == 0).astype(np.float64)
+    p = used / (per_src + unseen)[corpus.cell_src]
 
     log_likelihoods: list[float] = []
     for _ in range(iterations):
-        counts = np.zeros(len(cell_src))
-        totals = np.zeros(n_src)
+        counts = np.zeros(len(p))
+        totals = unseen.copy()
         log_likelihood = 0.0
-        for lo, hi, width, tok_log_len in blocks:
+        for lo, hi, unmasked, width, tok_log_len in blocks:
             # Cell ids are in range by construction, so these gathers skip
             # numpy's bounds check.
-            cell = cells_of(lo, hi)
-            if not full:
-                cell = np.take(renumber, cell, mode="clip")
+            cell = cells_of(lo, hi, unmasked)
             share = np.take(p, cell, mode="clip")
             denom = np.bincount(np.repeat(np.arange(len(width)), width), weights=share)
             terms = np.log(denom)
@@ -492,17 +487,18 @@ def train_model1(
             log_likelihood = float(np.cumsum(terms)[-1])
             share /= np.repeat(denom, width)  # each row's posterior share of its target token
             np.add.at(counts, cell, share)
-            np.add.at(totals, np.take(cell_src, cell, mode="clip"), share)
+            np.add.at(totals, np.take(corpus.cell_src, cell, mode="clip"), share)
         log_likelihoods.append(log_likelihood)
-        p = counts / totals[cell_src]
+        p = np.divide(counts, totals[corpus.cell_src], out=counts)  # no new cell array
 
+    del blocks
     present = np.flatnonzero(per_src)
     return LexicalTable(
         [corpus.src_words[s] for s in present.tolist()],
         per_src[present],
         corpus.tgt_words,
-        cell_tgt,
-        p,
+        corpus.cell_tgt[used],
+        p[used],
         tuple(log_likelihoods),
         skipped,
     )
