@@ -6,10 +6,10 @@ lexical table, which is crude but deterministic and shows genuine
 data-scaling behavior. A `Model1Corpus` indexes one training set once
 (tokens, EM rows, co-occurrence cells), and `train_model1` trains on any
 subset of it, so the nested fractions of a learning curve share one index.
-Both go through the EM rows in blocks of whole sentences of at most
-`EM_BLOCK_ROWS` rows, so above the kept index their row-length arrays are
-one block's, not the corpus's, and the floats are the same for any block
-size.
+The index is built in blocks of whole sentences of at most `EM_BLOCK_ROWS`
+rows and keeps that one partition, and every view trains in its blocks, so
+above the kept index the row-length arrays are one block's, not the
+corpus's, and the floats are the same for any block size.
 A trained `LexicalTable` keeps EM's arrays: its sum check and argmax are
 computed from them, and its `entries` dicts are built only when read.
 The external adapter runs an arbitrary command with file-path
@@ -56,7 +56,8 @@ _MAX_WAIT = 3600.0
 _PLACEHOLDERS = ("train", "test_src", "hyp_out", "workdir")
 # The most EM rows that the index build and each EM iteration hold at once,
 # in blocks of whole sentences (a longer sentence is a block of its own), so
-# their memory above the kept index does not grow with the corpus.
+# their memory above the kept index does not grow with the corpus. It is read
+# when an index is built; every view of that index trains in its blocks.
 EM_BLOCK_ROWS = 2**15
 
 
@@ -264,9 +265,11 @@ class Model1Corpus:
     are built and their cells numbered in blocks of whole sentences of at
     most `EM_BLOCK_ROWS` rows, so the build holds cell, one block's sort
     keys and each block's distinct keys, not several row-length arrays;
-    the arrays are the same for any block size. `subset`
-    selects the training pairs of one fraction; the learning curve's
-    nested fractions of a pair thus share one index instead of
+    the arrays are the same for any block size. The index keeps that one
+    partition: blocks lists its [lo, hi) pair ranges, and pair k's rows
+    are [row_at[k], row_at[k + 1]); every view trains in these blocks.
+    `subset` selects the training pairs of one fraction; the learning
+    curve's nested fractions of a pair thus share one index instead of
     re-tokenizing the same sentences for each one.
     """
 
@@ -310,12 +313,13 @@ class Model1Corpus:
         n_tgt = len(tgt_ids) or 1  # a corpus without usable pairs has no rows
         src_flat = np.frombuffer(src_flat, dtype=np.int32)
         tgt_flat = np.frombuffer(tgt_flat, dtype=np.int32)
-        row_at = _offsets(self.pair_rows)
+        row_at = self.row_at = _offsets(self.pair_rows)
         src_at = _offsets(self.src_len)
         tgt_at = _offsets(self.tgt_len)
         self.cell = np.empty(row_at[-1], dtype=np.int32)
-        blocks = []
-        for lo, hi in _blocks(self.pair_rows):
+        self.blocks = _blocks(self.pair_rows)
+        distinct = []  # each block's distinct keys
+        for lo, hi in self.blocks:
             src_len = self.src_len[lo:hi]
             tgt_len = self.tgt_len[lo:hi]
             # Target token g of the block owns the width[g] consecutive rows
@@ -333,13 +337,13 @@ class Model1Corpus:
             key = key[order]
             first = _first(key)
             self.cell[row_at[lo] : row_at[hi]][order] = np.cumsum(first, dtype=np.int32) - 1
-            blocks.append((lo, hi, key[first]))
+            distinct.append(key[first])
         del rank
-        keys = np.concatenate([keys for *_, keys in blocks] or [np.empty(0, np.int64)])
+        keys = np.concatenate(distinct or [np.empty(0, np.int64)])
         keys.sort()
         cells = keys[_first(keys)]
         del keys
-        for lo, hi, block_keys in blocks:
+        for (lo, hi), block_keys in zip(self.blocks, distinct):
             ids = self.cell[row_at[lo] : row_at[hi]]
             ids[:] = np.take(np.searchsorted(cells, block_keys), ids, mode="clip")
         self.cell_src = (cells // n_tgt).astype(np.int32)
@@ -388,18 +392,19 @@ def train_model1(
 
     EM runs on flat arrays with one row per (target token, source position)
     of each sentence, NULL included, ordered by sentence, then target
-    position, then source position. Each iteration goes through the
-    training pairs in blocks of whole sentences of at most `EM_BLOCK_ROWS`
-    rows (a longer sentence is a block of its own), so what it holds above
-    the index is one block's arrays, a few arrays per cell and two per
-    target token (its number of rows and its log|src|, made once), not
-    arrays per row of the training set. Every view trains in its corpus's
-    own cell numbering: it marks the cells its rows use, block by block, and
-    counts into arrays over all of the corpus's cells, where a cell it does
-    not use stays at 0. A block whose rows are all the view's reads the
-    corpus's cell array as is; any other block selects the view's rows with
-    a sentence mask, which keeps their order. A row's source id is its
-    cell's.
+    position, then source position. Each iteration walks the blocks its
+    index was built in (`Model1Corpus.blocks`: whole sentences of at most
+    `EM_BLOCK_ROWS` rows at build time, a longer sentence a block of its
+    own) and skips a block that holds none of the view's pairs, so what it
+    holds above the index is one block's arrays, a few arrays per cell and
+    two per target token (its number of rows and its log|src|, made once),
+    not arrays per row of the training set. Every view trains in its
+    corpus's own cell numbering: it marks the cells its rows use, block by
+    block, and counts into arrays over all of the corpus's cells, where a
+    cell it does not use stays at 0. A block whose rows are all the view's
+    reads the corpus's cell array as is; any other block selects the
+    view's rows with a sentence mask, which keeps their order. A row's
+    source id is its cell's.
 
     Every sum has one fixed order, whatever the blocks: a target token's
     denominator runs over its source positions (np.bincount adds its
@@ -424,36 +429,27 @@ def train_model1(
         train_pairs = whole.subset(range(len(whole)))
     corpus = train_pairs.corpus
     usable = train_pairs.selected & (corpus.src_len > 0)
-    pick = np.flatnonzero(usable)  # the corpus index of each pair trained on
-    if not len(pick):
+    n_usable = int(np.count_nonzero(usable))
+    if not n_usable:
         raise ValueError("no usable training pairs (empty corpus)")
-    skipped = len(train_pairs) - len(pick)
-    src_len = corpus.src_len[pick]
-    tgt_len = corpus.tgt_len[pick]
-    rows = corpus.pair_rows[pick]
-    row_at = _offsets(corpus.pair_rows)
-    # Each target token is generated by one of its sentence's source tokens
-    # (NULL included) with probability t(t|s)/|src|, so log|src| is paid once
-    # per target token.
-    log_len = np.log(src_len)
-    # Each block's corpus pairs [lo, hi), whether all of their rows are the
-    # view's, and per target token of the view's pairs in it, its number of
-    # rows and its log|src|.
-    blocks = [
-        (
-            pick[k0],
-            pick[k1 - 1] + 1,
-            row_at[pick[k1 - 1] + 1] - row_at[pick[k0]] == rows[k0:k1].sum(),
-            np.repeat(src_len[k0:k1], tgt_len[k0:k1]),
-            np.repeat(log_len[k0:k1], tgt_len[k0:k1]),
-        )
-        for k0, k1 in _blocks(rows)
-    ]
-    del log_len
+    skipped = len(train_pairs) - n_usable
+    # Each of the index's blocks [lo, hi) that holds some of the view's
+    # pairs, whether all of its rows are the view's, and per target token of
+    # the view's pairs in it, its number of rows and its log|src|. Each
+    # target token is generated by one of its sentence's source tokens (NULL
+    # included) with probability t(t|s)/|src|, so log|src| is paid once per
+    # target token.
+    blocks = []
+    for lo, hi in corpus.blocks:
+        mine = usable[lo:hi]
+        if mine.any():
+            width = np.repeat(corpus.src_len[lo:hi][mine], corpus.tgt_len[lo:hi][mine])
+            unmasked = not corpus.pair_rows[lo:hi][~mine].any()
+            blocks.append((lo, hi, unmasked, width, np.log(width)))
 
     def cells_of(lo: int, hi: int, unmasked: bool) -> np.ndarray:
         """The corpus cell id of each of the view's rows in corpus pairs [lo, hi)."""
-        cell = corpus.cell[row_at[lo] : row_at[hi]]
+        cell = corpus.cell[corpus.row_at[lo] : corpus.row_at[hi]]
         return cell if unmasked else cell[np.repeat(usable[lo:hi], corpus.pair_rows[lo:hi])]
 
     used = np.zeros(len(corpus.cell_src), dtype=bool)

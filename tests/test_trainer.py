@@ -451,6 +451,15 @@ def em_run(corpus, indices, iterations, block_rows):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(trainer, "EM_BLOCK_ROWS", block_rows)
         index = trainer.Model1Corpus(corpus)
+        # One partition: consecutive, non-empty sentence ranges from 0 to
+        # len(index), each of at most block_rows rows unless it is one pair.
+        bounds = [0] + [hi for _, hi in index.blocks]
+        assert index.blocks == list(zip(bounds, bounds[1:]))
+        assert bounds[-1] == len(index) and all(lo < hi for lo, hi in index.blocks)
+        assert all(
+            hi - lo == 1 or index.pair_rows[lo:hi].sum() <= block_rows
+            for lo, hi in index.blocks
+        )
         tables = []
         for view in indices:
             try:
@@ -534,6 +543,26 @@ class TestBlocks:
         (build, train), (one_build, one_train) = peaks[2**14], peaks[ONE_BLOCK]
         assert build < 12 and train < 2, peaks
         assert build < one_build and train < one_train, peaks
+
+    def test_a_view_trains_in_the_blocks_of_its_index(self):
+        # The block size is the index's: an index built in blocks of 2**14
+        # rows trains in them, whatever EM_BLOCK_ROWS holds when a view
+        # trains, so training stays under 2 bytes a row above the index.
+        corpus = long_sentences(300, 50, seed=7)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trainer, "EM_BLOCK_ROWS", 2**14)
+            index = trainer.Model1Corpus(corpus)
+            patch.setattr(trainer, "EM_BLOCK_ROWS", ONE_BLOCK)
+            tracemalloc.start()  # after the build: the kept index is not traced
+            try:
+                for view in (range(300), range(0, 300, 2)):
+                    trainer.train_model1(index.subset(view), 2)
+                train = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        rows = int(index.pair_rows.sum())
+        assert rows > 300_000
+        assert train / rows < 2, train / rows
 
 
 class TestDecode:
