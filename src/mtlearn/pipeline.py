@@ -12,12 +12,15 @@ Preparing a pair joins and splits its bitexts and writes all its corpus
 and subset files, reading none back; a run trusts the files of the other
 pairs, so a run of another manifest deletes the old ``ledger.json``
 before it writes anything into the directory.
-Each finished cell is appended as one line to ``ledger.journal``;
-``ledger.json`` is checkpointed when the number of cells recorded reaches
-a power of two and written in full at the end, when the journal is
-deleted, unless it already holds the ledger: a rerun that records no cell
-writes no ledger. A run holds an exclusive lock on its output directory,
-so a second run on the same directory fails at once.
+Each finished cell is appended as one line to ``ledger.journal``.
+Before the first pair, a ``ledger.json`` that holds an earlier state of
+the run's ledger is rewritten and one that holds nothing of it is
+deleted, so from then on it holds nothing or the run's whole grid. It is
+checkpointed when the number of cells recorded reaches a power of two
+and written in full at the end only if the run recorded a cell, and the
+journal is deleted: a rerun that records no cell writes no ledger. A run
+holds an exclusive lock on its output directory, so a second run on the
+same directory fails at once.
 `build_report` turns a complete ledger into the report bundle (CSV
 tables, SVG charts, JSON summary).
 
@@ -723,37 +726,6 @@ def _exclusive(out: Path):
         os.close(fd)
 
 
-def _open_ledger(
-    ledger_path: Path,
-    journal_path: Path,
-    fingerprint: str,
-    expected_keys: list[tuple[str, str, float]],
-) -> tuple[RunLedger, int, bool | None]:
-    """This run's ledger: ledger.json, with any journal replayed onto it.
-
-    Reads only; `run_experiment` changes the files once the run's inputs
-    have loaded. The cells are exactly expected_keys, in order, missing
-    ones pending. Also returns the number of journal records replayed and
-    what ledger.json holds: this ledger (True: it had this fingerprint
-    and exactly these cells, so `RunLedger.load` of it gives the ledger
-    returned, journal aside), an earlier state of it (False), or nothing
-    of it (None: it is missing, is refused by `_load_ledger`, or cannot
-    be read).
-    """
-    try:
-        ledger = _load_ledger(ledger_path, fingerprint)
-        saved = ledger.cells.keys() == set(expected_keys)
-    except (LedgerError, OSError):
-        ledger = RunLedger(fingerprint=fingerprint, cells={})
-        saved = None
-    replayed = ledger.replay(journal_path)
-    # Drop stale cells so |cells| == |pairs| x |fractions| always holds.
-    ledger.cells = {
-        key: ledger.cells.get(key) or CellRecord(*key) for key in expected_keys
-    }
-    return ledger, replayed, saved
-
-
 def run_experiment(manifest: ExperimentManifest) -> RunLedger:
     """Run every (pair, fraction) cell, resuming any earlier progress.
 
@@ -769,10 +741,13 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
     recorded cell is appended to ``ledger.journal`` and flushed, so a
     killed run loses at most the cells it was working on;
     ``ledger.json`` is checkpointed when the number of cells recorded in
-    this run is a power of two, so it shows progress, and written in full
-    at the end, when the journal is deleted. A pass that records no cell
-    creates no journal, and writes ``ledger.json`` only when it does not
-    already hold the ledger. The run holds an exclusive lock on
+    this run is a power of two, so it shows progress. Before the first
+    pair it is saved if it holds an earlier state of the ledger (a killed
+    run's journal was replayed, or its cells are not the grid's) and
+    deleted if it holds nothing of it; at the end it is saved only if the
+    run recorded a cell, and the journal is deleted. So a pass that
+    records no cell creates no journal, and writes ``ledger.json`` only
+    when it held an earlier state. The run holds an exclusive lock on
     output_dir; a second run on the same directory raises
     `RunInProgressError` before it reads or writes anything.
 
@@ -816,9 +791,22 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
         ]
         ledger_path = out / "ledger.json"
         journal_path = out / "ledger.journal"
-        ledger, replayed, saved = _open_ledger(
-            ledger_path, journal_path, fingerprint, expected_keys
-        )
+        # This run's ledger: ledger.json with any journal replayed onto it,
+        # its cells exactly expected_keys in order, missing ones pending.
+        # on_disk names what ledger.json holds: this ledger ("this": this
+        # fingerprint, exactly these cells and no journal record replayed),
+        # an earlier state of it ("earlier": a record was replayed, or its
+        # cells differ) or nothing of it ("nothing": it is missing, refused
+        # by `_load_ledger` or unreadable, and no record was replayed).
+        try:
+            ledger = _load_ledger(ledger_path, fingerprint)
+            on_disk = "this" if ledger.cells.keys() == set(expected_keys) else "earlier"
+        except (LedgerError, OSError):
+            ledger = RunLedger(fingerprint=fingerprint, cells={})
+            on_disk = "nothing"
+        if ledger.replay(journal_path):
+            on_disk = "earlier"
+        ledger.cells = {key: ledger.cells.get(key) or CellRecord(*key) for key in expected_keys}
 
         # The pairs to prepare, in ledger order: each with a cell to run (not
         # done, or its hypothesis file missing) or missing a file that its
@@ -867,16 +855,17 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
         del pivots
 
         # Only a run whose inputs have loaded changes what the bundle
-        # records, and it does so before it prepares a pair. A journal left
-        # by a killed run is folded into ledger.json and deleted, so no torn
-        # line can get glued to the next one appended. A ledger.json of
-        # another manifest, or one that cannot be read, is deleted: its
-        # done cells vouch for files this run is about to overwrite, and a
-        # rerun of its manifest trusts the files of every pair whose cells
-        # are all done.
-        if replayed:
+        # records, and it does so before it prepares a pair, so from the
+        # first pair on ledger.json holds nothing or this run's grid. An
+        # earlier state is saved: a journal left by a killed run is folded
+        # in and deleted, so no torn line can get glued to the next one
+        # appended. Nothing of it (another manifest's ledger, or one that
+        # cannot be read) is deleted: its done cells vouch for files this
+        # run is about to overwrite, and a rerun of its manifest trusts the
+        # files of every pair whose cells are all done.
+        if on_disk == "earlier":
             ledger.save(ledger_path)
-        elif saved is None:
+        elif on_disk == "nothing":
             ledger_path.unlink(missing_ok=True)
         journal_path.unlink(missing_ok=True)
         # Every entry of corpus/, subsets/ and hyps/ that a fresh run of this
@@ -964,7 +953,7 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
             if stop is not None:
                 raise stop
 
-        if recorded or not (saved or replayed):
+        if recorded:
             ledger.save(ledger_path)
         journal_path.unlink(missing_ok=True)
 

@@ -73,9 +73,12 @@ class LexicalTable:
     log_likelihoods[k] is the training-corpus log-likelihood under the
     parameters entering EM iteration k, so the sequence is non-decreasing.
     skipped_pairs counts training pairs dropped because one side was empty.
-    argmax maps each source token to its most probable target token, ties
-    broken lexicographically (smallest target token in code-point order
-    wins), so decoding does no search.
+    argmax maps each source token but NULL_TOKEN to its most probable
+    target token, ties broken lexicographically (smallest target token in
+    code-point order wins), so decoding does no search. NULL generates
+    target words, but no sentence translates it. The spelling ``<NULL>``
+    is reserved: a source word spelled so is trained as NULL, and `decode`
+    passes it through.
 
     A table holds its distributions as flat arrays, one cell per (source,
     target) in entries order; `train_model1` makes tables from its EM
@@ -122,6 +125,7 @@ class LexicalTable:
             np.where(probs == top, targets, np.iinfo(targets.dtype).max), starts
         )
         self.argmax: dict[str, str] = dict(zip(sources, map(words.__getitem__, best.tolist())))
+        self.argmax.pop(NULL_TOKEN, None)
         self.log_likelihoods = log_likelihoods
         self.skipped_pairs = skipped_pairs
         self._sources = sources
@@ -505,7 +509,9 @@ def decode(table: LexicalTable, src_sentence: str) -> str:
 
     Ties are broken lexicographically (smallest target token wins) so the
     output is identical across platforms and dict orderings. Tokens absent
-    from the table pass through verbatim; word order is preserved.
+    from the table pass through verbatim, and so does the reserved
+    NULL_TOKEN spelling ``<NULL>``, which no sentence translates; word
+    order is preserved.
     """
     best = table.argmax
     return " ".join([best.get(token, token) for token in src_sentence.split()])

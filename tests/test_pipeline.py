@@ -20,7 +20,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mtlearn.trainer
@@ -1393,6 +1393,7 @@ class TestLedgerWrites:
         assert bundle_bytes(manifest.output_dir, skip=()) == before
 
     @settings(max_examples=40, deadline=None)
+    @example(steps=[("drop_cell", 0)])
     @given(
         steps=st.lists(
             st.one_of(
@@ -1442,7 +1443,19 @@ class TestLedgerWrites:
                     ))
                     journal = b"".join(finished.journal_line(finished.cells[k]) for k in picked)
                     (out / "ledger.journal").write_bytes(journal + b'{"fingerprint": ')
-                ledger = pipeline.run_experiment(dataclasses.replace(manifest, output_dir=out))
+                # From the first pair on, ledger.json holds nothing or this
+                # run's grid.
+                seen = []
+
+                def prepare(*args, _real=pipeline._prepare_pair):
+                    path = out / "ledger.json"
+                    seen.append(set(pipeline.RunLedger.load(path).cells) if path.exists() else None)
+                    return _real(*args)
+
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(pipeline, "_prepare_pair", prepare)
+                    ledger = pipeline.run_experiment(dataclasses.replace(manifest, output_dir=out))
+                assert all(cells in (None, set(keys)) for cells in seen)
                 assert ledger.all_done()
                 assert pipeline.RunLedger.load(out / "ledger.json") == ledger
                 assert not (out / "ledger.journal").exists()
