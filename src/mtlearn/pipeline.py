@@ -5,9 +5,11 @@ their pivot-aligned data lives, how to split and subsample, and which
 trainer to run. `run_experiment` drives corpus construction, subset
 generation, and per-cell training/decoding/scoring, and records every
 (pair, fraction) cell in a ledger that survives interruption: re-running
-skips finished cells, so a killed run resumes where it stopped. A rerun
-prepares only the pairs that have a cell to run or miss a corpus or
-subset file, which it learns from one listing of each bundle directory.
+skips finished cells, so a killed run resumes where it stopped. A run's
+plan maps each pair to prepare, in ledger order, to its cells to run: a
+cell runs when it is not done or its hypothesis file is missing, and a
+pair is prepared when it has a cell to run or misses another of its
+files. The plan is read from one listing of each pair directory.
 Preparing a pair joins and splits its bitexts and writes all its corpus
 and subset files, reading none back; a run trusts the files of the other
 pairs, so a run of another manifest deletes the old ``ledger.json``
@@ -29,8 +31,8 @@ its inputs alone, aggregation rows are sorted, and floats are serialized
 via repr, so two runs of the same manifest produce byte-identical bundles
 no matter how the work was scheduled; a file that already holds the bytes
 to be written is left untouched, mtime included. A run is one walk over
-the pairs it prepares, in ledger order, and one loop in the calling
-thread takes cells from it; it starts no thread. For each pair the walk
+its plan, and one loop in the calling thread takes cells from it; it
+starts no thread. For each pair in the plan, in ledger order, the walk
 prepares its working set (its BLEU references and, for the builtin
 trainer, the EM index of its training set, built at its first cell),
 yields it with each of the pair's cells to run, and lets go of it before
@@ -547,14 +549,20 @@ class _PairData:
 
 
 def _pair_files(manifest: ExperimentManifest) -> dict[str, list[str]]:
-    """Every file `_prepare_pair` writes for a pair, in ``<top>/<src>-<tgt>/`` by top."""
+    """Every file a finished run keeps for a pair, in ``<top>/<src>-<tgt>/`` by top.
+
+    `_prepare_pair` writes those of ``corpus`` and ``subsets``; ``hyps``
+    names each cell's hypothesis file, in fraction order. A run prepares a
+    pair that misses any of them, and runs each cell whose hypothesis file
+    is missing or that is not done.
+    """
     names = list(corpus.SPLIT_BUNDLE_FILES)
     slugs = [fraction_slug(f) for f in manifest.fractions]
     subsets = [slug + ".json" for slug in slugs]
     if manifest.trainer_spec.kind == "external":
         names.append("test.src.txt")
         subsets += [slug + ".train.tsv" for slug in slugs]
-    return {"corpus": names, "subsets": subsets}
+    return {"corpus": names, "subsets": subsets, "hyps": [slug + ".txt" for slug in slugs]}
 
 
 def _prepare_pair(
@@ -564,7 +572,7 @@ def _prepare_pair(
     src: str,
     tgt: str,
 ) -> _PairData:
-    """Write every file `_pair_files` lists for one pair; return its working set.
+    """Write a pair's corpus and subset files (`_pair_files`); return its working set.
 
     The corpus is joined from ``bitexts[src]`` and ``bitexts[tgt]`` and split
     on every call, and no file is read back. A split that `corpus.split_pair`
@@ -729,9 +737,11 @@ def _exclusive(out: Path):
 def run_experiment(manifest: ExperimentManifest) -> RunLedger:
     """Run every (pair, fraction) cell, resuming any earlier progress.
 
-    Cells already marked done (with their hypothesis file still present)
-    are skipped. Only pairs with a cell to run, or missing one of the
-    files `_prepare_pair` writes, are prepared again; the other pairs'
+    The run's plan is one ordered dict: each pair to prepare, in ledger
+    order, maps to its cells to run. A cell runs when it is not done or
+    its hypothesis file is missing. A pair is in the plan when it has a
+    cell to run, or with an empty list when it misses another file
+    `_pair_files` lists. Those are prepared again; the other pairs'
     files are trusted, since a ledger of another manifest is deleted
     before any pair is prepared. So is every entry of ``corpus/``,
     ``subsets/`` and ``hyps/`` that a fresh run of this manifest would not
@@ -745,14 +755,13 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
     pair it is saved if it holds an earlier state of the ledger (a killed
     run's journal was replayed, or its cells are not the grid's) and
     deleted if it holds nothing of it; at the end it is saved only if the
-    run recorded a cell, and the journal is deleted. So a pass that
-    records no cell creates no journal, and writes ``ledger.json`` only
+    run recorded a cell, and the journal is deleted. So a pass with no
+    cell to run creates no journal, and writes ``ledger.json`` only
     when it held an earlier state. The run holds an exclusive lock on
     output_dir; a second run on the same directory raises
     `RunInProgressError` before it reads or writes anything.
 
-    The run is one walk over the pairs to prepare, in ledger order: each
-    pair with a cell to run, and each that misses a file. The walk
+    The run is one walk over the plan, in ledger order. The walk
     prepares each pair once, yields its working set with each of its
     cells, and lets go of it before it prepares the next pair. One loop in
     the calling thread takes the cells; it starts no thread. A builtin
@@ -808,47 +817,35 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
             on_disk = "earlier"
         ledger.cells = {key: ledger.cells.get(key) or CellRecord(*key) for key in expected_keys}
 
-        # The pairs to prepare, in ledger order: each with a cell to run (not
-        # done, or its hypothesis file missing) or missing a file that its
-        # preparation writes. Each pair directory is listed once.
+        # The plan: each pair to prepare, in ledger order, with its cells to
+        # run. Each pair directory is listed once.
         todo: dict[tuple[str, str], list[tuple[str, str, float]]] = {}
-        pairs = []
-        hyp_names = [(fraction, f"{fraction_slug(fraction)}.txt") for fraction in manifest.fractions]
         pair_files = _pair_files(manifest)
-        pair_files["hyps"] = [name for _, name in hyp_names]
-        listings = {
-            (top, f"{src}-{tgt}"): _entries(f"{out}/{top}/{src}-{tgt}")
-            for src, tgt in manifest.pairs()
-            for top in pair_files
-        }
-        # The files of each listing, as `Path.is_file` sees them.
-        files = {
-            key: {name for name, entry in entries.items() if entry.is_file()}
-            for key, entries in listings.items()
-        }
+        listings = {}
         for src, tgt in manifest.pairs():
             pair = f"{src}-{tgt}"
+            files = {}  # the files of each listing, as `Path.is_file` sees them
+            for top in pair_files:
+                listings[top, pair] = entries = _entries(f"{out}/{top}/{pair}")
+                files[top] = {name for name, entry in entries.items() if entry.is_file()}
             keys = [
-                (src, tgt, fraction) for fraction, name in hyp_names
+                (src, tgt, fraction)
+                for fraction, name in zip(manifest.fractions, pair_files["hyps"])
                 if ledger.cells[(src, tgt, fraction)].status != "done"
-                or name not in files["hyps", pair]
+                or name not in files["hyps"]
             ]
-            if keys:
+            if keys or not all(files[top].issuperset(names) for top, names in pair_files.items()):
                 todo[(src, tgt)] = keys
-            if keys or not all(
-                files[top, pair].issuperset(names) for top, names in pair_files.items()
-            ):
-                pairs.append((src, tgt))
 
         # What the cells need is checked and read before the first of them.
         # Pivot lines go through one dict, so a sentence in several bitexts
         # is held once.
         spec = manifest.trainer_spec
-        if todo and spec.kind == "external" and not os.path.isdir(spec.workdir):
+        if any(todo.values()) and spec.kind == "external" and not os.path.isdir(spec.workdir):
             raise ManifestError(f"trainer.workdir {spec.workdir} is not a directory")
         pivots: dict[str, str] = {}
         bitexts: dict[str, corpus.PivotBitext] = {}
-        for lang in dict.fromkeys(lang for pair in pairs for lang in pair):
+        for lang in dict.fromkeys(lang for pair in todo for lang in pair):
             loaded = corpus.load_pivot_bitext(*manifest.data_sources[lang], lang)
             loaded.pivot_lines = [pivots.setdefault(s, s) for s in loaded.pivot_lines]
             bitexts[lang] = loaded
@@ -882,9 +879,9 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
 
         def walk():
             """Prepare each pair in turn; yield (key, working set) per cell to run."""
-            for pair in pairs:
+            for pair, keys in todo.items():
                 data = _prepare_pair(manifest, bitexts, digests, *pair)
-                for key in todo.get(pair, ()):
+                for key in keys:
                     yield key, data
                 del data
 
@@ -923,35 +920,34 @@ def run_experiment(manifest: ExperimentManifest) -> RunLedger:
                 journal_record(key, _end_cell(key, data, started, hypotheses))
 
         stop: BaseException | None = None  # the first exception, which stops the run
-        if pairs:
-            with (
-                (open(journal_path, "wb") if todo else contextlib.nullcontext()) as journal,
-                trainer.ExternalJobs() as jobs,
-                contextlib.closing(walk()) as cells,
-            ):
-                while True:
-                    # Ended commands are scored before free slots are filled,
-                    # so no more than max_parallel_jobs cells hold a working
-                    # set. Builtin cells run here.
-                    try:
-                        for job in [job for job in running if job.ended]:
-                            finish(job)
-                        while (
-                            stop is None
-                            and len(running) < manifest.max_parallel_jobs
-                            and (cell := next(cells, None))
-                        ):
-                            start(*cell)
-                            del cell  # not held while the next pair is prepared
-                        if not running:
-                            break
-                        jobs.wait()
-                    except BaseException as exc:
-                        if stop is not None:
-                            raise  # a second one: leaving the block kills the commands
-                        stop = exc
-            if stop is not None:
-                raise stop
+        with (
+            (open(journal_path, "wb") if any(todo.values()) else contextlib.nullcontext()) as journal,
+            trainer.ExternalJobs() as jobs,
+            contextlib.closing(walk()) as cells,
+        ):
+            while True:
+                # Ended commands are scored before free slots are filled,
+                # so no more than max_parallel_jobs cells hold a working
+                # set. Builtin cells run here.
+                try:
+                    for job in [job for job in running if job.ended]:
+                        finish(job)
+                    while (
+                        stop is None
+                        and len(running) < manifest.max_parallel_jobs
+                        and (cell := next(cells, None))
+                    ):
+                        start(*cell)
+                        del cell  # not held while the next pair is prepared
+                    if not running:
+                        break
+                    jobs.wait()
+                except BaseException as exc:
+                    if stop is not None:
+                        raise  # a second one: leaving the block kills the commands
+                    stop = exc
+        if stop is not None:
+            raise stop
 
         if recorded:
             ledger.save(ledger_path)

@@ -6,6 +6,7 @@ self-contained so a criterion cannot pass by sharing a bug with the
 implementation.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -20,6 +21,11 @@ import numpy as np
 import pytest
 
 from mtlearn import analysis, bleu, pipeline, sampling, synthetic, trainer
+
+# The benchmark's digest of a bundle; perfbench/run.py imports its sibling
+# tracer, so the directory goes on the path.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from run import bundle_digest  # noqa: E402
 
 
 def report(criterion, ok, desc):
@@ -252,6 +258,7 @@ def family_run(tmp_path_factory):
         ledger, manifest.matrices, manifest.output_dir
     )
     elapsed = time.monotonic() - started
+    out = manifest.output_dir
     return {
         "root": root,
         "manifest": manifest,
@@ -259,7 +266,34 @@ def family_run(tmp_path_factory):
         "summary": summary,
         "elapsed": elapsed,
         "overlap": info["overlap"],
+        "digest": bundle_digest(out),
+        "sha256": {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in FAMILY_FILES
+        },
     }
+
+
+# The default family's bundle (seed 42), pinned. A change meant to alter its
+# bytes updates these values and says why in CHANGES.md.
+FAMILY_DIGEST = "af7b5e57f387666e8728fc1d898788d2d13c9c6d1c13f9adb3519f1bc028f103"
+FAMILY_FILES = {
+    "scores.csv": "34be9f01505b07be7c20e4432ebcb561f86b261db309acf159efbcce5ca6b1cb",
+    "curves.csv": "3f5331f01b3c2e9ed99e6714a1dc0c48d71dbce26efbb34ff6f853c9fb7220d2",
+    "auc.csv": "ae4d74aa301c745e51bc57892973f1bd820d520e4f50c28a4d270765cb9c0b91",
+    "summary.json": "e8507353b80752c76c85363aeda0e41603b546392a4ae2ce77834df3b8633c7b",
+}
+FAMILY_PEARSON_WRITTEN = 0.9129112783472081
+
+
+def test_the_default_family_bundle_is_pinned(family_run):
+    changed = [
+        name for name, sha in FAMILY_FILES.items() if family_run["sha256"][name] != sha
+    ]
+    assert family_run["digest"] == FAMILY_DIGEST, (
+        f"the bundle's bytes changed; of the pinned files: {changed or 'none'}"
+    )
+    assert family_run["summary"]["pearson_written"] == FAMILY_PEARSON_WRITTEN
 
 
 def test_criterion_7_synthetic_family(family_run):

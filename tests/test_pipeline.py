@@ -1058,6 +1058,50 @@ def bundle_bytes(out, skip=("ledger.json",)):
     }
 
 
+# The run of make_experiment(languages=("aa", "bb", "cc")) as far as the
+# names of its cells and files go; no file is read to build it.
+THREE_LANGUAGES = pipeline.ExperimentManifest(
+    languages=("aa", "bb", "cc"),
+    data_sources={lang: (Path(), Path()) for lang in ("aa", "bb", "cc")},
+    output_dir=Path(),
+)
+
+
+def all_keys(manifest):
+    """Every cell key of ``manifest``, in ledger order."""
+    return [(src, tgt, f) for src, tgt in manifest.pairs() for f in manifest.fractions]
+
+
+def hyp_path(key):
+    """A cell's hypothesis file, relative to output_dir."""
+    src, tgt, fraction = key
+    return f"hyps/{src}-{tgt}/{pipeline.fraction_slug(fraction)}.txt"
+
+
+def pair_file_paths(manifest):
+    """Every file `_pair_files` lists and every cell's hypothesis file, as
+    ``<top>/<src>-<tgt>/<name>`` paths relative to output_dir, sorted."""
+    return sorted({
+        f"{top}/{src}-{tgt}/{name}"
+        for top, names in pipeline._pair_files(manifest).items()
+        for src, tgt in manifest.pairs()
+        for name in names
+    } | {hyp_path(key) for key in all_keys(manifest)})
+
+
+@pytest.fixture(scope="module")
+def three_language_run(tmp_path_factory):
+    """A finished builtin run of three languages: its manifest, its ledger
+    and its bundle but ledger.json."""
+    manifest = pipeline.load_manifest(
+        make_experiment(tmp_path_factory.mktemp("three"), languages=("aa", "bb", "cc"))
+    )
+    ledger = pipeline.run_experiment(manifest)
+    assert ledger.all_done()
+    assert pair_file_paths(manifest) == pair_file_paths(THREE_LANGUAGES)
+    return manifest, ledger, bundle_bytes(manifest.output_dir)
+
+
 class TestLazyResume:
     """A rerun prepares only the pairs it has work for."""
 
@@ -1212,7 +1256,7 @@ class TestLazyResume:
         manifest = pipeline.load_manifest(make_experiment(tmp_path, trainer_cfg))
         assert pipeline.run_experiment(manifest).all_done()
         listed = pipeline._pair_files(manifest)
-        assert sorted(listed) == ["corpus", "subsets"]
+        assert sorted(listed) == ["corpus", "hyps", "subsets"]
         for pair in manifest.pairs():
             name = "-".join(pair)
             assert {
@@ -1329,6 +1373,46 @@ class TestLazyResume:
         assert ran == [("bb", "aa", 0.5)]
         assert not (out / "ledger.journal").exists()
         assert bundle_bytes(out) == fresh
+
+    @settings(max_examples=40, deadline=None)
+    @example(deleted=set(), pending=set())
+    @example(deleted={"subsets/aa-bb/0.5.json", "hyps/bb-aa/0.5.txt"}, pending=set())
+    @example(deleted={"subsets/aa-bb/0.5.json"}, pending={("bb", "aa", 0.5)})
+    @given(
+        deleted=st.sets(st.sampled_from(pair_file_paths(THREE_LANGUAGES)), max_size=6),
+        pending=st.sets(st.sampled_from(all_keys(THREE_LANGUAGES)), max_size=6),
+    )
+    def test_a_rerun_prepares_and_runs_exactly_what_is_missing(
+        self, three_language_run, deleted, pending
+    ):
+        manifest, finished, fresh = three_language_run
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            shutil.copytree(manifest.output_dir, out)
+            for rel in deleted:
+                (out / rel).unlink()
+            path = out / "ledger.json"
+            raw = json.loads(path.read_text())
+            for key in pending:
+                raw["cells"][finished.key_str(key)] = pipeline.CellRecord(*key).to_dict()
+            path.write_text(json.dumps(raw))
+
+            to_run = [
+                key for key in all_keys(manifest)
+                if key in pending or hyp_path(key) in deleted
+            ]
+            missing = {rel.split("/")[1] for rel in deleted}
+            with pytest.MonkeyPatch.context() as mp:
+                calls = count_preparation(mp)
+                ran = count_cells(mp)
+                ledger = pipeline.run_experiment(dataclasses.replace(manifest, output_dir=out))
+            assert ledger.all_done()
+            assert prepared_pairs(calls) == [
+                pair for pair in manifest.pairs()
+                if "-".join(pair) in missing or any(key[:2] == pair for key in to_run)
+            ]
+            assert ran == to_run
+            assert bundle_bytes(out) == fresh
 
 
 class TestReusedOutputDirectory:
