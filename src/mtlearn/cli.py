@@ -57,7 +57,7 @@ def _cmd_build_corpus(args: argparse.Namespace) -> int:
     pair = corpus.build_parallel(bitext_a, bitext_b)
     spec = corpus.SplitSpec(dev_ratio=args.dev_ratio, test_ratio=args.test_ratio, seed=args.seed)
     train, dev, test = corpus.split_pair(pair, spec)
-    corpus.write_split_bundle(args.out, pair.src, pair.tgt, train, dev, test, spec)
+    corpus.write_split_bundle(args.out, train, dev, test, spec)
     print(
         f"{pair.src}-{pair.tgt}: {len(pair)} matched pairs -> "
         f"{len(train)} train / {len(dev)} dev / {len(test)} test in {args.out}"

@@ -172,32 +172,28 @@ def build_parallel(a: PivotBitext, b: PivotBitext) -> ParallelPair:
 
     A pivot sentence occurring k_a times in ``a`` and k_b times in ``b``
     yields min(k_a, k_b) pairs, matching occurrences in order (i-th with
-    i-th). Output follows ``a``'s line order. Lines whose normalized pivot
-    is empty are ignored; matching blank subtitle lines against each other
-    would pair unrelated sentences. Sentences pass through `_tsv_field`, as
-    in `tsv_lines`, so the pairs equal their TSV round trip.
+    i-th): each pivot keeps b's unmatched lines, and a's next occurrence
+    pops the first of them. Output follows ``a``'s line order. Lines whose
+    normalized pivot is empty are never indexed, so they are ignored;
+    matching blank subtitle lines against each other would pair unrelated
+    sentences. Sentences pass through `_tsv_field`, as in `tsv_lines`, so
+    the pairs equal their TSV round trip.
     """
     if a.lang == b.lang:
         raise ValueError(f"cannot build a parallel pair from {a.lang!r} twice")
     if len(a) == 0 or len(b) == 0:
         raise ValueError("both bitexts must be nonempty")
 
-    b_occurrences: dict[str, list[int]] = {}
-    for j, key in enumerate(b.pivot_keys):
-        if key:
-            b_occurrences.setdefault(key, []).append(j)
+    index: dict[str, list[int]] = {}  # pivot -> b's unmatched lines, last first
+    for j in reversed(range(len(b))):
+        if key := b.pivot_keys[j]:
+            index.setdefault(key, []).append(j)
 
     pairs: list[tuple[str, str]] = []
     provenance: list[tuple[int, int]] = []
-    seen: dict[str, int] = {}
     for i, key in enumerate(a.pivot_keys):
-        if not key:
-            continue
-        occ = seen.get(key, 0)
-        seen[key] = occ + 1
-        matches = b_occurrences.get(key)
-        if matches is not None and occ < len(matches):
-            j = matches[occ]
+        if matches := index.get(key):
+            j = matches.pop()
             pairs.append((_tsv_field(a.target_lines[i]), _tsv_field(b.target_lines[j])))
             provenance.append((i, j))
 
@@ -304,8 +300,6 @@ SPLIT_BUNDLE_FILES = ("train.tsv", "dev.tsv", "test.tsv", "meta.json")
 
 def write_split_bundle(
     directory: str | Path,
-    src: str,
-    tgt: str,
     train: ParallelPair,
     dev: ParallelPair,
     test: ParallelPair,
@@ -317,7 +311,8 @@ def write_split_bundle(
     Every file goes through `write_text_atomic`, so a directory that
     already holds this split keeps all four files, inode and mtime
     included. meta.json is written last. It records where the split came
-    from (counts, seed, ratios and ``extra_meta``); nothing reads it back.
+    from (the pair, taken from ``train``, its counts, seed, ratios and
+    ``extra_meta``); nothing reads it back.
     Returns the training split's `tsv_lines`, for subsets of its rows.
     """
     directory = Path(directory)
@@ -327,8 +322,8 @@ def write_split_bundle(
     write_text_atomic(directory / dev_name, "".join(tsv_lines(dev.pairs)))
     write_text_atomic(directory / test_name, "".join(tsv_lines(test.pairs)))
     meta = {
-        "src": src,
-        "tgt": tgt,
+        "src": train.src,
+        "tgt": train.tgt,
         "counts": {"train": len(train), "dev": len(dev), "test": len(test)},
         "seed": spec.seed,
         "ratios": {"train": spec.train_ratio, "dev": spec.dev_ratio, "test": spec.test_ratio},

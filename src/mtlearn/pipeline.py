@@ -315,7 +315,7 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
         return ExperimentManifest(
             languages=tuple(languages),
             data_sources=data_sources,
-            output_dir=(base / _typed(raw["output_dir"], "string", "output_dir")).resolve(),
+            output_dir=_path(base, raw["output_dir"], "output_dir"),
             dev_ratio=float(_typed(
                 split.get("dev_ratio", ExperimentManifest.dev_ratio), "number", "split.dev_ratio"
             )),
@@ -603,8 +603,7 @@ def _prepare_pair(
 
     train, dev, test = corpus.split_pair(corpus.build_parallel(bitexts[src], bitexts[tgt]), spec)
     train_lines = corpus.write_split_bundle(
-        pair_dir, src, tgt, train, dev, test, spec,
-        extra_meta={"fingerprint": fingerprint},
+        pair_dir, train, dev, test, spec, extra_meta={"fingerprint": fingerprint}
     )
     (out / "hyps" / f"{src}-{tgt}").mkdir(parents=True, exist_ok=True)
     test_src = [s for s, _ in test.pairs]

@@ -550,10 +550,13 @@ class ExternalJob:
     paths, each quoted for the shell, and the command runs through the
     shell in spec.workdir with the inherited environment and its stdout
     and stderr piped. It runs in a session of its own, so `kill` reaches
-    everything it started. Once it has `ended`, `hypotheses` checks how
-    it ended and reads what it wrote, which must be one line for each of
-    the test source's lines. Only the last `OUTPUT_TAIL` bytes of each of
-    its output streams are kept, for the error of a failed command.
+    everything it started. A file or symlink at the hypothesis path is
+    removed before it starts, so only what the command writes there is
+    read; a directory there is left, and fails the job. Once it has
+    `ended`, `hypotheses` checks how it ended and reads what it wrote,
+    which must be one line for each of the test source's lines. Only the
+    last `OUTPUT_TAIL` bytes of each of its output streams are kept, for
+    the error of a failed command.
     """
 
     def __init__(
@@ -570,6 +573,9 @@ class ExternalJob:
         self.timeout = spec.timeout
         self.hyp_out_path = hyp_out_path
         self.timed_out = False
+        # A file left by an earlier run would pass for this command's output.
+        with contextlib.suppress(FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            os.unlink(hyp_out_path)
         self.proc = subprocess.Popen(
             self.command,
             shell=True,

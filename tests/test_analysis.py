@@ -1,5 +1,6 @@
 """Tests for curve normalization, AUC, correlation, and embedded tables."""
 
+import itertools
 import math
 import random
 
@@ -276,7 +277,7 @@ class TestEmbeddedTables:
         analysis.IntelligibilityMatrix(medium="written", scores=scores)
         with pytest.raises(ValueError, match="medium"):
             analysis.IntelligibilityMatrix(medium="telepathic", scores=scores)
-        with pytest.raises(ValueError, match="20"):
+        with pytest.raises(ValueError, match="no score for pt->es"):
             analysis.IntelligibilityMatrix(
                 medium="written", scores={("es", "pt"): 1.0}
             )
@@ -289,6 +290,15 @@ class TestEmbeddedTables:
         neg[("es", "pt")] = 0.0
         with pytest.raises(ValueError, match="positive"):
             analysis.IntelligibilityMatrix(medium="written", scores=neg)
+
+    def test_a_matrix_scores_every_ordered_pair_of_the_languages_it_names(self):
+        three = {p: 1.0 for p in itertools.permutations(("aa", "bb", "cc"), 2)}
+        assert len(analysis.IntelligibilityMatrix(medium="written", scores=three).scores) == 6
+        del three[("cc", "aa")]
+        with pytest.raises(ValueError, match="no score for cc->aa"):
+            analysis.IntelligibilityMatrix(medium="written", scores=three)
+        with pytest.raises(ValueError, match="no scores"):
+            analysis.IntelligibilityMatrix(medium="written", scores={})
 
 
 class TestFilterAndScatter:

@@ -483,7 +483,7 @@ class TestTsvIO:
         spec = corpus.SplitSpec(dev_ratio=0.1, test_ratio=0.2, seed=4)
         pair = make_pair(30)
         train, dev, test = corpus.split_pair(pair, spec)
-        lines = corpus.write_split_bundle(tmp_path / "es-pt", "es", "pt", train, dev, test, spec)
+        lines = corpus.write_split_bundle(tmp_path / "es-pt", train, dev, test, spec)
         for name in ("train.tsv", "dev.tsv", "test.tsv", "meta.json"):
             assert (tmp_path / "es-pt" / name).is_file()
         assert lines == corpus.tsv_lines(train.pairs)
@@ -498,7 +498,7 @@ class TestTsvIO:
         spec = corpus.SplitSpec(dev_ratio=0.1, test_ratio=0.2, seed=4)
         train, dev, test = corpus.split_pair(make_pair(30), spec)
         directory = tmp_path / "es-pt"
-        corpus.write_split_bundle(directory, "es", "pt", train, dev, test, spec)
+        corpus.write_split_bundle(directory, train, dev, test, spec)
         old_ns = 1_000_000_000  # 1970; a rewrite gets the current time
         for path in directory.iterdir():
             os.utime(path, ns=(old_ns, old_ns))
@@ -508,5 +508,5 @@ class TestTsvIO:
 
         before = inodes_and_mtimes()
         assert sorted(before) == ["dev.tsv", "meta.json", "test.tsv", "train.tsv"]
-        corpus.write_split_bundle(directory, "es", "pt", train, dev, test, spec)
+        corpus.write_split_bundle(directory, train, dev, test, spec)
         assert inodes_and_mtimes() == before

@@ -314,7 +314,7 @@ class TestLoadManifest:
                 "bad spoken matrix: score for es->pt must be positive and finite: inf",
             ),
             (("split", "dev_ratio"), 10**400, "int too large to convert to float"),
-            (("output_dir",), "out\x00", "embedded null byte"),
+            (("output_dir",), "out\x00", "bad output_dir 'out\\x00': embedded null byte"),
             (
                 ("data_sources", "aa", "pivot"),
                 "data/a\x00b",
@@ -2441,6 +2441,25 @@ class TestReports:
             "curves_aa.svg", "curves_bb.svg",
         ]
 
+    def test_matrices_may_score_the_runs_own_languages(self, tmp_path):
+        # Six entries score every ordered pair of three languages.
+        path = make_experiment(tmp_path, languages=("aa", "bb", "cc"))
+        raw = json.loads(path.read_text())
+        pairs = [f"{src}-{tgt}" for src, tgt in itertools.permutations(("aa", "bb", "cc"), 2)]
+        raw["matrices"] = {
+            "written": {pair: 50.0 + 7 * i for i, pair in enumerate(pairs)},
+            "spoken": {pair: 90.0 - i * i for i, pair in enumerate(pairs)},
+        }
+        path.write_text(json.dumps(raw))
+        manifest = pipeline.load_manifest(path)
+        assert pipeline.run_experiment(manifest).all_done()
+        summary = pipeline.build_report(
+            pipeline.finished_ledger(manifest), manifest.matrices, manifest.output_dir
+        )
+        assert summary["pearson_written"] is not None
+        rows = (manifest.output_dir / "scatter_written.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == sorted(pairs)
+
     def test_a_source_no_longer_reported_loses_its_curves_plot(self, tmp_path):
         reused, fresh = tmp_path / "reused", tmp_path / "fresh"
         matrices = analysis.embedded_matrices()
@@ -2509,6 +2528,26 @@ class TestExternalTrainerThroughPipeline:
         assert hyp == src
         for record in ledger.cells.values():
             assert record.bleu is not None
+
+    def test_a_rerun_scores_no_hypothesis_file_of_the_run_before(self, tmp_path, capsys):
+        # The second command exits 0 and writes nothing; the first run's
+        # files must not be scored as its output.
+        path = make_experiment(
+            tmp_path, {"kind": "external", "command_template": "cp {test_src} {hyp_out} # {train}"}
+        )
+        manifest = pipeline.load_manifest(path)
+        assert pipeline.run_experiment(manifest).all_done()
+        hyps = manifest.output_dir / "hyps"
+        assert len(list(hyps.glob("*/*.txt"))) == 18
+        raw = json.loads(path.read_text())
+        raw["trainer"]["command_template"] = "true {train} {test_src} {hyp_out}"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", "--manifest", str(path)]) == 1
+        capsys.readouterr()
+        ledger = pipeline.RunLedger.load(manifest.output_dir / "ledger.json")
+        assert len(ledger.failed()) == len(ledger.cells) == 18
+        assert all("no hypothesis file" in c.error for c in ledger.failed())
+        assert list(hyps.glob("*/*.txt")) == []
 
     def test_short_hypothesis_file_fails_alike_in_a_run_and_alone(self, tmp_path):
         # A run counts a pair's test sources in memory; run_external counts

@@ -752,6 +752,31 @@ class TestRunExternal:
         with pytest.raises(trainer.ExternalTrainerError, match="no hypothesis file"):
             trainer.run_external(spec, str(train), str(test_src), str(hyp))
 
+    @pytest.mark.parametrize("left", ["file", "symlink"])
+    def test_a_file_left_at_hyp_out_is_not_taken_for_the_output(self, tmp_path, left):
+        train, test_src, hyp = self.make_files(tmp_path)
+        if left == "file":  # an earlier run's, right-sized
+            hyp.write_text("a\nb\nc\n", encoding="utf-8")
+        else:
+            hyp.symlink_to(test_src)
+        spec = self.spec("true {train} {test_src} {hyp_out}")
+        with pytest.raises(trainer.ExternalTrainerError, match="no hypothesis file"):
+            trainer.run_external(spec, str(train), str(test_src), str(hyp))
+        assert not hyp.is_symlink() and not hyp.exists()
+        assert test_src.read_text(encoding="utf-8") == "a\nb\nc\n"
+
+    @pytest.mark.parametrize("at", ["directory", "path under a file"])
+    def test_a_hyp_out_that_cannot_be_a_file_fails_the_job(self, tmp_path, at):
+        train, test_src, hyp = self.make_files(tmp_path)
+        if at == "directory":
+            hyp.mkdir()
+        else:
+            hyp = train / "hyp.txt"
+        spec = self.spec("true {train} {test_src} {hyp_out}")
+        with pytest.raises(trainer.ExternalTrainerError, match="no hypothesis file"):
+            trainer.run_external(spec, str(train), str(test_src), str(hyp))
+        assert hyp.is_dir() if at == "directory" else train.is_file()
+
     def test_timeout(self, tmp_path):
         train, test_src, hyp = self.make_files(tmp_path)
         spec = self.spec("sleep 5 # {train} {test_src} {hyp_out}", timeout=0.2)
